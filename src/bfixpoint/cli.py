@@ -1,20 +1,24 @@
 """Command-line front end: run orbits, verify hypotheses, compare theorems.
 
 Exit codes: 0 converged / checks passed, 1 hypothesis or ratio violation,
-2 iteration budget exhausted, 3 invalid input. Built-in scenario names
+2 iteration budget exhausted, 3 invalid input (including a scenario whose
+numbers overflow or divide by zero in floating point). Built-in scenario names
 ("paper-example", "random-finite") resolve before filesystem paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .bspace import AxiomReport, verify_axioms
 from .jsonutil import dumps_canonical, format_float
-from .orbit import OrbitTrace, cauchy_bound, cauchy_series, chaining_bound, run_orbit
+from .orbit import OrbitTrace, cauchy_bound, cauchy_series, chaining_bounds, run_orbit
 from .quasicontraction import ContractionCertificate, certify, check_hypotheses
 from .scenarios import (
     BUILTIN_NAMES,
@@ -34,6 +38,12 @@ def _resolve(scenario_arg: str, seed: int | None) -> Scenario:
     if scenario_arg in BUILTIN_NAMES:
         return builtin(scenario_arg, seed)
     return load(scenario_arg)
+
+
+def _invalid_input(reason) -> int:
+    """Report an input the commands cannot process; exit code 3."""
+    print(f"error: {reason}", file=sys.stderr)
+    return 3
 
 
 def _point_obj(pt):
@@ -93,11 +103,101 @@ def _axiom_tol(space, pts) -> float:
     return 1e-12 * worst
 
 
+def _row_maxima(space, pts) -> list:
+    """For each Cauchy row m = 0 .. len(pts)-2, the exact maximum of
+    space.dist(pts[m+1], pts[j]) over j >= m+1, or None where the row has to
+    be checked pair by pair.
+
+    Screen, then confirm. The pair table is walked in fixed tiles of
+    approximate values: squared euclidean distances for power spaces (d is
+    increasing in them) and the exact entries for matrix spaces. A row's
+    candidates are the entries within relative `rel` of its largest value,
+    and space.dist is evaluated on the candidates only. Squared distances
+    and d = math.dist(x, y)**p differ by a few ulps of relative error, and a
+    candidate window of 1e-9 (1e-9/p for p < 1, where d**p flattens
+    differences) exceeds what that error can reorder, so the true maximum
+    is always a candidate. That error bound holds for normal floats, so a
+    row is screened only if its largest value is a normal float and its
+    exact maximum is too (rounding to a subnormal result may reorder near
+    ties); values below the normal range elsewhere in the row are too small
+    to lead. Other rows (the last one, whose only value is d(x_i, x_i) = 0,
+    underflowing or overflowing distances, non-finite coordinates) are left
+    to the pairwise check.
+    """
+    n = len(pts)
+    rows, cols = 32, 256  # tile shape; the two float64 tiles take 128 KiB
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    if space.kind == "matrix":
+        ids = np.asarray(pts, dtype=np.intp)
+        rel = 0.0
+
+        def tile(r0, r1, c0, c1):
+            return space.matrix[ids[r0:r1, None], ids[c0:c1]]
+
+    else:
+        coords = np.array([[x[k] for x in pts] for k in range(space.dim)], dtype=float)
+        sq, tmp = np.empty((rows, cols)), np.empty((rows, cols))
+        rel = 1e-9 * max(1.0, 1.0 / space.p)
+
+        def tile(r0, r1, c0, c1):
+            out = sq[: r1 - r0, : c1 - c0]
+            t = tmp[: r1 - r0, : c1 - c0]
+            for k, xs in enumerate(coords):
+                dst = t if k else out
+                np.subtract(xs[c0:c1], xs[r0:r1, None], out=dst)
+                np.multiply(dst, dst, out=dst)
+                if k:
+                    np.add(out, t, out=out)
+            return out
+
+    before_row = np.arange(cols) < np.arange(rows)[:, None]  # tile entries j < i
+
+    def row_tile(r0, r1, c0):
+        """Rows x_i, i in [r0, r1), against x_j, j from c0; -inf where j < i."""
+        v = tile(r0, r1, c0, min(c0 + cols, n))
+        if c0 == r0:  # the tile holding the diagonal j = i
+            v[before_row[: r1 - r0, : v.shape[1]]] = -np.inf
+        return v
+
+    maxima = []
+    with np.errstate(all="ignore"):
+        for r0 in range(1, n, rows):  # tile rows are the points x_i = x_{m+1}
+            r1 = min(r0 + rows, n)
+            tops = [row_tile(r0, r1, c0).max(axis=1) for c0 in range(r0, n, cols)]
+            top = np.max(tops, axis=0)
+            ok = (top >= tiny) & (top <= huge)
+            thr = top * (1.0 - rel)
+            best = [-math.inf] * (r1 - r0)
+            for c0, tile_top in zip(range(r0, n, cols), tops):
+                need = ok & (tile_top >= thr)
+                if need.any():  # the tile holds a candidate: recompute it
+                    hit = (row_tile(r0, r1, c0) >= thr[:, None]) & need[:, None]
+                    for b, c in zip(*(ix.tolist() for ix in np.nonzero(hit))):
+                        d = space.dist(pts[r0 + b], pts[c0 + c])
+                        if d > best[b]:
+                            best[b] = d
+            maxima += [d if keep and d >= tiny else None for d, keep in zip(best, ok.tolist())]
+    return maxima
+
+
 def bound_audit(space, trace: OrbitTrace) -> dict:
     """Worst actual/bound ratios over the whole trace.
 
     Cauchy: d(x_{m+1}, x_{m+k}) against the tail bound at m for every m, k.
     Chaining: d(x_0, x_k) against the dyadic bound for every prefix k.
+
+    Every check is made and counted, and every reported number is exact:
+    distances come from space.dist and bounds from exact arithmetic. The
+    largest ratio in a Cauchy row is the row's largest distance over its one
+    bound, since rounded division by a positive number is monotone, so each
+    row needs only its farthest point. A numpy screen picks the candidates
+    for it and space.dist confirms them (see _row_maxima); rows the screen
+    cannot vouch for, and rows whose bound has underflowed to 0, are checked
+    pair by pair, so the violation count and any error raised are those of
+    the full pairwise scan. Chaining bounds come from a running exact prefix
+    sum (chaining_bounds). On an orbit of L points this takes O(L) exact
+    distance evaluations; the O(L**2) screen runs in numpy in fixed-size
+    buffers.
     """
     pts = trace.points
     steps = trace.steps
@@ -112,23 +212,28 @@ def bound_audit(space, trace: OrbitTrace) -> dict:
     if not steps:
         return audit
 
+    n = len(pts)
     cert = cauchy_series(trace.gamma, space.s, first_step=steps[0])
-    bound = cert.first_step * cert.series_sum / (1.0 - cert.gamma)
-    for m in range(len(pts) - 1):
-        for k in range(1, len(pts) - m):
-            actual = space.dist(pts[m + 1], pts[m + k])
-            audit["cauchy_checks"] += 1
-            if actual == 0.0:
-                continue
-            if bound == 0.0:
-                audit["violations"] += 1
-                continue
-            audit["cauchy_ratio_max"] = max(audit["cauchy_ratio_max"], actual / bound)
+    bound = cauchy_bound(0, cert)
+    for m, top in enumerate(_row_maxima(space, pts)):
+        audit["cauchy_checks"] += n - 1 - m
+        if top is not None and bound != 0.0:
+            audit["cauchy_ratio_max"] = max(audit["cauchy_ratio_max"], top / bound)
+        else:
+            for j in range(m + 1, n):
+                actual = space.dist(pts[m + 1], pts[j])
+                if actual == 0.0:
+                    continue
+                if bound == 0.0:
+                    audit["violations"] += 1
+                    continue
+                audit["cauchy_ratio_max"] = max(audit["cauchy_ratio_max"], actual / bound)
         bound *= cert.gamma
 
-    for k in range(1, len(pts)):
+    bounds = chaining_bounds(steps, space.s)
+    for k in range(1, n):
         actual = space.dist(pts[0], pts[k])
-        cb = chaining_bound(steps[:k], space.s)
+        cb = next(bounds)
         audit["chaining_checks"] += 1
         if actual == 0.0:
             continue
@@ -146,42 +251,41 @@ def bound_audit(space, trace: OrbitTrace) -> dict:
     return audit
 
 
-def _write_trace_csv(path: Path, space, trace: OrbitTrace) -> None:
-    cert = None
-    if trace.steps:
-        cert = cauchy_series(trace.gamma, space.s, first_step=trace.steps[0])
-    rows = ["n,point,d_n,ratio,gamma,cauchy_bound_at_n"]
-    for n, pt in enumerate(trace.points):
-        d_n = format_float(trace.steps[n]) if n < len(trace.steps) else ""
-        ratio = ""
-        if 0 < n < len(trace.steps) and trace.steps[n - 1] != 0.0:
-            ratio = format_float(trace.steps[n] / trace.steps[n - 1])
-        bound = format_float(cauchy_bound(n, cert)) if cert is not None else ""
-        rows.append(f"{n},{_point_cell(pt)},{d_n},{ratio},{format_float(trace.gamma)},{bound}")
-    path.write_text("\n".join(rows) + "\n")
+_TRACE_COLUMNS = ("n", "point", "d_n", "ratio", "gamma", "cauchy_bound_at_n")
 
 
-def _write_trace_json(path: Path, space, trace: OrbitTrace) -> None:
-    cert = None
-    if trace.steps:
-        cert = cauchy_series(trace.gamma, space.s, first_step=trace.steps[0])
-    rows = []
+def _trace_rows(space, trace: OrbitTrace):
+    """Yield one row per orbit point, in _TRACE_COLUMNS order; None marks an
+    empty cell. The Cauchy bound is carried from row to row (bound(n+1) =
+    gamma*bound(n), which is how cauchy_bound accumulates it)."""
+    steps = trace.steps
+    bound = None
+    if steps:
+        bound = cauchy_bound(0, cauchy_series(trace.gamma, space.s, first_step=steps[0]))
     for n, pt in enumerate(trace.points):
-        rows.append(
-            {
-                "n": n,
-                "point": _point_obj(pt),
-                "d_n": trace.steps[n] if n < len(trace.steps) else None,
-                "ratio": (
-                    trace.steps[n] / trace.steps[n - 1]
-                    if 0 < n < len(trace.steps) and trace.steps[n - 1] != 0.0
-                    else None
-                ),
-                "gamma": trace.gamma,
-                "cauchy_bound_at_n": cauchy_bound(n, cert) if cert is not None else None,
-            }
-        )
-    path.write_text(dumps_canonical({"rows": rows}) + "\n")
+        d_n = steps[n] if n < len(steps) else None
+        ratio = None
+        if 0 < n < len(steps) and steps[n - 1] != 0.0:
+            ratio = steps[n] / steps[n - 1]
+        yield n, pt, d_n, ratio, trace.gamma, bound
+        if bound is not None:
+            bound *= trace.gamma
+
+
+def _csv_cell(x) -> str:
+    return "" if x is None else format_float(x)
+
+
+def _write_trace_csv(path: Path, rows) -> None:
+    lines = [",".join(_TRACE_COLUMNS)]
+    for n, pt, *values in rows:
+        lines.append(",".join([str(n), _point_cell(pt)] + [_csv_cell(x) for x in values]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_trace_json(path: Path, rows) -> None:
+    objs = [dict(zip(_TRACE_COLUMNS, (n, _point_obj(pt), *values))) for n, pt, *values in rows]
+    path.write_text(dumps_canonical({"rows": objs}) + "\n")
 
 
 def cmd_run(
@@ -199,8 +303,7 @@ def cmd_run(
         space, tmap = instantiate(sc)
         pairs = certification_pairs(sc, space)
     except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _invalid_input(exc)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -254,13 +357,12 @@ def cmd_run(
         "timing_ms": (time.perf_counter() - t0) * 1000.0,
     }
     (out / "report.json").write_text(dumps_canonical(report) + "\n")
-    if trace is not None:
-        if fmt == "json":
-            _write_trace_json(out / "trace.json", space, trace)
-        else:
-            _write_trace_csv(out / "trace.csv", space, trace)
+    if trace is None:  # no orbit: a CSV trace with the header alone
+        _write_trace_csv(out / "trace.csv", ())
+    elif fmt == "json":
+        _write_trace_json(out / "trace.json", _trace_rows(space, trace))
     else:
-        (out / "trace.csv").write_text("n,point,d_n,ratio,gamma,cauchy_bound_at_n\n")
+        _write_trace_csv(out / "trace.csv", _trace_rows(space, trace))
 
     print(f"{orbit_obj.get('status')}: report written to {out / 'report.json'}")
     return exit_code
@@ -273,8 +375,7 @@ def cmd_verify(scenario_arg: str, seed: int | None = None) -> int:
         pts = sample_points(sc, space)
         pairs = certification_pairs(sc, space)
     except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _invalid_input(exc)
 
     axioms = verify_axioms(space, pts, tol=_axiom_tol(space, pts))
     cert = certify(space, tmap, pairs, sc.params.c, sc.params.q)
@@ -289,8 +390,7 @@ def cmd_compare(scenario_arg: str, seed: int | None = None) -> int:
         space, tmap = instantiate(sc)
         pairs = certification_pairs(sc, space)
     except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _invalid_input(exc)
 
     cert = certify(space, tmap, pairs, sc.params.c, sc.params.q)
     hyp = check_hypotheses(cert, space.s, sc.params.c, sc.params.q, sc.params.alpha)
@@ -342,15 +442,20 @@ def main(argv=None) -> int:
     add_common(sub.add_parser("compare", help="compare the two applicability conditions"), False)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(
-            args.scenario, args.out,
-            tol=args.tol, beta=args.beta, max_iter=args.max_iter,
-            fmt=args.format, seed=args.seed,
-        )
-    if args.command == "verify":
-        return cmd_verify(args.scenario, seed=args.seed)
-    return cmd_compare(args.scenario, seed=args.seed)
+    try:
+        if args.command == "run":
+            return cmd_run(
+                args.scenario, args.out,
+                tol=args.tol, beta=args.beta, max_iter=args.max_iter,
+                fmt=args.format, seed=args.seed,
+            )
+        if args.command == "verify":
+            return cmd_verify(args.scenario, seed=args.seed)
+        return cmd_compare(args.scenario, seed=args.seed)
+    except ArithmeticError as exc:
+        # overflow or division by zero on a parsed scenario: its numbers
+        # cannot be processed in floating point, which is invalid input
+        return _invalid_input(f"arithmetic failure ({type(exc).__name__}: {exc})")
 
 
 if __name__ == "__main__":

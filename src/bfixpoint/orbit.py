@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bspace import BMetricSpace, Point
-from .quasicontraction import SetValuedMap, image_of, n_functional
-from .setops import dist_point_set
+from .quasicontraction import SetValuedMap, _check_coefficients, _n_from_parts, image_of
+from .setops import PointSet, SetDistance, dist_point_set
 
 
 class RatioViolation(RuntimeError):
@@ -79,6 +79,32 @@ def gamma_of(beta: float, q: float, s: float) -> float:
     return max(beta, q * s * beta / (2.0 - q * s * beta))
 
 
+def _select(
+    space: BMetricSpace,
+    c: float,
+    q: float,
+    beta: float,
+    x_prev: Point,
+    x_cur: Point,
+    d_prev: float,
+    t_prev: PointSet,
+    r_prev: float,
+    t_cur: PointSet,
+    near: SetDistance,
+) -> Point:
+    """select_next from the terms a caller already holds: d_prev = d(x_prev, x_cur),
+    t_prev = T(x_prev), r_prev = d(x_prev, T(x_prev)), t_cur = T(x_cur) and
+    near = dist_point_set(x_cur, T(x_cur))."""
+    d, idx = near
+    if d > 0.0:
+        bound = beta * _n_from_parts(space, c, q, x_prev, x_cur, d_prev, t_prev, t_cur, r_prev, d)
+        if not d < bound:
+            raise RatioViolation(
+                f"step {d} not below beta*N = {bound} at ({x_prev!r} -> {x_cur!r})"
+            )
+    return t_cur.elements[idx]
+
+
 def select_next(
     space: BMetricSpace,
     tmap: SetValuedMap,
@@ -94,15 +120,14 @@ def select_next(
     unless the step is zero; a violation means the contraction hypothesis
     fails at this pair and raises RatioViolation.
     """
-    img = image_of(space, tmap, x_cur)
-    d, idx = dist_point_set(space, x_cur, img)
-    if d > 0.0:
-        bound = beta * n_functional(space, tmap, c, q, x_prev, x_cur)
-        if not d < bound:
-            raise RatioViolation(
-                f"step {d} not below beta*N = {bound} at ({x_prev!r} -> {x_cur!r})"
-            )
-    return img.elements[idx]
+    _check_coefficients(c, q)
+    t_prev = image_of(space, tmap, x_prev)
+    t_cur = image_of(space, tmap, x_cur)
+    return _select(
+        space, c, q, beta, x_prev, x_cur,
+        space.dist(x_prev, x_cur), t_prev, dist_point_set(space, x_prev, t_prev).value,
+        t_cur, dist_point_set(space, x_cur, t_cur),
+    )
 
 
 def run_orbit(
@@ -127,11 +152,14 @@ def run_orbit(
 
     Stopping is by residual, not step size: a small step does not certify a
     fixed point, the residual is exactly what the fixed-point theorems bound.
+
+    Each point's image and residual are computed once and carried into the
+    next step as T(x_prev) and d(x_prev, T(x_prev)), so a step costs one
+    image evaluation; d(x_prev, x_cur) is the previous step distance.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0,1), got {alpha}")
-    if not 0.0 <= c <= 1.0 or not 0.0 <= q <= 1.0:
-        raise ValueError(f"coefficients must be in [0,1], got c={c}, q={q}")
+    _check_coefficients(c, q)
     s = space.s
     if not alpha * q * s < 1.0:
         raise ValueError(f"need alpha*q*s < 1, got {alpha * q * s}")
@@ -148,17 +176,17 @@ def run_orbit(
     gamma = gamma_of(beta, q, s)
 
     space.check_point(x0)
-    img = image_of(space, tmap, x0)
-    residual, idx = dist_point_set(space, x0, img)
-    if residual <= tol:
-        return OrbitTrace((x0,), (), beta, gamma, "converged", x0, residual)
+    t_prev = image_of(space, tmap, x0)
+    r_prev, idx = dist_point_set(space, x0, t_prev)
+    if r_prev <= tol:
+        return OrbitTrace((x0,), (), beta, gamma, "converged", x0, r_prev)
 
     if x1 is None:
-        x1 = img.elements[idx]
+        x1 = t_prev.elements[idx]
     else:
         x1 = tuple(x1) if isinstance(x1, (list, tuple)) else x1
         space.check_point(x1)
-        if all(space.dist(x1, w) != 0.0 for w in img.elements):
+        if all(space.dist(x1, w) != 0.0 for w in t_prev.elements):
             raise ValueError(f"x1 {x1!r} is not an element of T(x0)")
 
     points = [x0, x1]
@@ -166,7 +194,9 @@ def run_orbit(
 
     while True:
         x_prev, x_cur = points[-2], points[-1]
-        residual = dist_point_set(space, x_cur, image_of(space, tmap, x_cur)).value
+        t_cur = image_of(space, tmap, x_cur)
+        near = dist_point_set(space, x_cur, t_cur)
+        residual = near.value
         if residual <= tol:
             return OrbitTrace(
                 tuple(points), tuple(steps), beta, gamma, "converged", x_cur, residual
@@ -183,7 +213,7 @@ def run_orbit(
                 raise RatioViolation(
                     f"step {residual} above gamma*previous = {gamma * d_prev}"
                 )
-            nxt = select_next(space, tmap, x_prev, x_cur, beta, c, q)
+            nxt = _select(space, c, q, beta, x_prev, x_cur, d_prev, t_prev, r_prev, t_cur, near)
         except RatioViolation:
             return OrbitTrace(
                 tuple(points),
@@ -197,6 +227,7 @@ def run_orbit(
             )
         points.append(nxt)
         steps.append(residual)
+        t_prev, r_prev = t_cur, residual
 
 
 def chaining_bound(steps, s: float) -> float:
@@ -211,6 +242,47 @@ def chaining_bound(steps, s: float) -> float:
     if any(d < 0 for d in steps):
         raise ValueError("step distances must be non-negative")
     return (s ** (k - 1).bit_length()) * math.fsum(steps)
+
+
+def _grow_expansion(partials: list, x: float) -> bool:
+    """Add x to the Shewchuk expansion `partials` (non-overlapping floats whose
+    exact sum is the running total). False if x is not finite or a sum
+    overflowed, after which the expansion no longer holds the total (a
+    non-finite sum stays non-finite through the rest of the pass, so
+    checking the final one is enough)."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+    return math.isfinite(x)
+
+
+def chaining_bounds(steps, s: float):
+    """Yield chaining_bound(steps[:k], s) for k = 1, 2, ..., len(steps).
+
+    The prefix is kept as an exact Shewchuk expansion, so math.fsum of it is
+    the correctly rounded prefix sum, bit for bit what math.fsum(steps[:k])
+    gives, and the whole sequence costs O(len(steps)) instead of O(len**2).
+    Each step is validated when its prefix is reached, so the errors are
+    those chaining_bound raises for that prefix.
+    """
+    partials: list[float] = []
+    exact = True  # False once a step is non-finite or the sum overflows; then fsum(steps[:k])
+    for k, d in enumerate(steps, 1):
+        if k == 1 and not s >= 1.0:
+            raise ValueError(f"s must be >= 1, got {s}")
+        if d < 0:
+            raise ValueError("step distances must be non-negative")
+        exact = exact and _grow_expansion(partials, d)
+        total = math.fsum(partials) if exact else math.fsum(steps[:k])
+        yield (s ** (k - 1).bit_length()) * total
 
 
 def cauchy_series(gamma: float, s: float, first_step: float | None = None) -> CauchyCertificate:

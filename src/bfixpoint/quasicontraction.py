@@ -123,17 +123,42 @@ def image_of(space: BMetricSpace, tmap: SetValuedMap, x: Point) -> PointSet:
     return PointSet(tuple(outs))
 
 
-def n_functional(space: BMetricSpace, tmap: SetValuedMap, c: float, q: float, x: Point, y: Point) -> float:
-    """Four-term comparison functional N(x,y) for coefficients c, q in [0,1]."""
+def _check_coefficients(c: float, q: float) -> None:
     if not 0.0 <= c <= 1.0 or not 0.0 <= q <= 1.0:
         raise ValueError(f"coefficients must be in [0,1], got c={c}, q={q}")
+
+
+def _n_from_parts(
+    space: BMetricSpace,
+    c: float,
+    q: float,
+    x: Point,
+    y: Point,
+    d_xy: float,
+    tx: PointSet,
+    ty: PointSet,
+    d_x_tx: float,
+    d_y_ty: float,
+) -> float:
+    """N(x,y) from the terms a caller already holds; only the two cross
+    distances d(x,T(y)) and d(y,T(x)) are computed here."""
+    return max(
+        d_xy,
+        c * d_x_tx,
+        c * d_y_ty,
+        0.5 * q * (dist_point_set(space, x, ty).value + dist_point_set(space, y, tx).value),
+    )
+
+
+def n_functional(space: BMetricSpace, tmap: SetValuedMap, c: float, q: float, x: Point, y: Point) -> float:
+    """Four-term comparison functional N(x,y) for coefficients c, q in [0,1]."""
+    _check_coefficients(c, q)
     tx = image_of(space, tmap, x)
     ty = image_of(space, tmap, y)
-    return max(
-        space.dist(x, y),
-        c * dist_point_set(space, x, tx).value,
-        c * dist_point_set(space, y, ty).value,
-        0.5 * q * (dist_point_set(space, x, ty).value + dist_point_set(space, y, tx).value),
+    return _n_from_parts(
+        space, c, q, x, y,
+        space.dist(x, y), tx, ty,
+        dist_point_set(space, x, tx).value, dist_point_set(space, y, ty).value,
     )
 
 
@@ -188,8 +213,7 @@ def certify(
     pairs = list(pairs)
     if not pairs:
         raise ValueError("pair list must be nonempty")
-    if not 0.0 <= c <= 1.0 or not 0.0 <= q <= 1.0:
-        raise ValueError(f"coefficients must be in [0,1], got c={c}, q={q}")
+    _check_coefficients(c, q)
 
     alpha_min = 0.0
     alpha41_min = 0.0

@@ -23,6 +23,30 @@ def squared_line_scenario(s=2.0, c=0.0, q=0.0, alpha=0.9):
     }
 
 
+def overflowing_scenario():
+    # the branch x -> 1e200*x makes (x - T(x))**2 overflow during certification
+    return {
+        "space": {"kind": "power", "dim": 1, "p": 2.0},
+        "map": {"kind": "branches", "branches": [{"A": [[1e200]], "b": [0.0]}]},
+        "params": {"c": 0.0, "q": 0.0, "alpha": 0.9},
+        "x0": [1.0],
+        "tol": 1e-10,
+        "max_iter": 100,
+        "sample": {"kind": "grid", "lo": -1.0, "hi": 1.0, "step": 0.1},
+    }
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+def test_arithmetic_failure_is_invalid_input(tmp_path, capsys, command):
+    argv = [command, "--scenario", write_json(tmp_path / "sc.json", overflowing_scenario())]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: arithmetic failure (OverflowError")
+    assert "Traceback" not in err
+
+
 class TestRun:
     def test_builtin_example_converges(self, tmp_path):
         out = tmp_path / "out"
