@@ -14,6 +14,7 @@ at 0.81 too, which is far above its admissibility threshold 1/(s + s^2) =
 from bfixpoint import (
     all_pairs,
     certify,
+    certifies,
     check_hypotheses,
     instantiate,
     n_functional,
@@ -23,7 +24,7 @@ from bfixpoint import (
 
 sc = paper_example()
 space, tmap = instantiate(sc)
-grid = sample_points(sc, space)
+grid = sample_points(sc)
 
 print("=" * 68)
 print("1. the comparison functional at a sample pair")
@@ -44,13 +45,13 @@ print(f"  alpha_min   = {cert.alpha_min!r}")
 print(f"  alpha41_min = {cert.alpha41_min!r}")
 print(f"  worst pair  = {cert.worst_pair}")
 print(f"  supplied alpha {sc.params.alpha} is a valid, non-minimal certificate: "
-      f"{sc.params.alpha >= cert.alpha_min}")
+      f"{certifies(cert, sc.params.alpha)}")
 
 print()
 print("=" * 68)
 print("3. which sufficient conditions apply at alpha = 0.9")
 print("=" * 68)
-hyp = check_hypotheses(cert, space.s, sc.params.c, sc.params.q, sc.params.alpha)
+hyp = check_hypotheses(cert, sc.params.alpha)
 for name in ("thm31", "thm32", "thm33", "thm41"):
     v = hyp[name]
     mark = "applicable    " if v["applicable"] else "NOT applicable"

@@ -133,14 +133,6 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
     return BMetricSpace(kind="matrix", s=float(s), matrix=m)
 
 
-def matrix_space_from_json(obj: dict) -> BMetricSpace:
-    """Build a matrix space from {"n": int, "s": float, "d": [[...]]} (row-major)."""
-    for key in ("n", "s", "d"):
-        if key not in obj:
-            raise ValueError(f"missing field: {key}")
-    return make_matrix_space(int(obj["n"]), obj["d"], float(obj["s"]))
-
-
 def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     if space.kind == "matrix":
         ids = np.asarray(sample, dtype=int)

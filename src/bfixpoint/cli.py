@@ -1,9 +1,11 @@
 """Command-line front end: run orbits, verify hypotheses, compare theorems.
 
 Exit codes: 0 converged / checks passed, 1 hypothesis or ratio violation,
-2 iteration budget exhausted, 3 invalid input (including a scenario whose
-numbers overflow or divide by zero in floating point). Built-in scenario names
-("paper-example", "random-finite") resolve before filesystem paths.
+2 iteration budget exhausted, 3 invalid input: a scenario that does not
+parse or build, or whose numbers overflow, divide by zero or give a
+non-finite certificate in floating point. main maps every such error to
+exit 3 in one place. Built-in scenario names ("paper-example",
+"random-finite") resolve before filesystem paths.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ import numpy as np
 from .bspace import AxiomReport, verify_axioms
 from .jsonutil import dumps_canonical, format_float
 from .orbit import OrbitTrace, cauchy_bound, cauchy_series, chaining_bounds, run_orbit
-from .quasicontraction import ContractionCertificate, certify, check_hypotheses
+from .quasicontraction import ContractionCertificate, certify, check_hypotheses, verdicts
 from .scenarios import (
     BUILTIN_NAMES,
     Scenario,
     builtin,
     certification_pairs,
-    instantiate,
     load,
     sample_points,
     scenario_digest,
@@ -34,22 +35,12 @@ from .scenarios import (
 _MAX_PRINTED_VIOLATIONS = 50
 
 
-def _resolve(scenario_arg: str, seed: int | None) -> Scenario:
-    if scenario_arg in BUILTIN_NAMES:
-        return builtin(scenario_arg, seed)
-    return load(scenario_arg)
-
-
-def _invalid_input(reason) -> int:
-    """Report an input the commands cannot process; exit code 3."""
-    print(f"error: {reason}", file=sys.stderr)
-    return 3
-
-
-def _point_obj(pt):
-    if pt is None:
-        return None
-    return list(pt) if isinstance(pt, tuple) else pt
+def _certified(scenario_arg: str, seed: int | None) -> tuple[Scenario, ContractionCertificate, dict]:
+    """The set-up every command shares: resolve the scenario, certify it on
+    its sample, and check the hypotheses at its declared alpha."""
+    sc = builtin(scenario_arg, seed) if scenario_arg in BUILTIN_NAMES else load(scenario_arg)
+    cert = certify(sc.space, sc.map, certification_pairs(sc), sc.params.c, sc.params.q)
+    return sc, cert, check_hypotheses(cert, sc.params.alpha)
 
 
 def _point_cell(pt) -> str:
@@ -58,12 +49,12 @@ def _point_cell(pt) -> str:
     return str(pt)
 
 
-def _cert_obj(cert: ContractionCertificate, sc: Scenario, hyp: dict) -> dict:
+def _cert_obj(sc: Scenario, cert: ContractionCertificate, hyp: dict, gamma: float | None = None) -> dict:
     return {
         "scenario_digest": scenario_digest(sc),
         "alpha_min": cert.alpha_min,
         "alpha41_min": cert.alpha41_min,
-        "worst_pair": [_point_obj(cert.worst_pair[0]), _point_obj(cert.worst_pair[1])],
+        "worst_pair": cert.worst_pair,
         "coverage": cert.coverage,
         "n_pairs": cert.n_pairs,
         "s": cert.s,
@@ -71,8 +62,9 @@ def _cert_obj(cert: ContractionCertificate, sc: Scenario, hyp: dict) -> dict:
         "q": cert.q,
         "q_conventional_name": "d",
         "alpha_supplied": sc.params.alpha,
-        "supplied_alpha_is_valid_certificate": sc.params.alpha >= cert.alpha_min * (1.0 - 1e-12),
-        "verdicts": cert.verdicts,
+        "supplied_alpha_is_valid_certificate": hyp["contraction_holds"],
+        # lemma41 compares s*gamma < 1 and needs a run's gamma
+        "verdicts": verdicts(cert, cert.alpha_min, gamma),
         "assumptions": cert.assumptions,
         "hypotheses": hyp,
     }
@@ -86,7 +78,7 @@ def _axiom_obj(report: AxiomReport) -> dict:
         "violations": [
             {
                 "axiom": v.axiom,
-                "witness": [_point_obj(w) for w in v.witness],
+                "witness": v.witness,
                 "lhs": v.lhs,
                 "rhs": v.rhs,
             }
@@ -276,16 +268,15 @@ def _csv_cell(x) -> str:
     return "" if x is None else format_float(x)
 
 
-def _write_trace_csv(path: Path, rows) -> None:
+def _trace_csv(rows) -> str:
     lines = [",".join(_TRACE_COLUMNS)]
     for n, pt, *values in rows:
         lines.append(",".join([str(n), _point_cell(pt)] + [_csv_cell(x) for x in values]))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_trace_json(path: Path, rows) -> None:
-    objs = [dict(zip(_TRACE_COLUMNS, (n, _point_obj(pt), *values))) for n, pt, *values in rows]
-    path.write_text(dumps_canonical({"rows": objs}) + "\n")
+def _trace_json(rows) -> str:
+    return dumps_canonical({"rows": [dict(zip(_TRACE_COLUMNS, row)) for row in rows]}) + "\n"
 
 
 def cmd_run(
@@ -298,25 +289,19 @@ def cmd_run(
     seed: int | None = None,
 ) -> int:
     t0 = time.perf_counter()
-    try:
-        sc = _resolve(scenario_arg, seed)
-        space, tmap = instantiate(sc)
-        pairs = certification_pairs(sc, space)
-    except (ValueError, OSError, RuntimeError) as exc:
-        return _invalid_input(exc)
-
+    # a failed run must not leave an earlier run's outputs to be read as its own
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    p = sc.params
+    for name in ("report.json", "trace.csv", "trace.json"):
+        (out / name).unlink(missing_ok=True)
+
+    sc, cert, hyp = _certified(scenario_arg, seed)
+    space, p = sc.space, sc.params
     run_tol = tol if tol is not None else sc.tol
     run_beta = beta if beta is not None else p.beta
     run_max_iter = max_iter if max_iter is not None else sc.max_iter
 
-    cert = certify(space, tmap, pairs, p.c, p.q)
-    hyp = check_hypotheses(cert, space.s, p.c, p.q, p.alpha)
-
     trace = None
-    if not p.alpha >= cert.alpha_min * (1.0 - 1e-12):
+    if not hyp["contraction_holds"]:
         orbit_obj = {
             "status": "hypothesis_violation",
             "reason": f"supplied alpha {p.alpha} below certified alpha_min {cert.alpha_min}",
@@ -325,7 +310,7 @@ def cmd_run(
     else:
         try:
             trace = run_orbit(
-                space, tmap, p.c, p.q, p.alpha, sc.x0,
+                space, sc.map, p.c, p.q, p.alpha, sc.x0,
                 x1=sc.x1, beta=run_beta, tol=run_tol, max_iter=run_max_iter,
             )
             orbit_obj = {
@@ -333,10 +318,10 @@ def cmd_run(
                 "iterations": len(trace.steps),
                 "beta": trace.beta,
                 "gamma": trace.gamma,
-                "fixed_point": _point_obj(trace.fixed_point),
+                "fixed_point": trace.fixed_point,
                 "residual": trace.residual,
                 "violation_step": trace.violation_step,
-                "x0": _point_obj(sc.x0),
+                "x0": sc.x0,
                 "tol": run_tol,
             }
             exit_code = {"converged": 0, "max_iter": 2, "ratio_violation": 1}[trace.status]
@@ -344,56 +329,38 @@ def cmd_run(
             orbit_obj = {"status": "hypothesis_violation", "reason": str(exc)}
             exit_code = 1
 
-    cert_obj = _cert_obj(cert, sc, hyp)
-    if trace is not None:
-        # the single-step-decay comparison needs the run's gamma
-        cert_obj["verdicts"] = dict(cert.verdicts, lemma41=space.s * trace.gamma < 1.0)
-
-    audit = bound_audit(space, trace) if trace is not None else {"ok": False, "violations": 0}
     report = {
-        "certificate": cert_obj,
+        "certificate": _cert_obj(sc, cert, hyp, trace.gamma if trace is not None else None),
         "orbit": orbit_obj,
-        "audit": audit,
+        "audit": bound_audit(space, trace) if trace is not None else {"ok": False, "violations": 0},
         "timing_ms": (time.perf_counter() - t0) * 1000.0,
     }
-    (out / "report.json").write_text(dumps_canonical(report) + "\n")
+    # everything is formatted before the first file is written
+    files = {"report.json": dumps_canonical(report) + "\n"}
     if trace is None:  # no orbit: a CSV trace with the header alone
-        _write_trace_csv(out / "trace.csv", ())
+        files["trace.csv"] = _trace_csv(())
     elif fmt == "json":
-        _write_trace_json(out / "trace.json", _trace_rows(space, trace))
+        files["trace.json"] = _trace_json(_trace_rows(space, trace))
     else:
-        _write_trace_csv(out / "trace.csv", _trace_rows(space, trace))
+        files["trace.csv"] = _trace_csv(_trace_rows(space, trace))
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
 
     print(f"{orbit_obj.get('status')}: report written to {out / 'report.json'}")
     return exit_code
 
 
 def cmd_verify(scenario_arg: str, seed: int | None = None) -> int:
-    try:
-        sc = _resolve(scenario_arg, seed)
-        space, tmap = instantiate(sc)
-        pts = sample_points(sc, space)
-        pairs = certification_pairs(sc, space)
-    except (ValueError, OSError, RuntimeError) as exc:
-        return _invalid_input(exc)
-
-    axioms = verify_axioms(space, pts, tol=_axiom_tol(space, pts))
-    cert = certify(space, tmap, pairs, sc.params.c, sc.params.q)
-    hyp = check_hypotheses(cert, space.s, sc.params.c, sc.params.q, sc.params.alpha)
-    print(dumps_canonical({"axioms": _axiom_obj(axioms), "certificate": _cert_obj(cert, sc, hyp)}))
+    sc, cert, hyp = _certified(scenario_arg, seed)
+    pts = sample_points(sc)
+    axioms = verify_axioms(sc.space, pts, tol=_axiom_tol(sc.space, pts))
+    print(dumps_canonical({"axioms": _axiom_obj(axioms), "certificate": _cert_obj(sc, cert, hyp)}))
     return 0 if axioms.passed and hyp["thm33"]["applicable"] else 1
 
 
 def cmd_compare(scenario_arg: str, seed: int | None = None) -> int:
-    try:
-        sc = _resolve(scenario_arg, seed)
-        space, tmap = instantiate(sc)
-        pairs = certification_pairs(sc, space)
-    except (ValueError, OSError, RuntimeError) as exc:
-        return _invalid_input(exc)
-
-    cert = certify(space, tmap, pairs, sc.params.c, sc.params.q)
-    hyp = check_hypotheses(cert, space.s, sc.params.c, sc.params.q, sc.params.alpha)
+    _sc, _cert, hyp = _certified(scenario_arg, seed)
     rows = []
     for name in ("thm33", "thm41"):
         v = hyp[name]
@@ -455,7 +422,11 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         # overflow or division by zero on a parsed scenario: its numbers
         # cannot be processed in floating point, which is invalid input
-        return _invalid_input(f"arithmetic failure ({type(exc).__name__}: {exc})")
+        reason = f"arithmetic failure ({type(exc).__name__}: {exc})"
+    except (ValueError, OSError, RuntimeError) as exc:
+        reason = exc
+    print(f"error: {reason}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

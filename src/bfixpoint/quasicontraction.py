@@ -61,8 +61,12 @@ class ContractionCertificate:
     q: float
     coverage: str  # "exhaustive" on fully paired finite spaces, else "empirical"
     n_pairs: int
-    verdicts: dict
     assumptions: dict
+
+    @property
+    def verdicts(self) -> dict:
+        """The verdict block at alpha = alpha_min, without a run's gamma."""
+        return verdicts(self, self.alpha_min)
 
 
 def make_table_map(space: BMetricSpace, images: dict) -> SetValuedMap:
@@ -75,6 +79,9 @@ def make_table_map(space: BMetricSpace, images: dict) -> SetValuedMap:
         if i not in images:
             raise ValueError(f"missing image for point {i}")
         table[i] = make_point_set(space, [int(j) for j in images[i]])
+    for k in images:
+        if k not in table:
+            raise ValueError(f"image given for point {k!r} outside the domain [0, {n})")
     return SetValuedMap(kind="table", table=table)
 
 
@@ -99,16 +106,6 @@ def make_branch_map(space: BMetricSpace, branches) -> SetValuedMap:
     if not normd:
         raise ValueError("at least one branch required")
     return SetValuedMap(kind="branches", branches=tuple(normd))
-
-
-def map_from_json(space: BMetricSpace, obj: dict) -> SetValuedMap:
-    """Load {"images": {...}} as a table map or {"branches": [...]} as branches."""
-    if "images" in obj:
-        images = {int(k): v for k, v in obj["images"].items()}
-        return make_table_map(space, images)
-    if "branches" in obj:
-        return make_branch_map(space, [(br["A"], br["b"]) for br in obj["branches"]])
-    raise ValueError("map object needs an 'images' or 'branches' field")
 
 
 def image_of(space: BMetricSpace, tmap: SetValuedMap, x: Point) -> PointSet:
@@ -197,7 +194,6 @@ def certify(
     pairs,
     c: float,
     q: float,
-    gamma: float | None = None,
 ) -> ContractionCertificate:
     """Smallest feasible contraction coefficients over the supplied pairs.
 
@@ -205,10 +201,11 @@ def certify(
     alpha41_min = max h(T(x),T(y)) / five_term_max    (five-term condition)
 
     Both ratios are well-defined because distinct pairs give N >= d(x,y) > 0.
+    A pair whose ratio is not finite (images that overflow or lose all
+    precision) makes the certificate uncomputable: ValueError names it.
     On a finite space whose pair list covers every unordered pair the
     certificate is exhaustive; otherwise it only speaks for the sample and
-    is labeled empirical. Verdict flags are evaluated at alpha = alpha_min;
-    pass gamma to also record the single-step-decay comparison s*gamma < 1.
+    is labeled empirical. Theorem verdicts come from `verdicts`.
     """
     pairs = list(pairs)
     if not pairs:
@@ -224,74 +221,93 @@ def certify(
             raise ValueError(f"pair ({x!r}, {y!r}) is not distinct")
         h = hausdorff(space, image_of(space, tmap, x), image_of(space, tmap, y))
         ratio = h / n_functional(space, tmap, c, q, x, y)
+        ratio41 = h / five_term_max(space, tmap, x, y)
+        if not (math.isfinite(ratio) and math.isfinite(ratio41)):
+            raise ValueError(
+                f"pair ({x!r}, {y!r}) has non-finite contraction ratios "
+                f"({ratio!r} four-term, {ratio41!r} five-term): the map cannot be certified"
+            )
         if ratio > alpha_min:
             alpha_min = ratio
             worst = (x, y)
-        ratio41 = h / five_term_max(space, tmap, x, y)
         if ratio41 > alpha41_min:
             alpha41_min = ratio41
             worst41 = (x, y)
 
     coverage = "empirical"
+    continuity = "assumed (not checkable from finite samples)"
     if space.is_finite:
         want = {frozenset(pr) for pr in combinations(range(space.n_points), 2)}
         have = {frozenset(pr) for pr in pairs}
         if want <= have:
             coverage = "exhaustive"
+        continuity = "holds (finite space)"
 
-    if space.is_finite:
-        assumptions = {
-            "map_continuity": "holds (finite space)",
-            "dist_star_continuity": "holds (finite space)",
-        }
-    else:
-        assumptions = {
-            "map_continuity": "assumed (not checkable from finite samples)",
-            "dist_star_continuity": "assumed (not checkable from finite samples)",
-        }
-
-    s = space.s
-    verdicts = {
-        "thm21_feasible": alpha_min * q * s < 1.0,
-        "thm33": max(alpha_min * c * s, alpha_min * q * s) < 1.0,
-        "lemma41": (s * gamma < 1.0) if gamma is not None else None,
-        "thm41": alpha41_min <= 1.0 / (s + s * s),
-    }
     return ContractionCertificate(
         alpha_min=alpha_min,
         alpha41_min=alpha41_min,
         worst_pair=worst,
         worst_pair41=worst41,
-        s=s,
+        s=space.s,
         c=c,
         q=q,
         coverage=coverage,
         n_pairs=len(pairs),
-        verdicts=verdicts,
-        assumptions=assumptions,
+        assumptions={"map_continuity": continuity, "dist_star_continuity": continuity},
     )
 
 
-def check_hypotheses(cert: ContractionCertificate, s: float, c: float, q: float, alpha: float) -> dict:
+def certifies(cert: ContractionCertificate, alpha: float) -> bool:
+    """Whether alpha is a contraction constant the certificate vouches for:
+    alpha >= alpha_min, up to a relative 1e-12 for the rounding in alpha_min
+    (the paper example's exact constant 0.81 certifies as 0.8100000000000009)."""
+    return alpha >= cert.alpha_min * (1.0 - 1e-12)
+
+
+def _conditions(cert: ContractionCertificate, alpha: float, gamma: float | None) -> dict:
+    """Each theorem's side condition at alpha, as name -> (condition, value,
+    threshold, holds); lemma41 is None without a run's gamma. Every verdict
+    is read from here."""
+    s = cert.s
+    aqs = alpha * cert.q * s
+    a33 = max(alpha * cert.c * s, aqs)
+    t41 = 1.0 / (s + s * s)
+    return {
+        "thm21_feasible": ("alpha*q*s < 1", aqs, 1.0, aqs < 1.0),
+        "thm33": ("max(alpha*c*s, alpha*q*s) < 1", a33, 1.0, a33 < 1.0),
+        "lemma41": None if gamma is None else ("s*gamma < 1", s * gamma, 1.0, s * gamma < 1.0),
+        "thm41": ("alpha41_min <= 1/(s + s^2)", cert.alpha41_min, t41, cert.alpha41_min <= t41),
+    }
+
+
+def verdicts(cert: ContractionCertificate, alpha: float, gamma: float | None = None) -> dict:
+    """The boolean verdict block at alpha: thm21_feasible (alpha*q*s < 1),
+    thm33 (max(alpha*c*s, alpha*q*s) < 1), thm41 (alpha41_min <= 1/(s + s^2))
+    and lemma41 (single-step decay s*gamma < 1, None unless a run's gamma is
+    given). Any alpha is accepted, alpha_min >= 1 included."""
+    return {name: None if cond is None else cond[3] for name, cond in _conditions(cert, alpha, gamma).items()}
+
+
+def check_hypotheses(cert: ContractionCertificate, alpha: float) -> dict:
     """Per-theorem applicability at a caller-supplied alpha.
 
     The three four-term theorems share the contraction condition
-    h <= alpha*N (which the certificate established for alpha >= alpha_min)
-    and differ in the side condition: alpha*q*s < 1 plus map continuity,
-    alpha*q*s < 1 plus *-continuity of the distance, or
+    h <= alpha*N (which the certificate established for alpha >= alpha_min,
+    see `certifies`) and differ in the side condition: alpha*q*s < 1 plus
+    map continuity, alpha*q*s < 1 plus *-continuity of the distance, or
     max(alpha*c*s, alpha*q*s) < 1 with no continuity assumption. The
-    five-term route instead needs alpha41_min <= 1/(s + s^2).
+    five-term route instead needs alpha41_min <= 1/(s + s^2). s, c and q
+    are the certificate's.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0,1), got {alpha}")
-    contraction_holds = alpha >= cert.alpha_min
-    aqs = alpha * q * s
-    acs = alpha * c * s
-    threshold41 = 1.0 / (s + s * s)
+    contraction_holds = certifies(cert, alpha)
+    conditions = _conditions(cert, alpha, None)
 
-    def _verdict(apply_ok, condition, value, threshold, assumption=None):
+    def _verdict(name, needs_contraction=True, assumption=None):
+        condition, value, threshold, holds = conditions[name]
         out = {
-            "applicable": bool(apply_ok and contraction_holds),
+            "applicable": bool(holds and (contraction_holds or not needs_contraction)),
             "condition": condition,
             "value": value,
             "threshold": threshold,
@@ -305,20 +321,9 @@ def check_hypotheses(cert: ContractionCertificate, s: float, c: float, q: float,
         "alpha": alpha,
         "alpha_min": cert.alpha_min,
         "alpha41_min": cert.alpha41_min,
-        "thm31": _verdict(
-            aqs < 1.0, "alpha*q*s < 1", aqs, 1.0, cert.assumptions["map_continuity"]
-        ),
-        "thm32": _verdict(
-            aqs < 1.0, "alpha*q*s < 1", aqs, 1.0, cert.assumptions["dist_star_continuity"]
-        ),
-        "thm33": _verdict(
-            max(acs, aqs) < 1.0, "max(alpha*c*s, alpha*q*s) < 1", max(acs, aqs), 1.0
-        ),
-        "thm41": {
-            # five-term feasibility does not depend on the supplied alpha
-            "applicable": cert.alpha41_min <= threshold41,
-            "condition": "alpha41_min <= 1/(s + s^2)",
-            "value": cert.alpha41_min,
-            "threshold": threshold41,
-        },
+        "thm31": _verdict("thm21_feasible", assumption=cert.assumptions["map_continuity"]),
+        "thm32": _verdict("thm21_feasible", assumption=cert.assumptions["dist_star_continuity"]),
+        "thm33": _verdict("thm33"),
+        # five-term feasibility does not depend on the supplied alpha
+        "thm41": _verdict("thm41", needs_contraction=False),
     }

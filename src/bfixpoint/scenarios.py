@@ -1,4 +1,4 @@
-"""Declarative problem instances: built-ins, seeded generation, JSON I/O.
+"""Problem instances: built-ins, seeded generation, JSON I/O.
 
 Scenario JSON schema (all keys lower-case):
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import cos, dist as _euclid, pi, sin
 
 from .bspace import BMetricSpace, make_matrix_space, make_power_space
@@ -36,36 +36,14 @@ from .quasicontraction import (
     SetValuedMap,
     all_pairs,
     certify,
-    map_from_json,
+    make_branch_map,
+    make_table_map,
 )
 from .rng import SplitMix64
 
 
 class ScenarioFormatError(ValueError):
     """Schema violation; the message names the offending field path."""
-
-
-@dataclass(frozen=True)
-class PowerSpaceSpec:
-    dim: int
-    p: float
-
-
-@dataclass(frozen=True)
-class MatrixSpaceSpec:
-    n: int
-    s: float
-    d: tuple  # row-major tuple of row tuples
-
-
-@dataclass(frozen=True)
-class BranchesMapSpec:
-    branches: tuple  # ((A, b), ...) with A a tuple of row tuples
-
-
-@dataclass(frozen=True)
-class TableMapSpec:
-    images: dict  # id -> tuple of ids
 
 
 @dataclass(frozen=True)
@@ -80,10 +58,15 @@ class PointsSample:
     pts: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    space: PowerSpaceSpec | MatrixSpaceSpec
-    map: BranchesMapSpec | TableMapSpec
+    """A problem instance: the built space and map, the run parameters and
+    the certification sample. Construction checks x0, x1 and every sample
+    point against the space. Two scenarios are equal when their canonical
+    JSON objects are."""
+
+    space: BMetricSpace
+    map: SetValuedMap
     params: QuasiParams
     x0: tuple | int
     x1: tuple | int | None
@@ -92,15 +75,28 @@ class Scenario:
     seed: int | None
     sample: GridSample | PointsSample
 
+    def __post_init__(self):
+        self.space.check_point(self.x0)
+        if self.x1 is not None:
+            self.space.check_point(self.x1)
+        for pt in sample_points(self):
+            self.space.check_point(pt)
+
+    def __eq__(self, other):
+        if not isinstance(other, Scenario):
+            return NotImplemented
+        return dumps_canonical(scenario_to_obj(self)) == dumps_canonical(scenario_to_obj(other))
+
 
 BUILTIN_NAMES = ("paper-example", "random-finite")
 
 
 def paper_example() -> Scenario:
     """The built-in quadratic-line instance: d(x,y) = (x-y)^2, T(x) = {0.9x}."""
+    space = make_power_space(1, 2.0)
     return Scenario(
-        space=PowerSpaceSpec(dim=1, p=2.0),
-        map=BranchesMapSpec(branches=((((0.9,),), (0.0,)),)),
+        space=space,
+        map=make_branch_map(space, [([[0.9]], [0.0])]),
         params=QuasiParams(c=0.0, q=0.0, alpha=0.9),
         x0=(1.0,),
         x1=None,
@@ -122,28 +118,15 @@ def builtin(name: str, seed: int | None = None) -> Scenario:
 
 
 def instantiate(sc: Scenario) -> tuple[BMetricSpace, SetValuedMap]:
-    """Build the space and map, validating every reference in the scenario."""
-    if isinstance(sc.space, PowerSpaceSpec):
-        space = make_power_space(sc.space.dim, sc.space.p)
-    else:
-        space = make_matrix_space(sc.space.n, [list(r) for r in sc.space.d], sc.space.s)
-    if isinstance(sc.map, BranchesMapSpec):
-        tmap = map_from_json(space, {"branches": [{"A": a, "b": b} for a, b in sc.map.branches]})
-    else:
-        tmap = map_from_json(space, {"images": {str(k): list(v) for k, v in sc.map.images.items()}})
-    space.check_point(sc.x0)
-    if sc.x1 is not None:
-        space.check_point(sc.x1)
-    for pt in sample_points(sc, space):
-        space.check_point(pt)
-    return space, tmap
+    """The scenario's space and map (built and checked with the scenario)."""
+    return sc.space, sc.map
 
 
-def sample_points(sc: Scenario, space: BMetricSpace) -> list:
+def sample_points(sc: Scenario) -> list:
     """Materialize the certification sample (grid or explicit list)."""
     if isinstance(sc.sample, GridSample):
         g = sc.sample
-        if space.kind != "power" or space.dim != 1:
+        if sc.space.kind != "power" or sc.space.dim != 1:
             raise ScenarioFormatError("sample.kind 'grid' needs a 1-dimensional power space")
         if not g.step > 0 or not g.hi > g.lo:
             raise ScenarioFormatError("sample grid needs step > 0 and hi > lo")
@@ -152,13 +135,12 @@ def sample_points(sc: Scenario, space: BMetricSpace) -> list:
     return list(sc.sample.pts)
 
 
-def certification_pairs(sc: Scenario, space: BMetricSpace) -> list[tuple]:
-    return all_pairs(sample_points(sc, space))
+def certification_pairs(sc: Scenario) -> list[tuple]:
+    return all_pairs(sample_points(sc))
 
 
-def certify_scenario(sc: Scenario, gamma: float | None = None) -> ContractionCertificate:
-    space, tmap = instantiate(sc)
-    return certify(space, tmap, certification_pairs(sc, space), sc.params.c, sc.params.q, gamma=gamma)
+def certify_scenario(sc: Scenario) -> ContractionCertificate:
+    return certify(sc.space, sc.map, certification_pairs(sc), sc.params.c, sc.params.q)
 
 
 def random_finite(
@@ -189,18 +171,7 @@ def random_finite(
         if cert.alpha_min <= alpha_cap and cert.verdicts["thm33"]:
             # tighten the declared alpha to the certified minimum; the
             # certificate's verdicts are already evaluated there
-            sc = Scenario(
-                space=sc.space,
-                map=sc.map,
-                params=QuasiParams(c=sc.params.c, q=sc.params.q, alpha=cert.alpha_min),
-                x0=sc.x0,
-                x1=sc.x1,
-                tol=sc.tol,
-                max_iter=sc.max_iter,
-                seed=sc.seed,
-                sample=sc.sample,
-            )
-            return sc, cert
+            return replace(sc, params=replace(sc.params, alpha=cert.alpha_min)), cert
     raise RuntimeError(f"no acceptable instance after 1000 rejections (seed {seed})")
 
 
@@ -301,9 +272,10 @@ def _build_candidate(rng: SplitMix64, seed: int, n_points: int, p: float, alpha_
     q = rng.uniform(0.0, coeff_hi)
     x0 = 1 + rng.randrange(n_points - 1)  # start away from the root
 
+    space = make_matrix_space(n_points, d, s)
     return Scenario(
-        space=MatrixSpaceSpec(n=n_points, s=s, d=tuple(tuple(row) for row in d)),
-        map=TableMapSpec(images=images),
+        space=space,
+        map=make_table_map(space, images),
         params=QuasiParams(c=c, q=q, alpha=alpha_cap),
         x0=x0,
         x1=None,
@@ -316,37 +288,35 @@ def _build_candidate(rng: SplitMix64, seed: int, n_points: int, p: float, alpha_
 
 # --- JSON (de)serialization -------------------------------------------------
 
-def _point_to_obj(pt):
-    return list(pt) if isinstance(pt, tuple) else pt
-
-
 def scenario_to_obj(sc: Scenario) -> dict:
-    if isinstance(sc.space, PowerSpaceSpec):
+    """The scenario's JSON object, read off the built space and map. Points
+    and matrix rows stay tuples; dumps_canonical writes them as arrays."""
+    if sc.space.kind == "power":
         space = {"kind": "power", "dim": sc.space.dim, "p": sc.space.p}
     else:
-        space = {"kind": "matrix", "n": sc.space.n, "s": sc.space.s, "d": [list(r) for r in sc.space.d]}
-    if isinstance(sc.map, BranchesMapSpec):
-        mp = {"kind": "branches", "branches": [{"A": [list(r) for r in a], "b": list(b)} for a, b in sc.map.branches]}
+        space = {"kind": "matrix", "n": sc.space.n_points, "s": sc.space.s, "d": sc.space.matrix.tolist()}
+    if sc.map.kind == "branches":
+        mp = {"kind": "branches", "branches": [{"A": a, "b": b} for a, b in sc.map.branches]}
     else:
-        mp = {"kind": "table", "images": {str(k): list(v) for k, v in sorted(sc.map.images.items())}}
+        mp = {"kind": "table", "images": {str(k): v.elements for k, v in sc.map.table.items()}}
     params = {"c": sc.params.c, "q": sc.params.q, "alpha": sc.params.alpha}
     if sc.params.beta is not None:
         params["beta"] = sc.params.beta
     if isinstance(sc.sample, GridSample):
         sample = {"kind": "grid", "lo": sc.sample.lo, "hi": sc.sample.hi, "step": sc.sample.step}
     else:
-        sample = {"kind": "points", "pts": [_point_to_obj(pt) for pt in sc.sample.pts]}
+        sample = {"kind": "points", "pts": sc.sample.pts}
     obj = {
         "space": space,
         "map": mp,
         "params": params,
-        "x0": _point_to_obj(sc.x0),
+        "x0": sc.x0,
         "tol": sc.tol,
         "max_iter": sc.max_iter,
         "sample": sample,
     }
     if sc.x1 is not None:
-        obj["x1"] = _point_to_obj(sc.x1)
+        obj["x1"] = sc.x1
     if sc.seed is not None:
         obj["seed"] = sc.seed
     return obj
@@ -380,18 +350,18 @@ def scenario_from_obj(obj: dict) -> Scenario:
     space_obj = _need(obj, "space", "")
     kind = _need(space_obj, "kind", "space.")
     if kind == "power":
-        space = PowerSpaceSpec(
-            dim=_as_int(_need(space_obj, "dim", "space."), "space.dim"),
-            p=_as_float(_need(space_obj, "p", "space."), "space.p"),
+        space = make_power_space(
+            _as_int(_need(space_obj, "dim", "space."), "space.dim"),
+            _as_float(_need(space_obj, "p", "space."), "space.p"),
         )
     elif kind == "matrix":
         rows = _need(space_obj, "d", "space.")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ScenarioFormatError("expected a list of rows at space.d")
-        space = MatrixSpaceSpec(
-            n=_as_int(_need(space_obj, "n", "space."), "space.n"),
-            s=_as_float(_need(space_obj, "s", "space."), "space.s"),
-            d=tuple(tuple(_as_float(v, f"space.d[{i}][{j}]") for j, v in enumerate(r)) for i, r in enumerate(rows)),
+        space = make_matrix_space(
+            _as_int(_need(space_obj, "n", "space."), "space.n"),
+            [[_as_float(v, f"space.d[{i}][{j}]") for j, v in enumerate(r)] for i, r in enumerate(rows)],
+            _as_float(_need(space_obj, "s", "space."), "space.s"),
         )
     else:
         raise ScenarioFormatError(f"unknown space.kind: {kind!r}")
@@ -404,13 +374,12 @@ def scenario_from_obj(obj: dict) -> Scenario:
         for i, br in enumerate(raw):
             a = _need(br, "A", f"map.branches[{i}].")
             b = _need(br, "b", f"map.branches[{i}].")
+            # make_branch_map checks the shapes and normalizes to tuples
             branches.append(
-                (
-                    tuple(tuple(_as_float(v, f"map.branches[{i}].A") for v in row) for row in a),
-                    tuple(_as_float(v, f"map.branches[{i}].b") for v in b),
-                )
+                ([[_as_float(v, f"map.branches[{i}].A") for v in row] for row in a],
+                 [_as_float(v, f"map.branches[{i}].b") for v in b])
             )
-        tmap = BranchesMapSpec(branches=tuple(branches))
+        tmap = make_branch_map(space, branches)
     elif mkind == "table":
         raw = _need(map_obj, "images", "map.")
         images = {}
@@ -420,7 +389,7 @@ def scenario_from_obj(obj: dict) -> Scenario:
             except ValueError:
                 raise ScenarioFormatError(f"non-integer point id in map.images: {k!r}") from None
             images[key] = tuple(_as_int(j, f"map.images[{k}]") for j in v)
-        tmap = TableMapSpec(images=images)
+        tmap = make_table_map(space, images)
     else:
         raise ScenarioFormatError(f"unknown map.kind: {mkind!r}")
 
@@ -479,9 +448,7 @@ def save(sc: Scenario, path) -> None:
 
 
 def load(path) -> Scenario:
-    """Parse and eagerly validate a scenario file (bad spaces/maps fail here)."""
+    """Parse a scenario file and build its space and map (bad spaces, maps
+    and points fail here)."""
     with open(path) as fh:
-        obj = json.load(fh)
-    sc = scenario_from_obj(obj)
-    instantiate(sc)
-    return sc
+        return scenario_from_obj(json.load(fh))

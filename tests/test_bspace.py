@@ -6,7 +6,6 @@ from bfixpoint.bspace import (
     estimate_min_s,
     make_matrix_space,
     make_power_space,
-    matrix_space_from_json,
     verify_axioms,
 )
 from bfixpoint.rng import SplitMix64
@@ -88,14 +87,6 @@ class TestMakeMatrixSpace:
     def test_small_s_rejected(self):
         with pytest.raises(ValueError, match="s must be"):
             make_matrix_space(2, [[0.0, 1.0], [1.0, 0.0]], 0.5)
-
-    def test_json_loader(self):
-        sp = matrix_space_from_json({"n": 3, "s": 2.0, "d": SQUARED_LINE})
-        assert sp.dist(0, 2) == 4.0
-
-    def test_json_loader_missing_field(self):
-        with pytest.raises(ValueError, match="missing field: d"):
-            matrix_space_from_json({"n": 3, "s": 2.0})
 
 
 class TestVerifyAxioms:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -34,6 +35,116 @@ def overflowing_scenario():
         "max_iter": 100,
         "sample": {"kind": "grid", "lo": -1.0, "hi": 1.0, "step": 0.1},
     }
+
+
+def paper_scenario(alpha=0.9):
+    # the built-in paper example written out as a file
+    return {
+        "space": {"kind": "power", "dim": 1, "p": 2.0},
+        "map": {"kind": "branches", "branches": [{"A": [[0.9]], "b": [0.0]}]},
+        "params": {"c": 0.0, "q": 0.0, "alpha": alpha},
+        "x0": [1.0],
+        "tol": 1e-10,
+        "max_iter": 1000,
+        "sample": {"kind": "grid", "lo": -1.0, "hi": 1.0, "step": 0.1},
+    }
+
+
+def non_finite_plane_scenario():
+    # the images overflow to +-inf, so the first pair's ratios are inf and nan
+    return {
+        "space": {"kind": "power", "dim": 2, "p": 1.0},
+        "map": {"kind": "branches", "branches": [{"A": [[1e308, -1e308], [0.0, 0.0]], "b": [0.0, 0.0]}]},
+        "params": {"c": 0.0, "q": 0.0, "alpha": 0.9},
+        "x0": [10.0, 10.0],
+        "tol": 1e-10,
+        "max_iter": 100,
+        "sample": {"kind": "points", "pts": [[0.0, 0.0], [10.0, 10.0], [-3.0, 2.0]]},
+    }
+
+
+def nan_ratio_scenario():
+    # x -> 1e308*x + 1e308 sends the upper grid to inf; 57 ratios are nan
+    return dict(
+        paper_scenario(),
+        space={"kind": "power", "dim": 1, "p": 0.5},
+        map={"kind": "branches", "branches": [{"A": [[1e308]], "b": [1e308]}]},
+        params={"c": 0.5, "q": 0.5, "alpha": 0.9},
+    )
+
+
+def duplicate_sample_scenario():
+    return dict(paper_scenario(), sample={"kind": "points", "pts": [[0.5], [0.25], [0.5]]})
+
+
+def out_of_domain_image_scenario():
+    obj = squared_line_scenario()
+    obj["map"]["images"]["7"] = [0]
+    return obj
+
+
+def command_argv(command, path, tmp_path):
+    argv = [command, "--scenario", path]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (non_finite_plane_scenario, r"pair \(\(0\.0, 0\.0\), \(10\.0, 10\.0\)\) has non-finite"),
+        (nan_ratio_scenario, r"pair \(\(-1\.0,\), \(0\.8,\)\) has non-finite"),
+        (duplicate_sample_scenario, r"pair \(\(0\.5,\), \(0\.5,\)\) is not distinct"),
+        (out_of_domain_image_scenario, r"image given for point 7 outside the domain"),
+    ],
+    ids=["non-finite-images", "nan-ratios", "duplicate-sample", "out-of-domain-image"],
+)
+def test_uncertifiable_scenario_is_invalid_input(tmp_path, capsys, command, scenario, message):
+    path = write_json(tmp_path / "sc.json", scenario())
+    assert main(command_argv(command, path, tmp_path)) == 3
+    captured = capsys.readouterr()
+    assert re.match("error: " + message, captured.err)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_run_leaves_no_outputs(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "paper-example", "--out", str(out)]) == 0
+    (out / "trace.json").write_text("{}\n")  # as if an earlier run had used --format json
+    path = write_json(tmp_path / "sc.json", overflowing_scenario())
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 3
+    for name in ("report.json", "trace.csv", "trace.json"):
+        assert not (out / name).exists()
+
+
+class TestExactConstant:
+    """alpha = 0.81 is the paper example's exact constant; alpha_min rounds
+    to 0.8100000000000009, and every command accepts it the same way."""
+
+    def path(self, tmp_path):
+        return write_json(tmp_path / "sc.json", paper_scenario(alpha=0.81))
+
+    def test_run(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", self.path(tmp_path), "--out", str(out)]) == 0
+        cert = json.loads((out / "report.json").read_text())["certificate"]
+        assert cert["alpha_min"] > 0.81
+        assert cert["supplied_alpha_is_valid_certificate"] is True
+        assert cert["hypotheses"]["contraction_holds"] is True
+
+    def test_verify(self, tmp_path, capsys):
+        assert main(["verify", "--scenario", self.path(tmp_path)]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["hypotheses"]["contraction_holds"] == cert["supplied_alpha_is_valid_certificate"] is True
+
+    def test_compare(self, tmp_path, capsys):
+        assert main(["compare", "--scenario", self.path(tmp_path)]) == 0
+        row33 = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("thm33"))
+        assert row33.split()[1] == "YES"
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "compare"])

@@ -3,6 +3,7 @@ import pytest
 from bfixpoint.bspace import make_matrix_space, make_power_space
 from bfixpoint.quasicontraction import (
     all_pairs,
+    certifies,
     certify,
     check_hypotheses,
     enumerate_fixed_points,
@@ -10,8 +11,8 @@ from bfixpoint.quasicontraction import (
     image_of,
     make_branch_map,
     make_table_map,
-    map_from_json,
     n_functional,
+    verdicts,
 )
 from bfixpoint.rng import SplitMix64
 from bfixpoint.setops import dist_point_set, hausdorff
@@ -45,14 +46,10 @@ class TestMaps:
         with pytest.raises(ValueError, match="nonempty"):
             make_table_map(sp, {0: [0], 1: [], 2: [1]})
 
-    def test_json_table_and_branches(self):
+    def test_table_rejects_out_of_domain_image(self):
         sp = line_space()
-        tmap = map_from_json(sp, {"images": {"0": [0], "1": [0], "2": [1]}})
-        assert image_of(sp, tmap, 2).elements == (1,)
-        bmap = map_from_json(QUAD, {"branches": [{"A": [[0.5]], "b": [1.0]}]})
-        assert image_of(QUAD, bmap, (4.0,)).elements == ((3.0,),)
-        with pytest.raises(ValueError, match="images.*branches|branches.*images"):
-            map_from_json(sp, {})
+        with pytest.raises(ValueError, match="point 7 outside the domain"):
+            make_table_map(sp, {0: [0], 1: [0], 2: [1], 7: [0]})
 
     def test_enumerate_fixed_points(self):
         sp = line_space()
@@ -119,10 +116,9 @@ class TestCertify:
         assert cert.verdicts["lemma41"] is None
 
     def test_gamma_verdict(self):
-        cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0, gamma=0.95)
-        assert cert.verdicts["lemma41"] is False  # 2 * 0.95 >= 1
-        cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0, gamma=0.3)
-        assert cert.verdicts["lemma41"] is True
+        cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0)
+        assert verdicts(cert, cert.alpha_min, gamma=0.95)["lemma41"] is False  # 2 * 0.95 >= 1
+        assert verdicts(cert, cert.alpha_min, gamma=0.3)["lemma41"] is True
 
     def test_constant_map_certifies_at_zero(self):
         sp = line_space()
@@ -146,6 +142,18 @@ class TestCertify:
         with pytest.raises(ValueError, match="not distinct"):
             certify(QUAD, SHRINK, [((1.0,), (1.0,))], 0.0, 0.0)
 
+    def test_non_finite_ratio_names_the_pair(self):
+        root = make_power_space(1, 0.5)
+        big = make_branch_map(root, [([[1e308]], [1e308])])  # T(1) = (inf,)
+        with pytest.raises(ValueError, match=r"pair \(\(0\.0,\), \(1\.0,\)\) has non-finite"):
+            certify(root, big, [((0.0,), (0.5,)), ((0.0,), (1.0,))], 0.5, 0.5)
+
+    def test_verdicts_at_alpha_min_above_one(self):
+        grow = make_branch_map(QUAD, [([[2.0]], [0.0])])  # x -> {2x}
+        cert = certify(QUAD, grow, all_pairs(GRID), 0.5, 0.5)
+        assert cert.alpha_min > 1.0
+        assert cert.verdicts == {"thm21_feasible": False, "thm33": False, "lemma41": None, "thm41": False}
+
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             certify(QUAD, SHRINK, [], 0.0, 0.0)
@@ -161,7 +169,7 @@ class TestCertify:
 class TestCheckHypotheses:
     def test_builtin_example_verdicts(self):
         cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0)
-        hyp = check_hypotheses(cert, 2.0, 0.0, 0.0, 0.9)
+        hyp = check_hypotheses(cert, 0.9)
         assert hyp["contraction_holds"]
         assert hyp["thm33"]["applicable"]
         assert hyp["thm33"]["value"] == 0.0
@@ -173,21 +181,28 @@ class TestCheckHypotheses:
         tmap = make_table_map(sp, {0: [0], 1: [0], 2: [1]})
         cert = certify(sp, tmap, all_pairs(sp.points()), 1.0, 1.0)
         assert cert.alpha_min == pytest.approx(0.5, rel=1e-15)
-        hyp = check_hypotheses(cert, 1.0, 1.0, 1.0, 0.6)
+        hyp = check_hypotheses(cert, 0.6)
         assert hyp["contraction_holds"]
         assert hyp["thm33"]["applicable"]
         assert hyp["thm33"]["value"] == pytest.approx(0.6, rel=1e-15)
         assert hyp["thm31"]["assumption"] == "holds (finite space)"
 
+    def test_exact_constant_certifies_despite_rounding(self):
+        cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0)
+        assert cert.alpha_min > 0.81  # 0.8100000000000009
+        assert certifies(cert, 0.81)
+        assert check_hypotheses(cert, 0.81)["contraction_holds"]
+        assert not certifies(cert, 0.81 * (1.0 - 1e-11))
+
     def test_alpha_below_minimum_flagged(self):
         cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0)
-        hyp = check_hypotheses(cert, 2.0, 0.0, 0.0, 0.5)
+        hyp = check_hypotheses(cert, 0.5)
         assert not hyp["contraction_holds"]
         assert not hyp["thm33"]["applicable"]
 
     def test_infeasible_q_side_condition(self):
         cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 1.0)
-        hyp = check_hypotheses(cert, 2.0, 0.0, 1.0, 0.9)
+        hyp = check_hypotheses(cert, 0.9)
         assert hyp["thm31"]["value"] == pytest.approx(1.8)
         assert not hyp["thm31"]["applicable"]
         assert not hyp["thm33"]["applicable"]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +7,7 @@ from bfixpoint.bspace import verify_axioms
 from bfixpoint.quasicontraction import enumerate_fixed_points
 from bfixpoint.scenarios import (
     GridSample,
+    PointsSample,
     Scenario,
     ScenarioFormatError,
     builtin,
@@ -48,8 +50,7 @@ class TestPaperExample:
 
     def test_grid_has_21_points(self):
         sc = paper_example()
-        space, _ = instantiate(sc)
-        pts = sample_points(sc, space)
+        pts = sample_points(sc)
         assert len(pts) == 21
         assert pts[0] == (-1.0,)
         assert pts[-1] == (1.0,)
@@ -67,6 +68,15 @@ class TestPaperExample:
 
     def test_digest_stable(self):
         assert scenario_digest(paper_example()) == scenario_digest(paper_example())
+
+    def test_construction_checks_points(self):
+        sc = paper_example()
+        with pytest.raises(ValueError, match="non-finite"):
+            replace(sc, x0=(float("nan"),))
+        with pytest.raises(ValueError, match="length 1"):
+            replace(sc, x1=(0.5, 0.5))
+        with pytest.raises(ValueError, match="length 1"):
+            replace(sc, sample=PointsSample(pts=((0.5,), (0.25, 0.0))))
 
     def test_unknown_builtin(self):
         with pytest.raises(ScenarioFormatError, match="unknown builtin"):
@@ -155,6 +165,13 @@ class TestLoadValidation:
         obj["x0"] = 17
         with pytest.raises(ValueError, match="out of range"):
             load(write_json(tmp_path / "bad.json", obj))
+
+    def test_digest_pinned(self, tmp_path):
+        # read off the built space and map, the digest matches the one
+        # recorded when scenarios kept their JSON form
+        sc = load(write_json(tmp_path / "ok.json", valid_matrix_scenario()))
+        assert scenario_digest(sc) == "3a84db6fda7fe32e999d0874f0d5ff57dddde91a3b9141c6923962275bd702fb"
+        assert scenario_digest(paper_example()) == "3789f4afa80a0bd93b3b4fbbb59bd20a6b5f60993b0f718bcbd7b0e760a917c8"
 
     def test_valid_scenario_loads(self, tmp_path):
         sc = load(write_json(tmp_path / "ok.json", valid_matrix_scenario()))
