@@ -92,8 +92,8 @@ def make_power_space(dimension: int, p: float) -> BMetricSpace:
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if not (p > 0) or not math.isfinite(p):
-        raise ValueError(f"exponent p must be a positive finite real, got {p}")
+    if not 0.0 < p < 1025.0:  # from p = 1025 on, s = 2**(p-1) overflows
+        raise ValueError(f"exponent p must lie in (0, 1025), got {p}")
     return BMetricSpace(kind="power", s=max(1.0, 2.0 ** (p - 1.0)), dim=int(dimension), p=float(p))
 
 

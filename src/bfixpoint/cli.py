@@ -1,11 +1,12 @@
 """Command-line front end: run orbits, verify hypotheses, compare theorems.
 
 Exit codes: 0 converged / checks passed, 1 hypothesis or ratio violation,
-2 iteration budget exhausted, 3 invalid input: a scenario that does not
-parse or build, or whose numbers overflow, divide by zero or give a
-non-finite certificate in floating point. main maps every such error to
-exit 3 in one place. Built-in scenario names ("paper-example",
-"random-finite") resolve before filesystem paths.
+2 iteration budget exhausted, 3 invalid input: a usage error, a scenario
+(or --tol/--max-iter override) that does not parse or build, or one whose
+numbers overflow, divide by zero or give a non-finite certificate in
+floating point. main maps every such error to exit 3 in one place.
+Built-in scenario names ("paper-example", "random-finite") resolve before
+filesystem paths.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +23,11 @@ import numpy as np
 from .bspace import AxiomReport, verify_axioms
 from .jsonutil import dumps_canonical, format_float
 from .orbit import OrbitTrace, cauchy_bound, cauchy_series, chaining_bounds, run_orbit
-from .quasicontraction import ContractionCertificate, certify, check_hypotheses, verdicts
+from .quasicontraction import ContractionCertificate, all_pairs, certify, check_hypotheses, verdicts
 from .scenarios import (
     BUILTIN_NAMES,
     Scenario,
     builtin,
-    certification_pairs,
     load,
     sample_points,
     scenario_digest,
@@ -35,11 +36,19 @@ from .scenarios import (
 _MAX_PRINTED_VIOLATIONS = 50
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, invalid input; argparse's own 2 means a spent budget here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _certified(scenario_arg: str, seed: int | None) -> tuple[Scenario, ContractionCertificate, dict]:
     """The set-up every command shares: resolve the scenario, certify it on
     its sample, and check the hypotheses at its declared alpha."""
     sc = builtin(scenario_arg, seed) if scenario_arg in BUILTIN_NAMES else load(scenario_arg)
-    cert = certify(sc.space, sc.map, certification_pairs(sc), sc.params.c, sc.params.q)
+    cert = certify(sc.space, sc.map, all_pairs(sample_points(sc)), sc.params.c, sc.params.q)
     return sc, cert, check_hypotheses(cert, sc.params.alpha)
 
 
@@ -75,24 +84,12 @@ def _axiom_obj(report: AxiomReport) -> dict:
     return {
         "passed": report.passed,
         "violations_total": len(report.violations),
-        "violations": [
-            {
-                "axiom": v.axiom,
-                "witness": v.witness,
-                "lhs": v.lhs,
-                "rhs": v.rhs,
-            }
-            for v in shown
-        ],
+        "violations": [asdict(v) for v in shown],
     }
 
 
 def _axiom_tol(space, pts) -> float:
-    worst = 0.0
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            worst = max(worst, space.dist(x, y))
-    return 1e-12 * worst
+    return 1e-12 * max((space.dist(x, y) for x, y in all_pairs(pts)), default=0.0)
 
 
 def _row_maxima(space, pts) -> list:
@@ -295,10 +292,10 @@ def cmd_run(
         (out / name).unlink(missing_ok=True)
 
     sc, cert, hyp = _certified(scenario_arg, seed)
+    # the overrides pass the scenario's own checks; the report keeps the
+    # digest of the scenario as loaded
+    run = replace(sc, tol=sc.tol if tol is None else tol, max_iter=sc.max_iter if max_iter is None else max_iter)
     space, p = sc.space, sc.params
-    run_tol = tol if tol is not None else sc.tol
-    run_beta = beta if beta is not None else p.beta
-    run_max_iter = max_iter if max_iter is not None else sc.max_iter
 
     trace = None
     if not hyp["contraction_holds"]:
@@ -311,7 +308,7 @@ def cmd_run(
         try:
             trace = run_orbit(
                 space, sc.map, p.c, p.q, p.alpha, sc.x0,
-                x1=sc.x1, beta=run_beta, tol=run_tol, max_iter=run_max_iter,
+                x1=sc.x1, beta=p.beta if beta is None else beta, tol=run.tol, max_iter=run.max_iter,
             )
             orbit_obj = {
                 "status": trace.status,
@@ -322,7 +319,7 @@ def cmd_run(
                 "residual": trace.residual,
                 "violation_step": trace.violation_step,
                 "x0": sc.x0,
-                "tol": run_tol,
+                "tol": run.tol,
             }
             exit_code = {"converged": 0, "max_iter": 2, "ratio_violation": 1}[trace.status]
         except ValueError as exc:
@@ -384,7 +381,7 @@ def cmd_compare(scenario_arg: str, seed: int | None = None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bfixpoint",
         description="Fixed-point engine for set-valued contractions in b-metric spaces.",
     )

@@ -61,6 +61,11 @@ class FixedPointCheck(NamedTuple):
     ok: bool
 
 
+def beta_limit(q: float, s: float) -> float:
+    """Upper end of the admissible beta interval: min(1, 1/(q*s)), 1 when q*s = 0."""
+    return 1.0 if q * s == 0.0 else min(1.0, 1.0 / (q * s))
+
+
 def gamma_of(beta: float, q: float, s: float) -> float:
     """Per-step decay ratio max(beta, q*s*beta/(2 - q*s*beta)); always < 1.
 
@@ -71,7 +76,7 @@ def gamma_of(beta: float, q: float, s: float) -> float:
         raise ValueError(f"q must be in [0,1], got {q}")
     if not s >= 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
-    hi = 1.0 if q * s == 0.0 else min(1.0, 1.0 / (q * s))
+    hi = beta_limit(q, s)
     if not 0.0 < beta < hi:
         raise ValueError(f"beta must lie in (0, {hi}), got {beta}")
     if q == 0.0:
@@ -168,7 +173,7 @@ def run_orbit(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    hi = 1.0 if q * s == 0.0 else min(1.0, 1.0 / (q * s))
+    hi = beta_limit(q, s)
     if beta is None:
         beta = 0.5 * (alpha + hi)  # midpoint of the admissible interval
     elif not alpha < beta < hi:

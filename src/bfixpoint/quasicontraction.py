@@ -37,17 +37,12 @@ class QuasiParams:
     c: float
     q: float
     alpha: float
-    beta: float | None = None
+    beta: float | None = None  # its interval needs s, so Scenario checks it
 
     def __post_init__(self):
-        if not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"c must be in [0,1], got {self.c}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must be in [0,1], got {self.q}")
+        _check_coefficients(self.c, self.q)
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0,1), got {self.alpha}")
-        if self.beta is not None and not self.alpha < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (alpha, 1), got {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from math import cos, dist as _euclid, pi, sin
+from math import cos, dist as _euclid, isfinite, pi, sin
+from sys import float_info
 
 from .bspace import BMetricSpace, make_matrix_space, make_power_space
 from .jsonutil import dumps_canonical
+from .orbit import beta_limit
 from .quasicontraction import (
     ContractionCertificate,
     QuasiParams,
@@ -61,9 +63,10 @@ class PointsSample:
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A problem instance: the built space and map, the run parameters and
-    the certification sample. Construction checks x0, x1 and every sample
-    point against the space. Two scenarios are equal when their canonical
-    JSON objects are."""
+    the certification sample. Construction is the one place that checks a
+    scenario: tol > 0, max_iter >= 1, beta in (alpha, beta_limit(q, s)), and
+    x0, x1 and every sample point against the space. Two scenarios are
+    equal when their canonical JSON objects are."""
 
     space: BMetricSpace
     map: SetValuedMap
@@ -76,6 +79,13 @@ class Scenario:
     sample: GridSample | PointsSample
 
     def __post_init__(self):
+        if not self.tol > 0:
+            raise ScenarioFormatError(f"tol must be positive, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise ScenarioFormatError(f"max_iter must be >= 1, got {self.max_iter}")
+        p, hi = self.params, beta_limit(self.params.q, self.space.s)
+        if p.beta is not None and not p.alpha < p.beta < hi:
+            raise ScenarioFormatError(f"params.beta {p.beta} outside (alpha, min(1, 1/(q*s))) = ({p.alpha}, {hi})")
         self.space.check_point(self.x0)
         if self.x1 is not None:
             self.space.check_point(self.x1)
@@ -130,17 +140,15 @@ def sample_points(sc: Scenario) -> list:
             raise ScenarioFormatError("sample.kind 'grid' needs a 1-dimensional power space")
         if not g.step > 0 or not g.hi > g.lo:
             raise ScenarioFormatError("sample grid needs step > 0 and hi > lo")
-        n = round((g.hi - g.lo) / g.step)
-        return [(g.lo + i * g.step,) for i in range(n + 1)]
+        n = (g.hi - g.lo) / g.step
+        if not isfinite(n):
+            raise ScenarioFormatError(f"sample grid {g.lo}..{g.hi} step {g.step} has too many points")
+        return [(g.lo + i * g.step,) for i in range(round(n) + 1)]
     return list(sc.sample.pts)
 
 
-def certification_pairs(sc: Scenario) -> list[tuple]:
-    return all_pairs(sample_points(sc))
-
-
 def certify_scenario(sc: Scenario) -> ContractionCertificate:
-    return certify(sc.space, sc.map, certification_pairs(sc), sc.params.c, sc.params.q)
+    return certify(sc.space, sc.map, all_pairs(sample_points(sc)), sc.params.c, sc.params.q)
 
 
 def random_finite(
@@ -322,118 +330,111 @@ def scenario_to_obj(sc: Scenario) -> dict:
     return obj
 
 
-def _need(obj: dict, key: str, path: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ScenarioFormatError(f"missing field: {path}{key}")
-    return obj[key]
+class _Field:
+    """A JSON value and its field path. The typed reads (object, list,
+    number, integer and their combinations) raise ScenarioFormatError
+    naming the path."""
+
+    def __init__(self, value, path: str = ""):
+        self.value, self.path = value, path
+
+    def _expect(self, what: str, ok: bool):
+        if not ok:
+            raise ScenarioFormatError(f"expected {what} at {self.path or 'the top level'}, got {self.value!r}")
+        return self.value
+
+    def as_obj(self) -> dict:
+        return self._expect("an object", isinstance(self.value, dict))
+
+    def as_list(self) -> list[_Field]:
+        items = self._expect("a list", isinstance(self.value, list))
+        return [_Field(v, f"{self.path}[{i}]") for i, v in enumerate(items)]
+
+    def as_num(self) -> float:
+        v = self.value  # an integer literal beyond the float range is rejected, not rounded
+        ok = isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool) and abs(v) <= float_info.max)
+        return float(self._expect("a number", ok))
+
+    def as_nums(self) -> list[float]:
+        return [v.as_num() for v in self.as_list()]
+
+    def as_rows(self) -> list[list[float]]:
+        return [row.as_nums() for row in self.as_list()]
+
+    def as_int(self) -> int:
+        return self._expect("an integer", isinstance(self.value, int) and not isinstance(self.value, bool))
+
+    def as_point(self):
+        """A coordinate list as a tuple of floats, or an integer point id."""
+        return tuple(self.as_nums()) if isinstance(self.value, list) else self.as_int()
+
+    def __getitem__(self, key: str) -> _Field:
+        path = f"{self.path}.{key}" if self.path else key
+        if key not in self.as_obj():
+            raise ScenarioFormatError(f"missing field: {path}")
+        return _Field(self.value[key], path)
+
+    def get(self, key: str, read):
+        """read(self[key]) for an optional field, None when it is absent."""
+        return read(self[key]) if key in self.as_obj() else None
 
 
-def _as_float(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioFormatError(f"expected a number at {path}, got {v!r}")
-    return float(v)
-
-
-def _as_int(v, path: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioFormatError(f"expected an integer at {path}, got {v!r}")
-    return v
-
-
-def _point_from_obj(v, path: str):
-    if isinstance(v, list):
-        return tuple(_as_float(coord, f"{path}[{i}]") for i, coord in enumerate(v))
-    return _as_int(v, path)
-
-
-def scenario_from_obj(obj: dict) -> Scenario:
-    space_obj = _need(obj, "space", "")
-    kind = _need(space_obj, "kind", "space.")
+def scenario_from_obj(obj) -> Scenario:
+    """Read a scenario's JSON object. Each field is read once, by type;
+    building the space, map and Scenario checks the values."""
+    root = _Field(obj)
+    sp = root["space"]
+    kind = sp["kind"].value
     if kind == "power":
-        space = make_power_space(
-            _as_int(_need(space_obj, "dim", "space."), "space.dim"),
-            _as_float(_need(space_obj, "p", "space."), "space.p"),
-        )
+        space = make_power_space(sp["dim"].as_int(), sp["p"].as_num())
     elif kind == "matrix":
-        rows = _need(space_obj, "d", "space.")
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ScenarioFormatError("expected a list of rows at space.d")
-        space = make_matrix_space(
-            _as_int(_need(space_obj, "n", "space."), "space.n"),
-            [[_as_float(v, f"space.d[{i}][{j}]") for j, v in enumerate(r)] for i, r in enumerate(rows)],
-            _as_float(_need(space_obj, "s", "space."), "space.s"),
-        )
+        space = make_matrix_space(sp["n"].as_int(), sp["d"].as_rows(), sp["s"].as_num())
     else:
         raise ScenarioFormatError(f"unknown space.kind: {kind!r}")
 
-    map_obj = _need(obj, "map", "")
-    mkind = _need(map_obj, "kind", "map.")
+    mp = root["map"]
+    mkind = mp["kind"].value
     if mkind == "branches":
-        raw = _need(map_obj, "branches", "map.")
-        branches = []
-        for i, br in enumerate(raw):
-            a = _need(br, "A", f"map.branches[{i}].")
-            b = _need(br, "b", f"map.branches[{i}].")
-            # make_branch_map checks the shapes and normalizes to tuples
-            branches.append(
-                ([[_as_float(v, f"map.branches[{i}].A") for v in row] for row in a],
-                 [_as_float(v, f"map.branches[{i}].b") for v in b])
-            )
-        tmap = make_branch_map(space, branches)
+        # make_branch_map checks the shapes and normalizes to tuples
+        tmap = make_branch_map(space, [(br["A"].as_rows(), br["b"].as_nums()) for br in mp["branches"].as_list()])
     elif mkind == "table":
-        raw = _need(map_obj, "images", "map.")
+        raw = mp["images"]
         images = {}
-        for k, v in raw.items():
+        for k in raw.as_obj():
             try:
                 key = int(k)
             except ValueError:
                 raise ScenarioFormatError(f"non-integer point id in map.images: {k!r}") from None
-            images[key] = tuple(_as_int(j, f"map.images[{k}]") for j in v)
+            images[key] = tuple(j.as_int() for j in raw[k].as_list())
         tmap = make_table_map(space, images)
     else:
         raise ScenarioFormatError(f"unknown map.kind: {mkind!r}")
 
-    params_obj = _need(obj, "params", "")
+    pr = root["params"]
+    c, q, alpha, beta = pr["c"].as_num(), pr["q"].as_num(), pr["alpha"].as_num(), pr.get("beta", _Field.as_num)
     try:
-        params = QuasiParams(
-            c=_as_float(_need(params_obj, "c", "params."), "params.c"),
-            q=_as_float(_need(params_obj, "q", "params."), "params.q"),
-            alpha=_as_float(_need(params_obj, "alpha", "params."), "params.alpha"),
-            beta=(_as_float(params_obj["beta"], "params.beta") if "beta" in params_obj else None),
-        )
+        params = QuasiParams(c=c, q=q, alpha=alpha, beta=beta)
     except ValueError as exc:
         raise ScenarioFormatError(f"params: {exc}") from None
 
-    sample_obj = _need(obj, "sample", "")
-    skind = _need(sample_obj, "kind", "sample.")
+    sm = root["sample"]
+    skind = sm["kind"].value
     if skind == "grid":
-        sample = GridSample(
-            lo=_as_float(_need(sample_obj, "lo", "sample."), "sample.lo"),
-            hi=_as_float(_need(sample_obj, "hi", "sample."), "sample.hi"),
-            step=_as_float(_need(sample_obj, "step", "sample."), "sample.step"),
-        )
+        sample = GridSample(lo=sm["lo"].as_num(), hi=sm["hi"].as_num(), step=sm["step"].as_num())
     elif skind == "points":
-        pts = _need(sample_obj, "pts", "sample.")
-        sample = PointsSample(pts=tuple(_point_from_obj(v, f"sample.pts[{i}]") for i, v in enumerate(pts)))
+        sample = PointsSample(pts=tuple(v.as_point() for v in sm["pts"].as_list()))
     else:
         raise ScenarioFormatError(f"unknown sample.kind: {skind!r}")
-
-    tol = _as_float(_need(obj, "tol", ""), "tol")
-    if not tol > 0:
-        raise ScenarioFormatError(f"tol must be positive, got {tol}")
-    max_iter = _as_int(_need(obj, "max_iter", ""), "max_iter")
-    if max_iter < 1:
-        raise ScenarioFormatError(f"max_iter must be >= 1, got {max_iter}")
 
     return Scenario(
         space=space,
         map=tmap,
         params=params,
-        x0=_point_from_obj(_need(obj, "x0", ""), "x0"),
-        x1=(_point_from_obj(obj["x1"], "x1") if "x1" in obj else None),
-        tol=tol,
-        max_iter=max_iter,
-        seed=(_as_int(obj["seed"], "seed") if "seed" in obj else None),
+        x0=root["x0"].as_point(),
+        x1=root.get("x1", _Field.as_point),
+        tol=root["tol"].as_num(),
+        max_iter=root["max_iter"].as_int(),
+        seed=root.get("seed", _Field.as_int),
         sample=sample,
     )
 

@@ -111,6 +111,90 @@ def test_uncertifiable_scenario_is_invalid_input(tmp_path, capsys, command, scen
     assert not (tmp_path / "o").exists()
 
 
+def set_field(obj, path, value):
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
+# one field of a valid scenario given the wrong JSON shape; at the parent
+# commit each of these ended in a TypeError or AttributeError traceback
+MALFORMED_SHAPES = {
+    "images-not-an-object": (squared_line_scenario, ("map", "images"), [[0], [0], [1]], "map.images"),
+    "image-entry-not-a-list": (squared_line_scenario, ("map", "images", "1"), 0, "map.images.1"),
+    "pts-not-a-list": (squared_line_scenario, ("sample", "pts"), 5, "sample.pts"),
+    "branches-not-a-list": (paper_scenario, ("map", "branches"), 7, "map.branches"),
+    "A-not-a-list": (paper_scenario, ("map", "branches", 0, "A"), 0.9, r"map.branches\[0\].A"),
+    "A-row-not-a-list": (paper_scenario, ("map", "branches", 0, "A", 0), 0.9, r"map.branches\[0\].A\[0\]"),
+    "b-not-a-list": (paper_scenario, ("map", "branches", 0, "b"), 0.0, r"map.branches\[0\].b"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+@pytest.mark.parametrize("shape", MALFORMED_SHAPES)
+def test_malformed_shape_is_invalid_input(tmp_path, capsys, command, shape):
+    scenario, path, value, field = MALFORMED_SHAPES[shape]
+    sc_path = write_json(tmp_path / "sc.json", set_field(scenario(), path, value))
+    assert main(command_argv(command, sc_path, tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert re.match(f"error: expected an? (list|object) at {field}, got ", err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+def test_beta_beyond_its_limit_is_invalid_input(tmp_path, capsys, command):
+    # on the p = 2 line (s = 2) with q = 1 the admissible beta ends at 0.5
+    obj = dict(paper_scenario(), params={"c": 0.5, "q": 1.0, "alpha": 0.3, "beta": 0.6})
+    assert main(command_argv(command, write_json(tmp_path / "sc.json", obj), tmp_path)) == 3
+    assert capsys.readouterr().err.startswith("error: params.beta 0.6 outside (alpha, min(1, 1/(q*s))) = (0.3, 0.5)")
+
+
+@pytest.mark.parametrize("override", [["--tol", "0"], ["--tol", "-1"], ["--max-iter", "0"]])
+def test_bad_override_is_invalid_input(tmp_path, capsys, override):
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "paper-example", "--out", str(out)] + override) == 3
+    assert capsys.readouterr().err.startswith(f"error: {override[0][2:].replace('-', '_')} must be")
+    assert not out.exists()
+
+
+def test_valid_override_keeps_the_loaded_digest(tmp_path):
+    digests = []
+    for name, override in (("a", []), ("b", ["--tol", "1e-6", "--max-iter", "500"])):
+        out = tmp_path / name
+        assert main(["run", "--scenario", "paper-example", "--out", str(out)] + override) == 0
+        digests.append(json.loads((out / "report.json").read_text())["certificate"]["scenario_digest"])
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--scenario", "paper-example"], "the following arguments are required: --out"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["run", "--scenario", "paper-example", "--out", "o", "--max-iter", "x"], "argument --max-iter: invalid int value: 'x'"),
+    ],
+    ids=["missing-out", "unknown-command", "bad-max-iter"],
+)
+def test_usage_error_exits_3(capsys, argv, message):
+    # exit 2 is reserved for an exhausted iteration budget
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bfixpoint")
+    assert f": error: {message}" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--max-iter" in capsys.readouterr().out
+
+
 def test_failed_run_leaves_no_outputs(tmp_path):
     out = tmp_path / "o"
     assert main(["run", "--scenario", "paper-example", "--out", str(out)]) == 0

@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 
 from bfixpoint.bspace import verify_axioms
-from bfixpoint.quasicontraction import enumerate_fixed_points
+from bfixpoint.orbit import beta_limit, gamma_of
+from bfixpoint.quasicontraction import QuasiParams, enumerate_fixed_points
 from bfixpoint.scenarios import (
     GridSample,
     PointsSample,
@@ -38,6 +39,39 @@ def valid_matrix_scenario():
         "max_iter": 100,
         "sample": {"kind": "points", "pts": [0, 1, 2]},
     }
+
+
+def paper_scenario_obj():
+    return scenario_to_obj(paper_example())
+
+
+class TestInvariants:
+    """Scenario construction is the one check of tol, max_iter and beta."""
+
+    def test_tol_and_max_iter(self):
+        sc = paper_example()
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ScenarioFormatError, match="tol must be positive"):
+                replace(sc, tol=bad)
+        with pytest.raises(ScenarioFormatError, match="max_iter must be >= 1"):
+            replace(sc, max_iter=0)
+
+    def test_beta_interval_uses_the_space(self):
+        # s = 2 and q = 1 put the upper end at 1/(q*s) = 0.5, not 1
+        sc = replace(paper_example(), params=QuasiParams(c=0.5, q=1.0, alpha=0.3))
+        assert beta_limit(1.0, sc.space.s) == 0.5
+        assert replace(sc, params=replace(sc.params, beta=0.45)).params.beta == 0.45
+        for beta in (0.3, 0.5, 0.6):
+            with pytest.raises(ScenarioFormatError, match="params.beta"):
+                replace(sc, params=replace(sc.params, beta=beta))
+
+    def test_beta_limit_is_the_orbit_limit(self):
+        for q, s in ((0.0, 2.0), (0.3, 1.0), (1.0, 2.0), (0.8, 4.0)):
+            hi = beta_limit(q, s)
+            assert hi == (1.0 if q == 0.0 else min(1.0, 1.0 / (q * s)))
+            gamma_of(0.999999 * hi, q, s)
+            with pytest.raises(ValueError, match="beta"):
+                gamma_of(hi, q, s)
 
 
 class TestPaperExample:
@@ -172,6 +206,29 @@ class TestLoadValidation:
         sc = load(write_json(tmp_path / "ok.json", valid_matrix_scenario()))
         assert scenario_digest(sc) == "3a84db6fda7fe32e999d0874f0d5ff57dddde91a3b9141c6923962275bd702fb"
         assert scenario_digest(paper_example()) == "3789f4afa80a0bd93b3b4fbbb59bd20a6b5f60993b0f718bcbd7b0e760a917c8"
+
+    def test_huge_exponent_is_value_error(self, tmp_path):
+        # s = 2**(p-1) overflows; this used to escape load as OverflowError
+        obj = dict(paper_scenario_obj(), space={"kind": "power", "dim": 1, "p": 1e308})
+        with pytest.raises(ValueError, match="exponent p"):
+            load(write_json(tmp_path / "bad.json", obj))
+
+    def test_grid_with_infinitely_many_points_is_value_error(self, tmp_path):
+        # (hi - lo)/step is inf; round() used to raise OverflowError
+        obj = dict(paper_scenario_obj(), sample={"kind": "grid", "lo": -1.0, "hi": 1e308, "step": 0.1})
+        with pytest.raises(ValueError, match="too many points"):
+            load(write_json(tmp_path / "bad.json", obj))
+
+    def test_huge_integer_literal_is_format_error(self, tmp_path):
+        obj = dict(paper_scenario_obj(), tol=10**400)
+        with pytest.raises(ScenarioFormatError, match="expected a number at tol"):
+            load(write_json(tmp_path / "bad.json", obj))
+
+    def test_wrong_shape_names_the_field(self, tmp_path):
+        obj = valid_matrix_scenario()
+        obj["space"]["d"][1] = 1
+        with pytest.raises(ScenarioFormatError, match=r"expected a list at space.d\[1\], got 1"):
+            load(write_json(tmp_path / "bad.json", obj))
 
     def test_valid_scenario_loads(self, tmp_path):
         sc = load(write_json(tmp_path / "ok.json", valid_matrix_scenario()))
