@@ -127,8 +127,8 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
     if len(zero_off):
         i, j = map(int, zero_off[0])
         raise ValueError(f"zero off-diagonal entry at ({i},{j}): distinct points must have positive distance")
-    if not s >= 1.0:
-        raise ValueError(f"relaxation coefficient s must be >= 1, got {s}")
+    if not 1.0 <= s < math.inf:
+        raise ValueError(f"relaxation coefficient s must be finite and >= 1, got {s}")
     m.setflags(write=False)
     return BMetricSpace(kind="matrix", s=float(s), matrix=m)
 
@@ -137,18 +137,30 @@ def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     if space.kind == "matrix":
         ids = np.asarray(sample, dtype=int)
         return space.matrix[np.ix_(ids, ids)].astype(float)
-    n = len(sample)
-    dmat = np.empty((n, n))
+    # both d(x,y) and d(y,x), since symmetry is one of the axioms checked;
+    # filled a row at a time, so only one row of Python floats is alive
+    dmat = np.empty((len(sample), len(sample)))
     for i, x in enumerate(sample):
-        for j, y in enumerate(sample):
-            dmat[i, j] = space.dist(x, y)
+        dmat[i] = [space.dist(x, y) for y in sample]
     return dmat
 
 
-def _points_equal(space: BMetricSpace, x: Point, y: Point) -> bool:
+def _coincide(space: BMetricSpace, sample: list) -> tuple[np.ndarray, np.ndarray]:
+    """Two n x n masks over the sample: the points are equal (as Python
+    values), and they coincide (equal ids, or every coordinate within
+    COORD_TOL)."""
     if space.kind == "matrix":
-        return x == y
-    return all(abs(a - b) <= COORD_TOL for a, b in zip(x, y))
+        ids = np.asarray(sample)
+        same = ids[:, None] == ids[None, :]
+        return same, same
+    coords = np.array(sample, dtype=float).T
+    same = np.ones((len(sample), len(sample)), dtype=bool)
+    close = same.copy()
+    with np.errstate(all="ignore"):
+        for xs in coords:
+            same &= xs[:, None] == xs[None, :]
+            close &= np.abs(xs[:, None] - xs[None, :]) <= COORD_TOL
+    return same, close
 
 
 def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomReport:
@@ -174,16 +186,18 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
     n = len(sample)
     dmat = _distance_table(space, sample)
 
-    for i, x in enumerate(sample):
-        for j, y in enumerate(sample):
-            d_xy = dmat[i, j]
-            zero_d = (d_xy == 0.0) if space.kind == "matrix" else (d_xy <= tol)
-            if x == y and d_xy != 0.0:
-                violations.append(AxiomViolation("identity", (x, y), float(d_xy), 0.0))
-            elif zero_d and not _points_equal(space, x, y):
-                violations.append(AxiomViolation("identity", (x, y), float(d_xy), 0.0))
-            if abs(d_xy - dmat[j, i]) > tol:
-                violations.append(AxiomViolation("symmetry", (x, y), float(d_xy), float(dmat[j, i])))
+    # identity and symmetry for every ordered pair (i, j), in index order
+    # and identity first
+    same, close = _coincide(space, sample)
+    zero_d = (dmat == 0.0) if space.kind == "matrix" else (dmat <= tol)
+    identity = (same & (dmat != 0.0)) | (zero_d & ~close)
+    symmetry = np.abs(dmat - dmat.T) > tol
+    for i, j, sym in np.argwhere(np.stack([identity, symmetry], axis=-1)).tolist():
+        lhs = float(dmat[i, j])
+        if sym:
+            violations.append(AxiomViolation("symmetry", (sample[i], sample[j]), lhs, float(dmat[j, i])))
+        else:
+            violations.append(AxiomViolation("identity", (sample[i], sample[j]), lhs, 0.0))
 
     # Triangle scan vectorized over (i,j) per via-point k; n**3 scalar loops
     # would be too slow for the few-hundred-point samples this is run on.

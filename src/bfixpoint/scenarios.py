@@ -399,12 +399,15 @@ def scenario_from_obj(obj) -> Scenario:
         tmap = make_branch_map(space, [(br["A"].as_rows(), br["b"].as_nums()) for br in mp["branches"].as_list()])
     elif mkind == "table":
         raw = mp["images"]
-        images = {}
+        images, named_by = {}, {}
         for k in raw.as_obj():
             try:
                 key = int(k)
             except ValueError:
                 raise ScenarioFormatError(f"non-integer point id in map.images: {k!r}") from None
+            if key in named_by:
+                raise ScenarioFormatError(f"map.images keys {named_by[key]!r} and {k!r} both name point {key}")
+            named_by[key] = k
             images[key] = tuple(j.as_int() for j in raw[k].as_list())
         tmap = make_table_map(space, images)
     else:

@@ -1,8 +1,15 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfixpoint.bspace import (
+    AxiomReport,
+    AxiomViolation,
+    BMetricSpace,
     estimate_min_s,
     make_matrix_space,
     make_power_space,
@@ -88,6 +95,12 @@ class TestMakeMatrixSpace:
         with pytest.raises(ValueError, match="s must be"):
             make_matrix_space(2, [[0.0, 1.0], [1.0, 0.0]], 0.5)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_non_finite_s_rejected(self, s):
+        # s = inf used to pass the s >= 1 check
+        with pytest.raises(ValueError, match="s must be finite and >= 1"):
+            make_matrix_space(2, [[0.0, 1.0], [1.0, 0.0]], s)
+
 
 class TestVerifyAxioms:
     def test_quadratic_grid_passes_at_zero_tol(self):
@@ -134,6 +147,55 @@ class TestVerifyAxioms:
         sample = random_sample(rng, dim, 25)
         report = verify_axioms(sp, sample, tol=1e-12 * max_distance(sp, sample))
         assert report.passed
+
+
+def reference_axioms(space, sample, tol):
+    """verify_axioms by its definition: every ordered pair, then every
+    ordered triple, one at a time."""
+    n = len(sample)
+    d = [[space.dist(x, y) for y in sample] for x in sample]
+    out = []
+    for i, x in enumerate(sample):
+        for j, y in enumerate(sample):
+            coincide = x == y if space.kind == "matrix" else all(abs(a - b) <= 1e-12 for a, b in zip(x, y))
+            zero = d[i][j] == 0.0 if space.kind == "matrix" else d[i][j] <= tol
+            if (x == y and d[i][j] != 0.0) or (zero and not coincide):
+                out.append(AxiomViolation("identity", (x, y), d[i][j], 0.0))
+            if abs(d[i][j] - d[j][i]) > tol:
+                out.append(AxiomViolation("symmetry", (x, y), d[i][j], d[j][i]))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        rhs = space.s * (d[i][k] + d[k][j]) + tol
+        if d[i][j] > rhs:
+            out.append(AxiomViolation("relaxed-triangle", (sample[i], sample[j], sample[k]), d[i][j], rhs))
+    return AxiomReport(passed=not out, violations=tuple(out))
+
+
+TOLS = st.sampled_from([0.0, 1e-9, 0.3])
+
+
+class TestVerifyAxiomsMatchesPairLoop:
+    """Same violations, in the same order, as the scalar scan."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), tol=TOLS)
+    def test_unchecked_matrices(self, data, tol):
+        # built without make_matrix_space's checks: asymmetric entries,
+        # nonzero diagonals, zero off-diagonal entries, repeated ids
+        n = data.draw(st.integers(1, 5))
+        entry = st.sampled_from([0.0, 0.2, 1.0, 1.0 + 1e-12, 3.0])
+        m = np.array([[data.draw(entry) for _ in range(n)] for _ in range(n)])
+        space = BMetricSpace(kind="matrix", s=data.draw(st.sampled_from([1.0, 2.0])), matrix=m)
+        sample = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+        assert verify_axioms(space, sample, tol) == reference_axioms(space, sample, tol)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), tol=TOLS)
+    def test_power_samples_with_near_duplicates(self, data, tol):
+        dim = data.draw(st.integers(1, 2))
+        space = make_power_space(dim, data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+        coord = st.sampled_from([0.0, -0.0, 1e-13, 1e-7, 0.5, 1.0])
+        sample = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6))
+        assert verify_axioms(space, sample, tol) == reference_axioms(space, sample, tol)
 
 
 class TestEstimateMinS:

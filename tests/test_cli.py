@@ -83,6 +83,16 @@ def out_of_domain_image_scenario():
     return obj
 
 
+def aliased_image_key_scenario():
+    obj = squared_line_scenario()
+    obj["map"]["images"]["00"] = [2]
+    return obj
+
+
+def infinite_s_scenario():
+    return squared_line_scenario(s=float("inf"))
+
+
 def command_argv(command, path, tmp_path):
     argv = [command, "--scenario", path]
     if command == "run":
@@ -98,8 +108,10 @@ def command_argv(command, path, tmp_path):
         (nan_ratio_scenario, r"pair \(\(-1\.0,\), \(0\.8,\)\) has non-finite"),
         (duplicate_sample_scenario, r"pair \(\(0\.5,\), \(0\.5,\)\) is not distinct"),
         (out_of_domain_image_scenario, r"image given for point 7 outside the domain"),
+        (aliased_image_key_scenario, r"map\.images keys '0' and '00' both name point 0"),
+        (infinite_s_scenario, r"relaxation coefficient s must be finite and >= 1, got inf\n"),
     ],
-    ids=["non-finite-images", "nan-ratios", "duplicate-sample", "out-of-domain-image"],
+    ids=["non-finite-images", "nan-ratios", "duplicate-sample", "out-of-domain-image", "aliased-image-key", "infinite-s"],
 )
 def test_uncertifiable_scenario_is_invalid_input(tmp_path, capsys, command, scenario, message):
     path = write_json(tmp_path / "sc.json", scenario())

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -228,6 +229,26 @@ class TestLoadValidation:
         obj = valid_matrix_scenario()
         obj["space"]["d"][1] = 1
         with pytest.raises(ScenarioFormatError, match=r"expected a list at space.d\[1\], got 1"):
+            load(write_json(tmp_path / "bad.json", obj))
+
+    @pytest.mark.parametrize("alias", ["00", "+0", " 0"])
+    def test_two_keys_naming_one_point(self, tmp_path, alias):
+        # int() reads each alias as point 0; the later image used to win silently
+        obj = valid_matrix_scenario()
+        obj["map"]["images"][alias] = [2]
+        with pytest.raises(ScenarioFormatError, match=f"map.images keys '0' and '{re.escape(alias)}' both name point 0"):
+            load(write_json(tmp_path / "bad.json", obj))
+
+    def test_one_non_canonical_key_is_accepted(self, tmp_path):
+        obj = valid_matrix_scenario()
+        obj["map"]["images"]["02"] = obj["map"]["images"].pop("2")
+        sc = load(write_json(tmp_path / "ok.json", obj))
+        assert sc.map.table[2].elements == (1,)
+
+    def test_infinite_s_is_value_error(self, tmp_path):
+        obj = valid_matrix_scenario()
+        obj["space"]["s"] = float("inf")  # written as Infinity
+        with pytest.raises(ValueError, match="relaxation coefficient s must be finite and >= 1, got inf"):
             load(write_json(tmp_path / "bad.json", obj))
 
     def test_valid_scenario_loads(self, tmp_path):
