@@ -55,6 +55,15 @@ class BMetricSpace:
         # d(y,x) agree bit for bit without canonical ordering.
         return math.dist(x, y) ** self.p
 
+    def dists(self, xs, ys) -> np.ndarray:
+        """d(x, y) for each pair of zip(xs, ys), as a float64 array whose
+        entries equal dist(x, y) bit for bit: a matrix gather, or math.dist
+        and Python's float ** (numpy's power and norms round differently)."""
+        if self.kind == "matrix":
+            return self.matrix[np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)]
+        p = self.p
+        return np.array([d ** p for d in map(math.dist, xs, ys)], dtype=float)
+
     def check_point(self, x: Point) -> None:
         """Reject points outside the domain (bad ids, wrong arity, non-finite coords)."""
         if self.kind == "matrix":
@@ -134,14 +143,11 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
 
 
 def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
-    if space.kind == "matrix":
-        ids = np.asarray(sample, dtype=int)
-        return space.matrix[np.ix_(ids, ids)].astype(float)
     # both d(x,y) and d(y,x), since symmetry is one of the axioms checked;
     # filled a row at a time, so only one row of Python floats is alive
     dmat = np.empty((len(sample), len(sample)))
     for i, x in enumerate(sample):
-        dmat[i] = [space.dist(x, y) for y in sample]
+        dmat[i] = space.dists([x] * len(sample), sample)
     return dmat
 
 
@@ -201,12 +207,14 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
 
     # Triangle scan vectorized over (i,j) per via-point k; n**3 scalar loops
     # would be too slow for the few-hundred-point samples this is run on.
+    # A right-hand side that overflows is inf, which no distance exceeds.
     tri: list[tuple[int, int, int]] = []
     s = space.s
-    for k in range(n):
-        rhs = s * (dmat[:, [k]] + dmat[[k], :]) + tol
-        for i, j in np.argwhere(dmat > rhs):
-            tri.append((int(i), int(j), int(k)))
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            rhs = s * (dmat[:, [k]] + dmat[[k], :]) + tol
+            for i, j in np.argwhere(dmat > rhs):
+                tri.append((int(i), int(j), int(k)))
     for i, j, k in sorted(tri):
         rhs = s * (dmat[i, k] + dmat[k, j]) + tol
         violations.append(

@@ -12,17 +12,14 @@ filesystem paths.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from .bspace import AxiomReport, verify_axioms
 from .jsonutil import dumps_canonical, format_float
-from .orbit import OrbitTrace, cauchy_bound, cauchy_series, chaining_bounds, run_orbit
+from .orbit import OrbitTrace, bound_audit, cauchy_bound, cauchy_series, run_orbit
 from .quasicontraction import ContractionCertificate, all_pairs, certify, check_hypotheses, verdicts
 from .scenarios import (
     BUILTIN_NAMES,
@@ -86,158 +83,6 @@ def _axiom_obj(report: AxiomReport) -> dict:
         "violations_total": len(report.violations),
         "violations": [asdict(v) for v in shown],
     }
-
-
-def _axiom_tol(space, pts) -> float:
-    return 1e-12 * max((space.dist(x, y) for x, y in all_pairs(pts)), default=0.0)
-
-
-def _row_maxima(space, pts) -> list:
-    """For each Cauchy row m = 0 .. len(pts)-2, the exact maximum of
-    space.dist(pts[m+1], pts[j]) over j >= m+1, or None where the row has to
-    be checked pair by pair.
-
-    Screen, then confirm. The pair table is walked in fixed tiles of
-    approximate values: squared euclidean distances for power spaces (d is
-    increasing in them) and the exact entries for matrix spaces. A row's
-    candidates are the entries within relative `rel` of its largest value,
-    and space.dist is evaluated on the candidates only. Squared distances
-    and d = math.dist(x, y)**p differ by a few ulps of relative error, and a
-    candidate window of 1e-9 (1e-9/p for p < 1, where d**p flattens
-    differences) exceeds what that error can reorder, so the true maximum
-    is always a candidate. That error bound holds for normal floats, so a
-    row is screened only if its largest value is a normal float and its
-    exact maximum is too (rounding to a subnormal result may reorder near
-    ties); values below the normal range elsewhere in the row are too small
-    to lead. Other rows (the last one, whose only value is d(x_i, x_i) = 0,
-    underflowing or overflowing distances, non-finite coordinates) are left
-    to the pairwise check.
-    """
-    n = len(pts)
-    rows, cols = 32, 256  # tile shape; the two float64 tiles take 128 KiB
-    tiny, huge = sys.float_info.min, sys.float_info.max
-    if space.kind == "matrix":
-        ids = np.asarray(pts, dtype=np.intp)
-        rel = 0.0
-
-        def tile(r0, r1, c0, c1):
-            return space.matrix[ids[r0:r1, None], ids[c0:c1]]
-
-    else:
-        coords = np.array([[x[k] for x in pts] for k in range(space.dim)], dtype=float)
-        sq, tmp = np.empty((rows, cols)), np.empty((rows, cols))
-        rel = 1e-9 * max(1.0, 1.0 / space.p)
-
-        def tile(r0, r1, c0, c1):
-            out = sq[: r1 - r0, : c1 - c0]
-            t = tmp[: r1 - r0, : c1 - c0]
-            for k, xs in enumerate(coords):
-                dst = t if k else out
-                np.subtract(xs[c0:c1], xs[r0:r1, None], out=dst)
-                np.multiply(dst, dst, out=dst)
-                if k:
-                    np.add(out, t, out=out)
-            return out
-
-    before_row = np.arange(cols) < np.arange(rows)[:, None]  # tile entries j < i
-
-    def row_tile(r0, r1, c0):
-        """Rows x_i, i in [r0, r1), against x_j, j from c0; -inf where j < i."""
-        v = tile(r0, r1, c0, min(c0 + cols, n))
-        if c0 == r0:  # the tile holding the diagonal j = i
-            v[before_row[: r1 - r0, : v.shape[1]]] = -np.inf
-        return v
-
-    maxima = []
-    with np.errstate(all="ignore"):
-        for r0 in range(1, n, rows):  # tile rows are the points x_i = x_{m+1}
-            r1 = min(r0 + rows, n)
-            tops = [row_tile(r0, r1, c0).max(axis=1) for c0 in range(r0, n, cols)]
-            top = np.max(tops, axis=0)
-            ok = (top >= tiny) & (top <= huge)
-            thr = top * (1.0 - rel)
-            best = [-math.inf] * (r1 - r0)
-            for c0, tile_top in zip(range(r0, n, cols), tops):
-                need = ok & (tile_top >= thr)
-                if need.any():  # the tile holds a candidate: recompute it
-                    hit = (row_tile(r0, r1, c0) >= thr[:, None]) & need[:, None]
-                    for b, c in zip(*(ix.tolist() for ix in np.nonzero(hit))):
-                        d = space.dist(pts[r0 + b], pts[c0 + c])
-                        if d > best[b]:
-                            best[b] = d
-            maxima += [d if keep and d >= tiny else None for d, keep in zip(best, ok.tolist())]
-    return maxima
-
-
-def bound_audit(space, trace: OrbitTrace) -> dict:
-    """Worst actual/bound ratios over the whole trace.
-
-    Cauchy: d(x_{m+1}, x_{m+k}) against the tail bound at m for every m, k.
-    Chaining: d(x_0, x_k) against the dyadic bound for every prefix k.
-
-    Every check is made and counted, and every reported number is exact:
-    distances come from space.dist and bounds from exact arithmetic. The
-    largest ratio in a Cauchy row is the row's largest distance over its one
-    bound, since rounded division by a positive number is monotone, so each
-    row needs only its farthest point. A numpy screen picks the candidates
-    for it and space.dist confirms them (see _row_maxima); rows the screen
-    cannot vouch for, and rows whose bound has underflowed to 0, are checked
-    pair by pair, so the violation count and any error raised are those of
-    the full pairwise scan. Chaining bounds come from a running exact prefix
-    sum (chaining_bounds). On an orbit of L points this takes O(L) exact
-    distance evaluations; the O(L**2) screen runs in numpy in fixed-size
-    buffers.
-    """
-    pts = trace.points
-    steps = trace.steps
-    audit = {
-        "cauchy_ratio_max": 0.0,
-        "chaining_ratio_max": 0.0,
-        "cauchy_checks": 0,
-        "chaining_checks": 0,
-        "violations": 0,
-        "ok": True,
-    }
-    if not steps:
-        return audit
-
-    n = len(pts)
-    cert = cauchy_series(trace.gamma, space.s, first_step=steps[0])
-    bound = cauchy_bound(0, cert)
-    for m, top in enumerate(_row_maxima(space, pts)):
-        audit["cauchy_checks"] += n - 1 - m
-        if top is not None and bound != 0.0:
-            audit["cauchy_ratio_max"] = max(audit["cauchy_ratio_max"], top / bound)
-        else:
-            for j in range(m + 1, n):
-                actual = space.dist(pts[m + 1], pts[j])
-                if actual == 0.0:
-                    continue
-                if bound == 0.0:
-                    audit["violations"] += 1
-                    continue
-                audit["cauchy_ratio_max"] = max(audit["cauchy_ratio_max"], actual / bound)
-        bound *= cert.gamma
-
-    bounds = chaining_bounds(steps, space.s)
-    for k in range(1, n):
-        actual = space.dist(pts[0], pts[k])
-        cb = next(bounds)
-        audit["chaining_checks"] += 1
-        if actual == 0.0:
-            continue
-        if cb == 0.0:
-            audit["violations"] += 1
-            continue
-        audit["chaining_ratio_max"] = max(audit["chaining_ratio_max"], actual / cb)
-
-    slack = 1.0 + 1e-9
-    audit["ok"] = (
-        audit["violations"] == 0
-        and audit["cauchy_ratio_max"] <= slack
-        and audit["chaining_ratio_max"] <= slack
-    )
-    return audit
 
 
 _TRACE_COLUMNS = ("n", "point", "d_n", "ratio", "gamma", "cauchy_bound_at_n")
@@ -351,7 +196,10 @@ def cmd_run(
 def cmd_verify(scenario_arg: str, seed: int | None = None) -> int:
     sc, cert, hyp = _certified(scenario_arg, seed)
     pts = sample_points(sc)
-    axioms = verify_axioms(sc.space, pts, tol=_axiom_tol(sc.space, pts))
+    pairs = all_pairs(pts)
+    # zero is read up to 1e-12 of the largest sample distance
+    tol = 1e-12 * float(sc.space.dists([x for x, _ in pairs], [y for _, y in pairs]).max(initial=0.0))
+    axioms = verify_axioms(sc.space, pts, tol=tol)
     print(dumps_canonical({"axioms": _axiom_obj(axioms), "certificate": _cert_obj(sc, cert, hyp)}))
     return 0 if axioms.passed and hyp["thm33"]["applicable"] else 1
 

@@ -19,8 +19,13 @@ arbitrary finite stretches of any sequence.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from sys import float_info
 from typing import NamedTuple
+
+import numpy as np
 
 from .bspace import BMetricSpace, Point
 from .quasicontraction import SetValuedMap, _check_coefficients, _n_from_parts, image_of
@@ -331,6 +336,148 @@ def cauchy_bound(m: int, cert: CauchyCertificate) -> float:
             break
         b *= cert.gamma
     return b
+
+
+def _row_maxima(space: BMetricSpace, pts) -> np.ndarray:
+    """For each Cauchy row m = 0 .. len(pts)-2, the exact maximum of
+    d(pts[m+1], pts[j]) over j >= m+1, or NaN where the row has to be
+    checked in full.
+
+    Screen, then confirm. The pair table is walked in fixed tiles of
+    approximate values: squared euclidean distances for power spaces (d is
+    increasing in them) and the exact entries for matrix spaces. A row's
+    candidates are the entries within relative `rel` of its largest value,
+    and their exact distances come from one space.dists call per block of
+    rows. Squared distances and d = math.dist(x, y)**p differ by a few ulps
+    of relative error, and a candidate window of 1e-9 (1e-9/p for p < 1,
+    where d**p flattens differences) exceeds what that error can reorder,
+    so the true maximum is always a candidate. That error bound holds for
+    normal floats, so a row is screened only if its largest value is a
+    normal float and its exact maximum is too (rounding to a subnormal
+    result may reorder near ties); values below the normal range elsewhere
+    in the row are too small to lead. Other rows (the last one, whose only
+    value is d(x_i, x_i) = 0, underflowing or overflowing distances,
+    non-finite coordinates) are left to the full check.
+    """
+    n = len(pts)
+    rows, cols = 32, 256  # tile shape; the two float64 tiles take 128 KiB
+    tiny, huge = float_info.min, float_info.max
+    if space.kind == "matrix":
+        ids = np.asarray(pts, dtype=np.intp)
+        rel = 0.0
+
+        def tile(r0, r1, c0, c1):
+            return space.matrix[ids[r0:r1, None], ids[c0:c1]]
+
+    else:
+        coords = np.array([[x[k] for x in pts] for k in range(space.dim)], dtype=float)
+        sq, tmp = np.empty((rows, cols)), np.empty((rows, cols))
+        rel = 1e-9 * max(1.0, 1.0 / space.p)
+
+        def tile(r0, r1, c0, c1):
+            out = sq[: r1 - r0, : c1 - c0]
+            t = tmp[: r1 - r0, : c1 - c0]
+            for k, xs in enumerate(coords):
+                dst = t if k else out
+                np.subtract(xs[c0:c1], xs[r0:r1, None], out=dst)
+                np.multiply(dst, dst, out=dst)
+                if k:
+                    np.add(out, t, out=out)
+            return out
+
+    before_row = np.arange(cols) < np.arange(rows)[:, None]  # tile entries j < i
+
+    def row_tile(r0, r1, c0):
+        """Rows x_i, i in [r0, r1), against x_j, j from c0; -inf where j < i."""
+        v = tile(r0, r1, c0, min(c0 + cols, n))
+        if c0 == r0:  # the tile holding the diagonal j = i
+            v[before_row[: r1 - r0, : v.shape[1]]] = -np.inf
+        return v
+
+    maxima = np.full(n - 1, np.nan)
+    with np.errstate(all="ignore"):
+        for r0 in range(1, n, rows):  # tile rows are the points x_i = x_{m+1}
+            r1 = min(r0 + rows, n)
+            tops = [row_tile(r0, r1, c0).max(axis=1) for c0 in range(r0, n, cols)]
+            top = np.max(tops, axis=0)
+            ok = (top >= tiny) & (top <= huge)
+            thr = top * (1.0 - rel)
+            hits = []
+            for c0, tile_top in zip(range(r0, n, cols), tops):
+                need = ok & (tile_top >= thr)
+                if need.any():  # the tile holds a candidate: recompute it
+                    b, c = np.nonzero((row_tile(r0, r1, c0) >= thr[:, None]) & need[:, None])
+                    hits.append((b, c + c0))
+            if hits:
+                b, c = (np.concatenate(ix).tolist() for ix in zip(*hits))
+                best = np.full(r1 - r0, -np.inf)
+                np.fmax.at(best, b, space.dists([pts[r0 + i] for i in b], [pts[j] for j in c]))
+                maxima[r0 - 1 : r1 - 1] = np.where(ok & (best >= tiny), best, np.nan)
+    return maxima
+
+
+def _worst_ratio(actual: np.ndarray, bound) -> tuple[float, int]:
+    """The largest actual/bound and the violation count over exact
+    distances and their bounds (one bound, or one per distance): a zero
+    distance passes, a nonzero one over a zero bound is a violation, and a
+    NaN ratio is ignored, as max(worst, nan) ignores it."""
+    actual, bound = np.broadcast_arrays(actual, bound)
+    live, zero = actual != 0.0, bound == 0.0
+    with np.errstate(all="ignore"):
+        ratios = actual[live & ~zero] / bound[live & ~zero]
+    return float(np.fmax.reduce(ratios, initial=0.0)), int(np.count_nonzero(live & zero))
+
+
+def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
+    """Worst actual/bound ratios over the whole trace.
+
+    Cauchy: d(x_{m+1}, x_{m+k}) against the tail bound at m for every m, k.
+    Chaining: d(x_0, x_k) against the dyadic bound for every prefix k.
+
+    Every check is made and counted, and every reported number is exact:
+    distances come from space.dists and bounds from exact arithmetic. The
+    largest ratio in a Cauchy row is the row's largest distance over its one
+    bound, since rounded division by a positive number is monotone, so each
+    row needs only its farthest point. A numpy screen picks the candidates
+    for it and space.dists confirms them (see _row_maxima); rows the screen
+    cannot vouch for, and rows whose bound has underflowed to 0, are checked
+    in full, so the violation count and any error raised are those of the
+    full pairwise scan. (The distances d(x_0, x_k) are taken before the
+    chaining bounds, which raise only for a negative step.) Chaining bounds
+    come from a running exact prefix sum (chaining_bounds). On an orbit of
+    L points this takes O(L) exact distance evaluations; the O(L**2) screen
+    runs in numpy in fixed-size buffers.
+    """
+    pts = trace.points
+    steps = trace.steps
+    n = len(pts)  # a trace without steps has one point and no checks
+    cauchy = chaining = 0.0
+    violations = 0
+    if steps:
+        cert = cauchy_series(trace.gamma, space.s, first_step=steps[0])
+        # row m's bound; bound(m+1) = gamma*bound(m), as cauchy_bound accumulates it
+        first = cauchy_bound(0, cert)
+        bounds = np.fromiter(accumulate(repeat(cert.gamma, n - 2), operator.mul, initial=first), float)
+        tops = _row_maxima(space, pts)
+        vouched = ~np.isnan(tops) & (bounds != 0.0)
+        cauchy, violations = _worst_ratio(tops[vouched], bounds[vouched])
+        for m in np.flatnonzero(~vouched).tolist():
+            row = _worst_ratio(space.dists([pts[m + 1]] * (n - 1 - m), pts[m + 1 :]), bounds[m])
+            cauchy, violations = max(cauchy, row[0]), violations + row[1]
+        chaining, chain_violations = _worst_ratio(
+            space.dists([pts[0]] * (n - 1), pts[1:]), np.fromiter(chaining_bounds(steps, space.s), float)
+        )
+        violations += chain_violations
+
+    slack = 1.0 + 1e-9
+    return {
+        "cauchy_ratio_max": cauchy,
+        "chaining_ratio_max": chaining,
+        "cauchy_checks": n * (n - 1) // 2,
+        "chaining_checks": n - 1,
+        "violations": violations,
+        "ok": violations == 0 and cauchy <= slack and chaining <= slack,
+    }
 
 
 def verify_fixed_point(space: BMetricSpace, tmap: SetValuedMap, u: Point, tol: float) -> FixedPointCheck:

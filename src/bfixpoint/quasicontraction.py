@@ -225,13 +225,14 @@ def _block_ratios(space, ext, width, dxt, xi, yi, c, q) -> tuple:
 
     ext[u] is the sample point u followed by its image, width[u] its length
     and dxt[u] = d(u, T(u)). For each pair one table of distances from
-    (x, *T(x)) to (y, *T(y)) is taken through space.dist; row 0 holds d(x,y)
+    (x, *T(x)) to (y, *T(y)) is taken through space.dists; row 0 holds d(x,y)
     and d(x,T(y)), column 0 d(y,T(x)), the rest the image-to-image
     distances of h. Tables are padded to a common shape by repeating the
     first image element, which changes no min or max. fmin/fmax skip NaN as
     the scalar `<`/`>` loops do, and start from the same inf / 0.0."""
-    dist = space.dist
-    vals = np.array([dist(a, b) for x, y in zip(xi.tolist(), yi.tolist()) for a in ext[x] for b in ext[y]])
+    xs = [a for x, y in zip(xi.tolist(), yi.tolist()) for a in ext[x] for _ in ext[y]]
+    ys = [b for x, y in zip(xi.tolist(), yi.tolist()) for _ in ext[x] for b in ext[y]]
+    vals = space.dists(xs, ys)
     rows, cols = width[xi], width[yi]
     start = np.cumsum(rows * cols) - rows * cols
     k = np.arange(width.max())
@@ -309,8 +310,8 @@ def certify(
     is labeled empirical. Theorem verdicts come from `verdicts`.
 
     Cost: one image_of and one d(x, T(x)) per distinct sample point, then
-    (1 + |T(x)|) * (1 + |T(y)|) space.dist calls per pair, reduced in numpy
-    block by block. The result equals the pair-by-pair loop over
+    (1 + |T(x)|) * (1 + |T(y)|) space.dists entries per pair, reduced in
+    numpy block by block. The result equals the pair-by-pair loop over
     hausdorff, n_functional and five_term_max, worst pairs and errors
     included: the worst pair is the first to attain the maximum.
     """

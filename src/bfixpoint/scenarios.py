@@ -99,6 +99,7 @@ class Scenario:
 
 
 BUILTIN_NAMES = ("paper-example", "random-finite")
+MAX_GRID_POINTS = 100_000  # certify is quadratic in the sample; the largest one in use has 201 points
 
 
 def paper_example() -> Scenario:
@@ -133,7 +134,8 @@ def instantiate(sc: Scenario) -> tuple[BMetricSpace, SetValuedMap]:
 
 
 def sample_points(sc: Scenario) -> list:
-    """Materialize the certification sample (grid or explicit list)."""
+    """Materialize the certification sample (grid or explicit list); a grid
+    of more than MAX_GRID_POINTS points is rejected before it is built."""
     if isinstance(sc.sample, GridSample):
         g = sc.sample
         if sc.space.kind != "power" or sc.space.dim != 1:
@@ -141,8 +143,10 @@ def sample_points(sc: Scenario) -> list:
         if not g.step > 0 or not g.hi > g.lo:
             raise ScenarioFormatError("sample grid needs step > 0 and hi > lo")
         n = (g.hi - g.lo) / g.step
-        if not isfinite(n):
-            raise ScenarioFormatError(f"sample grid {g.lo}..{g.hi} step {g.step} has too many points")
+        if not (isfinite(n) and round(n) < MAX_GRID_POINTS):
+            raise ScenarioFormatError(
+                f"sample grid {g.lo}..{g.hi} step {g.step} has too many points (over {MAX_GRID_POINTS})"
+            )
         return [(g.lo + i * g.step,) for i in range(round(n) + 1)]
     return list(sc.sample.pts)
 
@@ -271,8 +275,9 @@ def _build_candidate(rng: SplitMix64, seed: int, n_points: int, p: float, alpha_
         near = min((w for w in ends if w != e), key=lambda w: (_euclid(e, w), index[w]))
         images[index[e]] = (0, index[near])
 
-    d = [[_euclid(a, b) ** p for b in pts] for a in pts]
-    s = max(1.0, 2.0 ** (p - 1.0))
+    plane = make_power_space(2, p)
+    d = [plane.dists([a] * len(pts), pts) for a in pts]
+    s = plane.s
 
     # keep the side conditions reachable: q (and c) below 0.9/(alpha_cap*s)
     coeff_hi = min(1.0, 0.9 / (alpha_cap * s))

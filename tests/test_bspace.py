@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from bfixpoint.bspace import (
     make_power_space,
     verify_axioms,
 )
+from bfixpoint.orbit import bound_audit, run_orbit
+from bfixpoint.quasicontraction import all_pairs, certify, image_of, make_branch_map
 from bfixpoint.rng import SplitMix64
+from bfixpoint.scenarios import builtin, sample_points
 
 SQUARED_LINE = [[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]]
 
@@ -198,6 +202,34 @@ class TestVerifyAxiomsMatchesPairLoop:
         assert verify_axioms(space, sample, tol) == reference_axioms(space, sample, tol)
 
 
+class TestVerifyAxiomsNearTheFloatMaximum:
+    # the triangle scan's right-hand sides overflow to inf, which no
+    # distance exceeds: the verdict is unchanged and nothing is printed
+    @pytest.mark.parametrize(
+        "m, s, want",
+        [
+            ([[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]], 1.0, AxiomReport(passed=True)),
+            ([[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]], 2.0, AxiomReport(passed=True)),
+            (
+                [[0, 1.7e308, 1e300], [1.7e308, 0, 1e308], [1e300, 1e308, 0]],
+                1.0,
+                AxiomReport(
+                    passed=False,
+                    violations=(
+                        AxiomViolation("relaxed-triangle", (0, 1, 2), 1.7e308, 1.00000001e308),
+                        AxiomViolation("relaxed-triangle", (1, 0, 2), 1.7e308, 1.00000001e308),
+                    ),
+                ),
+            ),
+        ],
+    )
+    def test_same_report_and_no_warning(self, m, s, want):
+        space = make_matrix_space(3, m, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_axioms(space, [0, 1, 2]) == want
+
+
 class TestEstimateMinS:
     def test_metric_line(self):
         assert estimate_min_s(make_power_space(1, 1.0), grid1(0, 1, 2)) == 1.0
@@ -220,3 +252,94 @@ class TestEstimateMinS:
         for _ in range(10):
             sample = random_sample(rng, dim, 12)
             assert estimate_min_s(sp, sample) <= sp.s + 1e-12
+
+
+# -- bulk distances -----------------------------------------------------------
+
+# 0, the tiny and huge coordinates make d**p underflow, overflow (p >= 2 at
+# 1e154) or neither; a small pool repeats points
+EDGE_COORDS = st.sampled_from([0.0, 1.0, -1.0, 1e-160, -1e-160, 1e154, -1e154])
+COORDS = st.one_of(EDGE_COORDS, st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def power_pairs(draw):
+    dim = draw(st.integers(1, 3))
+    space = make_power_space(dim, draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])))
+    pool = draw(st.lists(st.tuples(*[COORDS] * dim), min_size=1, max_size=4))
+    point = st.one_of(st.sampled_from(pool), st.tuples(*[COORDS] * dim))
+    pairs = draw(st.lists(st.tuples(point, point), max_size=30))
+    return space, [x for x, _ in pairs], [y for _, y in pairs]
+
+
+@st.composite
+def matrix_pairs(draw):
+    n = draw(st.integers(1, 6))
+    d = [[0.0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        d[i][j] = d[j][i] = draw(st.one_of(st.sampled_from([1e-300, 1.0, 1e300]), st.floats(1e-3, 1e3)))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=30))
+    return make_matrix_space(n, d, 2.0), [x for x, _ in pairs], [y for _, y in pairs]
+
+
+def bits_or_error(evaluate):
+    """The hex form of each distance, or the type of the error raised."""
+    try:
+        return [float(d).hex() for d in evaluate()]
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+class TestDistsMatchesDist:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(power_pairs(), matrix_pairs()))
+    def test_entry_by_entry(self, case):
+        space, xs, ys = case
+        got = bits_or_error(lambda: space.dists(xs, ys))
+        assert got == bits_or_error(lambda: [space.dist(x, y) for x, y in zip(xs, ys)])
+        if not isinstance(got, type):
+            assert space.dists(xs, ys).dtype == np.float64
+
+    @pytest.mark.parametrize("space", [make_power_space(2, 1.5), make_matrix_space(3, SQUARED_LINE, 2.0)])
+    def test_empty_input(self, space):
+        got = space.dists([], [])
+        assert got.shape == (0,) and got.dtype == np.float64
+
+
+def test_bulk_layers_make_no_scalar_distance_calls(monkeypatch):
+    """verify_axioms and bound_audit take every distance through dists;
+    certify evaluates d(x, T(x)) point by point and nothing else."""
+    calls = [0]
+    real_dist = BMetricSpace.dist
+
+    def counted_dist(self, x, y):
+        calls[0] += 1
+        return real_dist(self, x, y)
+
+    def count(fn, *args):
+        calls[0] = 0
+        monkeypatch.setattr(BMetricSpace, "dist", counted_dist)
+        try:
+            fn(*args)
+        finally:
+            monkeypatch.undo()
+        return calls[0]
+
+    paper = builtin("paper-example")
+    finite = builtin("random-finite", 7)
+    plane = make_power_space(2, 1.5)
+    shear, lift = ([[0.5, 0.1], [0.0, 0.5]], [0.0, 0.0]), ([[0.5, 0.0], [0.2, 0.5]], [1.0, 0.0])
+    branches = make_branch_map(plane, [shear, lift])
+    sample = random_sample(SplitMix64(5), 2, 30, scale=2.0)
+    for space, pts in ((paper.space, sample_points(paper)), (finite.space, sample_points(finite)), (plane, sample)):
+        assert count(verify_axioms, space, pts, 1e-12) == 0
+
+    trace = run_orbit(plane, branches, 0.5, 0.3, 0.5, (1.0, 1.0), tol=1e-12, max_iter=500)
+    assert len(trace.steps) > 10
+    assert count(bound_audit, plane, trace) == 0
+
+    for space, tmap, pts in ((paper.space, paper.map, sample_points(paper)),
+                             (finite.space, finite.map, sample_points(finite)), (plane, branches, sample)):
+        residuals = sum(len(image_of(space, tmap, x).elements) for x in pts)
+        assert count(certify, space, tmap, all_pairs(pts), 0.5, 0.5) <= residuals

@@ -244,6 +244,19 @@ class TestExactConstant:
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "compare"])
+def test_huge_grid_is_invalid_input(tmp_path, capsys, command):
+    # 2e9 + 1 points: rejected from the count, before any point is built
+    obj = paper_scenario()
+    obj["sample"]["step"] = 1e-9
+    assert main(command_argv(command, write_json(tmp_path / "sc.json", obj), tmp_path)) == 3
+    captured = capsys.readouterr()
+    assert re.match(r"error: sample grid -1\.0\.\.1\.0 step 1e-09 has too many points", captured.err)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
 def test_arithmetic_failure_is_invalid_input(tmp_path, capsys, command):
     argv = [command, "--scenario", write_json(tmp_path / "sc.json", overflowing_scenario())]
     if command == "run":

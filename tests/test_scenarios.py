@@ -8,6 +8,7 @@ from bfixpoint.bspace import verify_axioms
 from bfixpoint.orbit import beta_limit, gamma_of
 from bfixpoint.quasicontraction import QuasiParams, enumerate_fixed_points
 from bfixpoint.scenarios import (
+    MAX_GRID_POINTS,
     GridSample,
     PointsSample,
     Scenario,
@@ -218,6 +219,15 @@ class TestLoadValidation:
         # (hi - lo)/step is inf; round() used to raise OverflowError
         obj = dict(paper_scenario_obj(), sample={"kind": "grid", "lo": -1.0, "hi": 1e308, "step": 0.1})
         with pytest.raises(ValueError, match="too many points"):
+            load(write_json(tmp_path / "bad.json", obj))
+
+    def test_grid_is_counted_before_it_is_built(self, tmp_path):
+        # hi - lo = (MAX_GRID_POINTS - 1) * step gives exactly MAX_GRID_POINTS points
+        grid = {"kind": "grid", "lo": 0.0, "hi": MAX_GRID_POINTS - 1.0, "step": 1.0}
+        sc = load(write_json(tmp_path / "cap.json", dict(paper_scenario_obj(), sample=grid)))
+        assert len(sample_points(sc)) == MAX_GRID_POINTS
+        obj = dict(paper_scenario_obj(), sample=dict(grid, hi=float(MAX_GRID_POINTS)))
+        with pytest.raises(ScenarioFormatError, match="too many points"):
             load(write_json(tmp_path / "bad.json", obj))
 
     def test_huge_integer_literal_is_format_error(self, tmp_path):
