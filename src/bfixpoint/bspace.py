@@ -144,11 +144,34 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
 
 def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     # both d(x,y) and d(y,x), since symmetry is one of the axioms checked;
-    # filled a row at a time, so only one row of Python floats is alive
+    # filled a row at a time, so only one row of Python floats is alive.
+    # A distance that overflows names its pair (the first in index order)
+    # here, before any check or reduction does arithmetic on it.
     dmat = np.empty((len(sample), len(sample)))
     for i, x in enumerate(sample):
         dmat[i] = space.dists([x] * len(sample), sample)
+    if not np.isfinite(dmat).all():
+        i, j = map(int, np.argwhere(~np.isfinite(dmat))[0])
+        raise ValueError(f"sample pair ({sample[i]!r}, {sample[j]!r}) has non-finite distance {dmat[i, j]}")
     return dmat
+
+
+# The via-point reduction sums d(x,z) + d(z,y) for a block of rows x at a
+# time: as many rows as fit in this many sums, and at least one row, so the
+# buffer does not grow as n**3.
+_BLOCK_SUMS = 1 << 16
+
+
+def _via_minimum(dmat: np.ndarray) -> np.ndarray:
+    """min over k of dmat[i,k] + dmat[k,j] for every (i, j); a sum that
+    overflows is inf (callers scope the overflow warning)."""
+    n = len(dmat)
+    cols = dmat.T.copy()  # row j is column j, so each sum runs along a contiguous axis
+    best = np.empty_like(dmat)
+    rows = max(1, _BLOCK_SUMS // (n * n))
+    for lo in range(0, n, rows):
+        best[lo : lo + rows] = np.fmin.reduce(dmat[lo : lo + rows, None, :] + cols[None, :, :], axis=2)
+    return best
 
 
 def _coincide(space: BMetricSpace, sample: list) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +203,8 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
 
     Violations are data, not errors; each carries its witnesses and both
     sides of the failed inequality, ordered by smallest index tuple first.
+    A sample distance that is not finite (finite coordinates can overflow)
+    is an error: ValueError names the first such pair.
     """
     if not sample:
         raise ValueError("sample must be nonempty")
@@ -189,7 +214,6 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
         space.check_point(x)
 
     violations: list[AxiomViolation] = []
-    n = len(sample)
     dmat = _distance_table(space, sample)
 
     # identity and symmetry for every ordered pair (i, j), in index order
@@ -205,21 +229,22 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
         else:
             violations.append(AxiomViolation("identity", (sample[i], sample[j]), lhs, 0.0))
 
-    # Triangle scan vectorized over (i,j) per via-point k; n**3 scalar loops
-    # would be too slow for the few-hundred-point samples this is run on.
-    # A right-hand side that overflows is inf, which no distance exceeds.
-    tri: list[tuple[int, int, int]] = []
+    # Relaxed triangle: the right-hand side s*(a + b) + tol never falls as
+    # the sum a + b grows, rounding included, so some via-point k violates
+    # it exactly when the smallest sum over k does. The block reduction finds
+    # the violating pairs; only those are scanned point by point, which
+    # yields (i, j, k) in index order. A right-hand side that overflows is
+    # inf, which no distance exceeds.
     s = space.s
     with np.errstate(over="ignore"):
-        for k in range(n):
-            rhs = s * (dmat[:, [k]] + dmat[[k], :]) + tol
-            for i, j in np.argwhere(dmat > rhs):
-                tri.append((int(i), int(j), int(k)))
-    for i, j, k in sorted(tri):
-        rhs = s * (dmat[i, k] + dmat[k, j]) + tol
-        violations.append(
-            AxiomViolation("relaxed-triangle", (sample[i], sample[j], sample[k]), float(dmat[i, j]), float(rhs))
-        )
+        for i, j in np.argwhere(dmat > s * _via_minimum(dmat) + tol).tolist():
+            rhs = s * (dmat[i] + dmat[:, j]) + tol
+            for k in np.flatnonzero(dmat[i, j] > rhs).tolist():
+                violations.append(
+                    AxiomViolation(
+                        "relaxed-triangle", (sample[i], sample[j], sample[k]), float(dmat[i, j]), float(rhs[k])
+                    )
+                )
 
     return AxiomReport(passed=not violations, violations=tuple(violations))
 
@@ -228,20 +253,25 @@ def estimate_min_s(space: BMetricSpace, sample: list) -> float:
     """Tightest relaxation coefficient on the sample: the largest ratio
     d(x,y) / (d(x,z) + d(z,y)) over triples with x != y, clamped below at 1.
 
-    Zero denominators are skipped (they force x = z = y, where the numerator
-    vanishes too). Requires at least two points at positive distance.
+    Denominators that are not positive are skipped (zero ones need
+    d(x,z) = d(z,y) = 0, which distances that underflow can give even where
+    d(x,y) > 0; negative ones only a hand-built table). Requires at least two
+    points at positive distance, and finite distances, as verify_axioms.
     """
     for x in sample:
         space.check_point(x)
     dmat = _distance_table(space, sample)
-    if not np.any(dmat > 0.0):
+    positive = dmat > 0.0
+    if not positive.any():
         raise ValueError("sample needs at least 2 distinct points")
 
-    best = 1.0
-    n = len(sample)
-    for k in range(n):
-        den = dmat[:, [k]] + dmat[[k], :]
-        mask = (den > 0.0) & (dmat > 0.0)
-        if mask.any():
-            best = max(best, float((dmat[mask] / den[mask]).max()))
-    return best
+    # d / x never grows as x does, so each pair's largest ratio is its
+    # distance over its smallest positive via-point sum. The few pairs whose
+    # minimum is not positive (a zero sum, or a negative entry in a
+    # hand-built table) are reduced again over their positive sums only.
+    with np.errstate(over="ignore"):
+        low = _via_minimum(dmat)
+        for i, j in np.argwhere(positive & (low <= 0.0)).tolist():
+            den = dmat[i] + dmat[:, j]
+            low[i, j] = den[den > 0.0].min(initial=math.inf)
+        return max(1.0, float((dmat[positive] / low[positive]).max()))

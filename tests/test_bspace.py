@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfixpoint import bspace
 from bfixpoint.bspace import (
     AxiomReport,
     AxiomViolation,
@@ -202,6 +203,52 @@ class TestVerifyAxiomsMatchesPairLoop:
         assert verify_axioms(space, sample, tol) == reference_axioms(space, sample, tol)
 
 
+class TestVerifyAxiomsAcrossBlocks:
+    """The via-point reduction works in row blocks; with the block budget cut
+    to a row or a few, violations fall in several blocks and must still come
+    out as the scalar scan gives them."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), tol=TOLS, budget=st.sampled_from([1, 40, 300]))
+    def test_matrices_with_understated_s(self, data, tol, budget):
+        n = data.draw(st.integers(1, 8))
+        entry = st.sampled_from([0.0, 0.2, 1.0, 1.0 + 1e-12, 3.0, 9.0])
+        m = np.array([[data.draw(entry) for _ in range(n)] for _ in range(n)])
+        if data.draw(st.booleans()):  # symmetric, the form make_matrix_space accepts
+            m = np.triu(m, 1) + np.triu(m, 1).T
+        space = BMetricSpace(kind="matrix", s=data.draw(st.sampled_from([1.0, 1.2, 2.0])), matrix=m)
+        sample = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bspace, "_BLOCK_SUMS", budget)
+            got = verify_axioms(space, sample, tol)
+        assert got == reference_axioms(space, sample, tol)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), tol=TOLS, budget=st.sampled_from([1, 40, 300]))
+    def test_power_samples_with_understated_s(self, data, tol, budget):
+        dim = data.draw(st.integers(1, 2))
+        p = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        declared = make_power_space(dim, p).s
+        s = data.draw(st.sampled_from([declared, max(1.0, declared / 2), 1.0]))
+        space = BMetricSpace(kind="power", s=s, dim=dim, p=p)
+        coord = st.sampled_from([0.0, -0.0, 1e-13, 1e-7, 0.5, 1.0, 2.0, 3.0])
+        sample = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=12))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bspace, "_BLOCK_SUMS", budget)
+            got = verify_axioms(space, sample, tol)
+        assert got == reference_axioms(space, sample, tol)
+
+    def test_violations_span_every_block(self, monkeypatch):
+        # s = 1 on the squared line: every pair two or more steps apart is
+        # violated through each point between them, one row per block
+        monkeypatch.setattr(bspace, "_BLOCK_SUMS", 1)
+        space = BMetricSpace(kind="power", s=1.0, dim=1, p=2.0)
+        sample = grid1(*range(12))
+        got = verify_axioms(space, sample, 0.0)
+        assert {v.witness[0] for v in got.violations} == set(sample)
+        assert got == reference_axioms(space, sample, 0.0)
+
+
 class TestVerifyAxiomsNearTheFloatMaximum:
     # the triangle scan's right-hand sides overflow to inf, which no
     # distance exceeds: the verdict is unchanged and nothing is printed
@@ -252,6 +299,88 @@ class TestEstimateMinS:
         for _ in range(10):
             sample = random_sample(rng, dim, 12)
             assert estimate_min_s(sp, sample) <= sp.s + 1e-12
+
+
+def reference_min_s(space, sample):
+    """estimate_min_s by its definition: every ordered triple, one at a time."""
+    d = [[space.dist(x, y) for y in sample] for x in sample]
+    best = 1.0
+    for i, j, k in itertools.product(range(len(sample)), repeat=3):
+        den = d[i][k] + d[k][j]
+        if d[i][j] > 0.0 and den > 0.0:
+            best = max(best, d[i][j] / den)
+    return best
+
+
+class TestEstimateMinSMatchesTripleLoop:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), budget=st.sampled_from([1, 40, 1 << 16]))
+    def test_power_samples_with_near_duplicates(self, data, budget):
+        dim = data.draw(st.integers(1, 2))
+        space = make_power_space(dim, data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])))
+        coord = st.one_of(
+            st.sampled_from([0.0, -0.0, 1e-13, 1e-7, 0.5, 1.0]), st.floats(-3.0, 3.0, allow_nan=False)
+        )
+        sample = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=10))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bspace, "_BLOCK_SUMS", budget)
+            if all(x == y for x in sample for y in sample):
+                with pytest.raises(ValueError, match="distinct"):
+                    estimate_min_s(space, sample)
+            else:
+                assert estimate_min_s(space, sample) == reference_min_s(space, sample)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_unchecked_matrices_with_zero_sums(self, data):
+        # zero off-diagonal entries make d(x,z) + d(z,y) = 0 with d(x,y) > 0,
+        # and negative ones make it negative: both sums are skipped
+        n = data.draw(st.integers(2, 6))
+        entry = st.sampled_from([-1.0, 0.0, 0.1, 0.2, 0.5, 1.0, 3.0])
+        m = np.array([[data.draw(entry) for _ in range(n)] for _ in range(n)])
+        space = BMetricSpace(kind="matrix", s=1.0, matrix=m)
+        sample = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=8))
+        if not any(m[x, y] > 0.0 for x in sample for y in sample):
+            with pytest.raises(ValueError, match="distinct"):
+                estimate_min_s(space, sample)
+        else:
+            assert estimate_min_s(space, sample) == reference_min_s(space, sample)
+
+    def test_negative_via_sums_are_skipped(self):
+        # d(0,1) = 1, and its smallest via-point sum is d(0,2) + d(2,1) = -1:
+        # the ratio is over the smallest positive sum, d(0,3) + d(3,1) = 0.1
+        m = np.zeros((4, 4))
+        m[0, 1], m[0, 2], m[0, 3] = 1.0, -1.0, 0.1
+        space = BMetricSpace(kind="matrix", s=1.0, matrix=m)
+        assert estimate_min_s(space, [0, 1, 2, 3]) == reference_min_s(space, [0, 1, 2, 3]) == 1.0 / 0.1
+
+    def test_underflowing_via_sums_are_skipped(self):
+        # p = 20: d(0, 4e-17) and d(4e-17, 8e-17) underflow to 0 but
+        # d(0, 8e-17) = 1.14e-322 does not, so that pair's only positive
+        # via-point sums are the ones through its own ends
+        space = make_power_space(1, 20.0)
+        sample = grid1(0.0, 4e-17, 8e-17)
+        assert space.dist(sample[0], sample[1]) == 0.0 < space.dist(sample[0], sample[2])
+        assert estimate_min_s(space, sample) == reference_min_s(space, sample) == 1.0
+
+
+class TestNonFiniteSampleDistance:
+    # finite coordinates whose distance overflows: math.dist((1e308,), (-1e308,)) is inf
+    @pytest.mark.parametrize("check", [verify_axioms, estimate_min_s])
+    def test_first_pair_in_index_order_is_named(self, check):
+        space = make_power_space(1, 1.0)
+        message = r"^sample pair \(\(1e\+308,\), \(-1e\+308,\)\) has non-finite distance inf$"
+        with pytest.raises(ValueError, match=message):
+            check(space, grid1(1e308, -1e308, 0.0))
+        # d(0, 1e308) is finite; (1e308, -1e308) is the first pair that is not
+        with pytest.raises(ValueError, match=r"\(\(1e\+308,\), \(-1e\+308,\)\)"):
+            check(space, grid1(0.0, 1e308, -1e308))
+
+    def test_no_warning_on_the_way(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite distance"):
+                verify_axioms(make_power_space(2, 1.0), [(0.0, 1e308), (0.0, -1e308)], tol=0.0)
 
 
 # -- bulk distances -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 
@@ -254,6 +255,23 @@ def test_huge_grid_is_invalid_input(tmp_path, capsys, command):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "o").exists()
+
+
+def test_verify_names_a_non_finite_sample_distance(tmp_path, capsys):
+    # finite coordinates whose distance overflows: math.dist((1e308,), (-1e308,)) is inf
+    obj = dict(
+        paper_scenario(),
+        space={"kind": "power", "dim": 1, "p": 1.0},
+        map={"kind": "branches", "branches": [{"A": [[0.5]], "b": [0.0]}]},
+        sample={"kind": "points", "pts": [[1e308], [-1e308], [0.0]]},
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--scenario", write_json(tmp_path / "sc.json", obj)]) == 3
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == "error: sample pair ((1e+308,), (-1e+308,)) has non-finite distance inf\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "compare"])
