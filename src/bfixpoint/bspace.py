@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Union
 
 import numpy as np
@@ -56,13 +57,13 @@ class BMetricSpace:
         return math.dist(x, y) ** self.p
 
     def dists(self, xs, ys) -> np.ndarray:
-        """d(x, y) for each pair of zip(xs, ys), as a float64 array whose
-        entries equal dist(x, y) bit for bit: a matrix gather, or math.dist
-        and Python's float ** (numpy's power and norms round differently)."""
+        """d(x, y) for each pair of zip(xs, ys) (any iterables), as a float64
+        array whose entries equal dist(x, y) bit for bit: a matrix gather, or
+        math.dist and builtin pow, the same float power as ** with the same
+        OverflowError (numpy's power and norms round differently)."""
         if self.kind == "matrix":
-            return self.matrix[np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)]
-        p = self.p
-        return np.array([d ** p for d in map(math.dist, xs, ys)], dtype=float)
+            return self.matrix[np.fromiter(xs, np.intp), np.fromiter(ys, np.intp)]
+        return np.fromiter(map(pow, map(math.dist, xs, ys), repeat(self.p)), float)
 
     def check_point(self, x: Point) -> None:
         """Reject points outside the domain (bad ids, wrong arity, non-finite coords)."""
@@ -143,13 +144,13 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
 
 
 def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
-    # both d(x,y) and d(y,x), since symmetry is one of the axioms checked;
-    # filled a row at a time, so only one row of Python floats is alive.
-    # A distance that overflows names its pair (the first in index order)
-    # here, before any check or reduction does arithmetic on it.
-    dmat = np.empty((len(sample), len(sample)))
-    for i, x in enumerate(sample):
-        dmat[i] = space.dists([x] * len(sample), sample)
+    # both d(x,y) and d(y,x), since symmetry is one of the axioms checked,
+    # row by row in one dists call. A distance that overflows names its pair
+    # (the first in index order) here, before any check or reduction does
+    # arithmetic on it.
+    n = len(sample)
+    xs = chain.from_iterable(map(repeat, sample, repeat(n)))
+    dmat = space.dists(xs, chain.from_iterable(repeat(sample, n))).reshape(n, n)
     if not np.isfinite(dmat).all():
         i, j = map(int, np.argwhere(~np.isfinite(dmat))[0])
         raise ValueError(f"sample pair ({sample[i]!r}, {sample[j]!r}) has non-finite distance {dmat[i, j]}")

@@ -9,7 +9,7 @@ for coefficients c, q in [0,1]. The parameter q is the coefficient usually
 written "d" in the quasi-contraction condition; it is renamed here so the
 metric keeps that letter. Reports print both names.
 
-A map is certified on a pair sample by the sup ratio
+A map is certified on a point sample by the sup ratio over its pairs
 alpha_min = max h(T(x),T(y)) / N(x,y); the companion alpha41_min uses the
 five-term max of all point-set distances instead (the classical Ciric-type
 condition with the stricter threshold 1/(s+s^2)).
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import mul
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class ContractionCertificate:
     s: float
     c: float
     q: float
-    coverage: str  # "exhaustive" on fully paired finite spaces, else "empirical"
+    coverage: str  # "exhaustive" on finite spaces sampled at every point, else "empirical"
     n_pairs: int
     assumptions: dict
 
@@ -170,7 +171,7 @@ def five_term_max(space: BMetricSpace, tmap: SetValuedMap, x: Point, y: Point) -
 
 
 def all_pairs(points) -> list[tuple]:
-    """All unordered distinct pairs, in index order (both ratios are symmetric)."""
+    """All unordered pairs of `points` in index order: the pairs certify walks (both ratios are symmetric)."""
     return list(combinations(points, 2))
 
 
@@ -198,47 +199,62 @@ def _pair_ratios(space: BMetricSpace, tmap: SetValuedMap, c: float, q: float, x:
     """Both contraction ratios of one pair, term by term from the public
     definitions (hausdorff, n_functional, five_term_max): the reference the
     block reduction in certify agrees with. Raises the ValueError naming the
-    pair when it is not distinct or a ratio is not finite."""
-    if x == y or space.dist(x, y) == 0.0:
+    pair when it is not distinct, or its distance, a ratio or a ratio's
+    denominator is not finite (h / inf = 0 would drop the pair silently)."""
+    if x == y or (d_xy := space.dist(x, y)) == 0.0:
         raise ValueError(f"pair ({x!r}, {y!r}) is not distinct")
+    if not math.isfinite(d_xy):
+        raise ValueError(f"sample pair ({x!r}, {y!r}) has non-finite distance {d_xy}")
     h = hausdorff(space, image_of(space, tmap, x), image_of(space, tmap, y))
-    ratio = h / n_functional(space, tmap, c, q, x, y)
-    ratio41 = h / five_term_max(space, tmap, x, y)
-    if not (math.isfinite(ratio) and math.isfinite(ratio41)):
+    n4, n5 = n_functional(space, tmap, c, q, x, y), five_term_max(space, tmap, x, y)
+    if not all(map(math.isfinite, (n4, n5, h / n4, h / n5))):
         raise ValueError(
-            f"pair ({x!r}, {y!r}) has non-finite contraction ratios "
-            f"({ratio!r} four-term, {ratio41!r} five-term): the map cannot be certified"
+            f"pair ({x!r}, {y!r}) has non-finite contraction ratios (h / N = {h!r} / {n4!r} four-term, "
+            f"{h!r} / {n5!r} five-term): the map cannot be certified"
         )
-    return ratio, ratio41
+    return h / n4, h / n5
 
 
-def _reference_ratios(space, tmap, c, q, pairs) -> tuple:
-    """Both ratio arrays of `pairs`, pair by pair with _pair_ratios: the
-    first failing pair raises, in pair order."""
-    r4, r41 = zip(*(_pair_ratios(space, tmap, c, q, x, y) for x, y in pairs))
-    return np.array(r4), np.array(r41)
+def _reference_ratios(space, tmap, c, q, pairs) -> np.ndarray:
+    """Both ratio arrays of `pairs` (two rows), pair by pair with
+    _pair_ratios: the first failing pair raises, in pair order."""
+    return np.array([_pair_ratios(space, tmap, c, q, x, y) for x, y in pairs]).T
 
 
-def _block_ratios(space, ext, width, dxt, xi, yi, c, q) -> tuple:
+def _pair_indices(n: int, lo: int, hi: int) -> tuple:
+    """(i, j) index arrays of the pairs lo .. hi-1 in combinations(range(n), 2)
+    order: row i holds the pairs (i, j > i), and pair ends[i] is the first after it."""
+    k = np.arange(lo, hi)
+    ends = np.cumsum(np.arange(n - 1, 0, -1))
+    i = np.searchsorted(ends, k, side="right")
+    return i, k - ends[i] + n
+
+
+def _block_ratios(space, ext, width, feeds, dxt, xi, yi, c, q) -> tuple:
     """Both ratio arrays for the pairs (ext[xi[b]][0], ext[yi[b]][0]), or
-    None when a pair needs _pair_ratios (not distinct, a non-finite ratio).
+    None when a pair needs _pair_ratios (not distinct, a non-finite term).
 
     ext[u] is the sample point u followed by its image, width[u] its length
-    and dxt[u] = d(u, T(u)). For each pair one table of distances from
-    (x, *T(x)) to (y, *T(y)) is taken through space.dists; row 0 holds d(x,y)
-    and d(x,T(y)), column 0 d(y,T(x)), the rest the image-to-image
-    distances of h. Tables are padded to a common shape by repeating the
-    first image element, which changes no min or max. fmin/fmax skip NaN as
-    the scalar `<`/`>` loops do, and start from the same inf / 0.0."""
-    xs = [a for x, y in zip(xi.tolist(), yi.tolist()) for a in ext[x] for _ in ext[y]]
-    ys = [b for x, y in zip(xi.tolist(), yi.tolist()) for _ in ext[x] for b in ext[y]]
-    vals = space.dists(xs, ys)
-    rows, cols = width[xi], width[yi]
-    start = np.cumsum(rows * cols) - rows * cols
-    k = np.arange(width.max())
-    row_of = np.where(k < rows[:, None], k, 1)
-    col_of = np.where(k < cols[:, None], k, 1)
-    m = vals[start[:, None, None] + row_of[:, :, None] * cols[:, None, None] + col_of[:, None, :]]
+    and dxt[u] = d(u, T(u)). space.dists takes each pair's table of
+    distances from ext[x] to ext[y], fed in C: each element of ext[x]
+    width[y] times against ext[y] width[x] times (`feeds` holds both per
+    point when all widths are equal). Row 0 holds d(x,y) and d(x,T(y)),
+    column 0 d(y,T(x)), the rest the distances of h. The gather pads ragged
+    tables by repeating the last image element, which changes no min or
+    max. fmin/fmax skip NaN as the `<`/`>` loops do, from the same inf / 0."""
+    xl, yl = xi.tolist(), yi.tolist()
+    w = int(width.max())
+    if feeds is not None:
+        xs, ys = chain.from_iterable(map(feeds[0].__getitem__, xl)), chain.from_iterable(map(feeds[1].__getitem__, yl))
+        m = space.dists(xs, ys).reshape(len(xl), w, w)
+    else:
+        rows, cols = width[xi], width[yi]
+        heads = chain.from_iterable(map(ext.__getitem__, xl))
+        xs = chain.from_iterable(map(repeat, heads, np.repeat(cols, rows).tolist()))
+        vals = space.dists(xs, chain.from_iterable(map(mul, map(ext.__getitem__, yl), rows.tolist())))
+        row_of, col_of = (np.minimum(np.arange(w), r[:, None] - 1) for r in (rows, cols))
+        start = np.cumsum(rows * cols) - rows * cols
+        m = vals[start[:, None, None] + row_of[:, :, None] * cols[:, None, None] + col_of[:, None, :]]
 
     fmin, fmax, inf = np.fmin.reduce, np.fmax.reduce, np.inf
     d_xy = m[:, 0, 0]
@@ -250,107 +266,90 @@ def _block_ratios(space, ext, width, dxt, xi, yi, c, q) -> tuple:
     d_x_tx, d_y_ty = dxt[xi], dxt[yi]
     # the terms in the order of _n_from_parts and five_term_max; a NaN d_xy
     # (which Python's max would keep) fails the d_xy > 0 test instead
-    ratio = h / fmax([d_xy, c * d_x_tx, c * d_y_ty, 0.5 * q * (d_x_ty + d_y_tx)], axis=0)
-    ratio41 = h / fmax([d_xy, d_x_tx, d_y_ty, d_x_ty, d_y_tx], axis=0)
-    if not ((d_xy > 0.0) & np.isfinite(ratio) & np.isfinite(ratio41)).all():
+    n4 = fmax([d_xy, c * d_x_tx, c * d_y_ty, 0.5 * q * (d_x_ty + d_y_tx)], axis=0)
+    n5 = fmax([d_xy, d_x_tx, d_y_ty, d_x_ty, d_y_tx], axis=0)
+    ratio, ratio41 = h / n4, h / n5
+    if not ((d_xy > 0.0) & np.isfinite(n4) & np.isfinite(n5) & np.isfinite(ratio) & np.isfinite(ratio41)).all():
         return None
     return ratio, ratio41
 
 
-def _ratio_blocks(space, tmap, c, q, pairs):
-    """Yield (offset, ratio, ratio41) for consecutive blocks of `pairs`.
+def _ratio_blocks(space, tmap, c, q, points):
+    """Yield (xi, yi, ratio, ratio41) for consecutive blocks of the pairs
+    (points[xi[b]], points[yi[b]]), in combinations order.
 
-    T(x) and d(x, T(x)) are computed once for each distinct sample point, in
-    first-appearance order. Any failure is left to _reference_ratios, which
-    raises the error of the first failing pair: from the first pair when a
-    point's own terms fail, or from the start of the block that failed."""
-    index: dict = {}
-    ids = np.array([index.setdefault(p, len(index)) for x, y in pairs for p in (x, y)], dtype=np.intp)
-    xi, yi = ids[0::2], ids[1::2]
+    T(x) and d(x, T(x)) are computed once for each sample point. Any failure
+    is left to _reference_ratios, which raises the error of the first
+    failing pair: from the first pair when a point's own terms fail, or from
+    the start of the block that failed."""
+    n, total = len(points), len(points) * (len(points) - 1) // 2
     try:
-        images = [image_of(space, tmap, x) for x in index]
-        dxt = np.array([dist_point_set(space, x, t).value for x, t in zip(index, images)])
+        images = [image_of(space, tmap, x) for x in points]
+        dxt = np.array([dist_point_set(space, x, t).value for x, t in zip(points, images)])
     except _PAIR_ERRORS:
-        images = None
-    if images is None:
-        yield (0, *_reference_ratios(space, tmap, c, q, pairs))
+        yield (*_pair_indices(n, 0, total), *_reference_ratios(space, tmap, c, q, combinations(points, 2)))
         return
-    ext = [(x, *t.elements) for x, t in zip(index, images)]
+    ext = [(x, *t.elements) for x, t in zip(points, images)]
     width = np.array([len(e) for e in ext])
-    step = max(1, _BLOCK_DISTANCES // int(width.max()) ** 2)
-    for lo in range(0, len(pairs), step):
-        hi = lo + step
+    w = int(width.max())
+    feeds = ([tuple(a for a in e for _ in e) for e in ext], [e * w for e in ext]) if (width == w).all() else None
+    step = max(1, _BLOCK_DISTANCES // w**2)
+    for lo in range(0, total, step):
+        xi, yi = _pair_indices(n, lo, min(lo + step, total))
         try:
             with np.errstate(all="ignore"):
-                got = _block_ratios(space, ext, width, dxt, xi[lo:hi], yi[lo:hi], c, q)
+                got = _block_ratios(space, ext, width, feeds, dxt, xi, yi, c, q)
         except _PAIR_ERRORS:
             got = None
         if got is None:
-            got = _reference_ratios(space, tmap, c, q, pairs[lo:hi])
-        yield (lo, *got)
+            pairs = zip(map(points.__getitem__, xi.tolist()), map(points.__getitem__, yi.tolist()))
+            got = _reference_ratios(space, tmap, c, q, pairs)
+        yield (xi, yi, *got)
 
 
-def certify(
-    space: BMetricSpace,
-    tmap: SetValuedMap,
-    pairs,
-    c: float,
-    q: float,
-) -> ContractionCertificate:
-    """Smallest feasible contraction coefficients over the supplied pairs.
+def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float) -> ContractionCertificate:
+    """Smallest feasible contraction coefficients over every pair of a point
+    sample, in the order of itertools.combinations(points, 2):
 
     alpha_min   = max h(T(x),T(y)) / N(x,y)          (four-term condition)
     alpha41_min = max h(T(x),T(y)) / five_term_max    (five-term condition)
 
     Both ratios are well-defined because distinct pairs give N >= d(x,y) > 0.
-    A pair whose ratio is not finite (images that overflow or lose all
-    precision) makes the certificate uncomputable: ValueError names it.
-    On a finite space whose pair list covers every unordered pair the
+    A pair that is not distinct, or whose distance, ratio or denominator is
+    not finite (points, images or distances that overflow), makes the
+    certificate uncomputable: ValueError names the first such pair, as it
+    does fewer than two points. On a finite space sampled at every point the
     certificate is exhaustive; otherwise it only speaks for the sample and
     is labeled empirical. Theorem verdicts come from `verdicts`.
 
-    Cost: one image_of and one d(x, T(x)) per distinct sample point, then
-    (1 + |T(x)|) * (1 + |T(y)|) space.dists entries per pair, reduced in
-    numpy block by block. The result equals the pair-by-pair loop over
-    hausdorff, n_functional and five_term_max, worst pairs and errors
-    included: the worst pair is the first to attain the maximum.
+    Cost: one image_of and one d(x, T(x)) per sample point, then
+    (1 + |T(x)|) * (1 + |T(y)|) space.dists entries per pair, walked by
+    index and reduced in numpy block by block. The result equals the
+    pair-by-pair loop over hausdorff, n_functional and five_term_max, worst
+    pairs (the first to attain each maximum) and errors included.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("pair list must be nonempty")
+    points = list(points)
+    n = len(points)
+    if n < 2:
+        raise ValueError(f"certify needs at least two sample points, got {n}")
     _check_coefficients(c, q)
 
-    alpha_min = 0.0
-    alpha41_min = 0.0
-    worst = pairs[0]
-    worst41 = pairs[0]
-    for lo, ratio, ratio41 in _ratio_blocks(space, tmap, c, q, pairs):
+    alpha_min = alpha41_min = 0.0
+    worst = worst41 = (points[0], points[1])
+    for xi, yi, ratio, ratio41 in _ratio_blocks(space, tmap, c, q, points):
         i, j = int(np.argmax(ratio)), int(np.argmax(ratio41))
         if ratio[i] > alpha_min:
-            alpha_min, worst = float(ratio[i]), tuple(pairs[lo + i])
+            alpha_min, worst = float(ratio[i]), (points[xi[i]], points[yi[i]])
         if ratio41[j] > alpha41_min:
-            alpha41_min, worst41 = float(ratio41[j]), tuple(pairs[lo + j])
+            alpha41_min, worst41 = float(ratio41[j]), (points[xi[j]], points[yi[j]])
 
-    coverage = "empirical"
-    continuity = "assumed (not checkable from finite samples)"
-    if space.is_finite:
-        want = {frozenset(pr) for pr in combinations(range(space.n_points), 2)}
-        have = {frozenset(pr) for pr in pairs}
-        if want <= have:
-            coverage = "exhaustive"
-        continuity = "holds (finite space)"
-
+    # every pair is certified, so on a finite space the points are distinct ids
+    finite = space.is_finite
+    continuity = "holds (finite space)" if finite else "assumed (not checkable from finite samples)"
     return ContractionCertificate(
-        alpha_min=alpha_min,
-        alpha41_min=alpha41_min,
-        worst_pair=worst,
-        worst_pair41=worst41,
-        s=space.s,
-        c=c,
-        q=q,
-        coverage=coverage,
-        n_pairs=len(pairs),
-        assumptions={"map_continuity": continuity, "dist_star_continuity": continuity},
+        alpha_min=alpha_min, alpha41_min=alpha41_min, worst_pair=worst, worst_pair41=worst41,
+        s=space.s, c=c, q=q, coverage="exhaustive" if finite and n == space.n_points else "empirical",
+        n_pairs=n * (n - 1) // 2, assumptions={"map_continuity": continuity, "dist_star_continuity": continuity},
     )
 
 

@@ -36,7 +36,6 @@ from .quasicontraction import (
     ContractionCertificate,
     QuasiParams,
     SetValuedMap,
-    all_pairs,
     certify,
     make_branch_map,
     make_table_map,
@@ -152,7 +151,7 @@ def sample_points(sc: Scenario) -> list:
 
 
 def certify_scenario(sc: Scenario) -> ContractionCertificate:
-    return certify(sc.space, sc.map, all_pairs(sample_points(sc)), sc.params.c, sc.params.q)
+    return certify(sc.space, sc.map, sample_points(sc), sc.params.c, sc.params.q)
 
 
 def random_finite(

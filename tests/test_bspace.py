@@ -18,7 +18,8 @@ from bfixpoint.bspace import (
     verify_axioms,
 )
 from bfixpoint.orbit import bound_audit, run_orbit
-from bfixpoint.quasicontraction import all_pairs, certify, image_of, make_branch_map
+from bfixpoint import quasicontraction as qc
+from bfixpoint.quasicontraction import certify, image_of, make_branch_map
 from bfixpoint.rng import SplitMix64
 from bfixpoint.scenarios import builtin, sample_points
 
@@ -427,6 +428,7 @@ class TestDistsMatchesDist:
         space, xs, ys = case
         got = bits_or_error(lambda: space.dists(xs, ys))
         assert got == bits_or_error(lambda: [space.dist(x, y) for x, y in zip(xs, ys)])
+        assert got == bits_or_error(lambda: space.dists(iter(xs), iter(ys)))
         if not isinstance(got, type):
             assert space.dists(xs, ys).dtype == np.float64
 
@@ -437,8 +439,7 @@ class TestDistsMatchesDist:
 
 
 def test_bulk_layers_make_no_scalar_distance_calls(monkeypatch):
-    """verify_axioms and bound_audit take every distance through dists;
-    certify evaluates d(x, T(x)) point by point and nothing else."""
+    """verify_axioms and bound_audit take every distance through dists."""
     calls = [0]
     real_dist = BMetricSpace.dist
 
@@ -468,7 +469,52 @@ def test_bulk_layers_make_no_scalar_distance_calls(monkeypatch):
     assert len(trace.steps) > 10
     assert count(bound_audit, plane, trace) == 0
 
-    for space, tmap, pts in ((paper.space, paper.map, sample_points(paper)),
-                             (finite.space, finite.map, sample_points(finite)), (plane, branches, sample)):
-        residuals = sum(len(image_of(space, tmap, x).elements) for x in pts)
-        assert count(certify, space, tmap, all_pairs(pts), 0.5, 0.5) <= residuals
+
+def test_certify_work_per_point_and_pair(monkeypatch):
+    """certify on n points makes n image_of calls, the scalar dist calls of
+    the residuals d(x, T(x)) and nothing else, and exactly
+    (1 + |T(x)|) * (1 + |T(y)|) dists entries for each pair: ragged image
+    sizes are padded in the gather, never evaluated."""
+    paper = builtin("paper-example")
+    finite = builtin("random-finite", 7)
+    plane = make_power_space(2, 1.5)
+    shear, lift = ([[0.5, 0.1], [0.0, 0.5]], [0.0, 0.0]), ([[0.5, 0.0], [0.2, 0.5]], [1.0, 0.0])
+    sample = random_sample(SplitMix64(5), 2, 30, scale=2.0)
+    # without the offset the two branches meet at the origin, where T has one element
+    ragged = make_branch_map(plane, [shear, (lift[0], [0.0, 0.0])])
+    line = make_matrix_space(3, SQUARED_LINE, 2.0)
+    table = qc.make_table_map(line, {0: [0, 2], 1: [0], 2: [1, 0, 2]})
+    cases = [
+        (paper.space, paper.map, sample_points(paper), False),
+        (finite.space, finite.map, sample_points(finite), False),
+        (plane, make_branch_map(plane, [shear, lift]), sample, False),
+        (plane, ragged, [(0.0, 0.0)] + sample, True),
+        (line, table, [2, 0, 1], True),
+    ]
+    real_image_of, real_dist, real_dists = qc.image_of, BMetricSpace.dist, BMetricSpace.dists
+    for space, tmap, pts, is_ragged in cases:
+        sizes = [len(real_image_of(space, tmap, x).elements) for x in pts]
+        assert (len(set(sizes)) > 1) == is_ragged
+        want_entries = sum((1 + a) * (1 + b) for a, b in itertools.combinations(sizes, 2))
+        counts = {"image_of": 0, "dist": 0, "entries": 0}
+
+        def counted_image_of(*args):
+            counts["image_of"] += 1
+            return real_image_of(*args)
+
+        def counted_dist(self, x, y):
+            counts["dist"] += 1
+            return real_dist(self, x, y)
+
+        def counted_dists(self, xs, ys):
+            out = real_dists(self, xs, ys)
+            counts["entries"] += len(out)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(qc, "image_of", counted_image_of)
+            m.setattr(BMetricSpace, "dist", counted_dist)
+            m.setattr(BMetricSpace, "dists", counted_dists)
+            cert = certify(space, tmap, pts, 0.5, 0.5)
+        assert cert.n_pairs == len(pts) * (len(pts) - 1) // 2
+        assert counts == {"image_of": len(pts), "dist": sum(sizes), "entries": want_entries}

@@ -1,16 +1,20 @@
 """Differential tests for certify.
 
-certify evaluates each image once per sample point and reduces the pairs
-in numpy blocks. Here it is checked against the certificate by its
-definition: every pair in turn, from the public hausdorff, n_functional and
-five_term_max, keeping the first pair that attains each maximum. The two
-must agree on the certificate, or raise the same exception with the same
-message. A work guard keeps certify at one image per distinct point.
+certify evaluates each image once per sample point, walks the pairs of the
+sample by index and reduces them in numpy blocks. Here it is checked
+against the certificate by its definition: every pair of all_pairs(points)
+in turn, from the public hausdorff, n_functional and five_term_max, keeping
+the first pair that attains each maximum. The two must agree on the
+certificate, or raise the same exception with the same message. The index
+arithmetic is checked against itertools.combinations, and a work guard
+keeps certify at one image per sample point.
 """
 
 import math
+from itertools import combinations
 from unittest import mock
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -36,26 +40,37 @@ SETTINGS = settings(
 )
 
 
-def reference_certify(space, tmap, pairs, c, q):
-    """(alpha_min, alpha41_min, worst_pair, worst_pair41), pair by pair."""
+def reference_certify(space, tmap, points, c, q):
+    """(alpha_min, alpha41_min, worst_pair, worst_pair41, coverage), pair by
+    pair over all_pairs(points)."""
+    pairs = all_pairs(points)
+    if not pairs:
+        raise ValueError(f"certify needs at least two sample points, got {len(points)}")
     alpha_min = alpha41_min = 0.0
     worst = worst41 = pairs[0]
     for x, y in pairs:
         if x == y or space.dist(x, y) == 0.0:
             raise ValueError(f"pair ({x!r}, {y!r}) is not distinct")
+        if not math.isfinite(space.dist(x, y)):
+            raise ValueError(f"sample pair ({x!r}, {y!r}) has non-finite distance {space.dist(x, y)}")
         h = hausdorff(space, image_of(space, tmap, x), image_of(space, tmap, y))
-        ratio = h / n_functional(space, tmap, c, q, x, y)
-        ratio41 = h / five_term_max(space, tmap, x, y)
-        if not (math.isfinite(ratio) and math.isfinite(ratio41)):
+        n4, n5 = n_functional(space, tmap, c, q, x, y), five_term_max(space, tmap, x, y)
+        ratio, ratio41 = h / n4, h / n5
+        if not all(math.isfinite(v) for v in (n4, n5, ratio, ratio41)):
             raise ValueError(
-                f"pair ({x!r}, {y!r}) has non-finite contraction ratios "
-                f"({ratio!r} four-term, {ratio41!r} five-term): the map cannot be certified"
+                f"pair ({x!r}, {y!r}) has non-finite contraction ratios (h / N = {h!r} / {n4!r} four-term, "
+                f"{h!r} / {n5!r} five-term): the map cannot be certified"
             )
         if ratio > alpha_min:
             alpha_min, worst = ratio, (x, y)
         if ratio41 > alpha41_min:
             alpha41_min, worst41 = ratio41, (x, y)
-    return alpha_min, alpha41_min, worst, worst41
+    coverage = "empirical"
+    if space.is_finite and {frozenset(pr) for pr in combinations(range(space.n_points), 2)} <= set(
+        map(frozenset, pairs)
+    ):
+        coverage = "exhaustive"
+    return alpha_min, alpha41_min, worst, worst41, coverage
 
 
 def outcome(f, *args):
@@ -65,14 +80,14 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
-def assert_same_certificate(space, tmap, pairs, c, q, block):
-    want = outcome(reference_certify, space, tmap, pairs, c, q)
+def assert_same_certificate(space, tmap, points, c, q, block):
+    want = outcome(reference_certify, space, tmap, points, c, q)
     with mock.patch.object(qc, "_BLOCK_DISTANCES", block):
-        got = outcome(certify, space, tmap, pairs, c, q)
+        got = outcome(certify, space, tmap, points, c, q)
     if got[0] == "ok":
         cert = got[1]
-        got = "ok", (cert.alpha_min, cert.alpha41_min, cert.worst_pair, cert.worst_pair41)
-        assert cert.n_pairs == len(pairs)
+        got = "ok", (cert.alpha_min, cert.alpha41_min, cert.worst_pair, cert.worst_pair41, cert.coverage)
+        assert cert.n_pairs == len(points) * (len(points) - 1) // 2
     assert got == want
     return want
 
@@ -83,17 +98,17 @@ COEFFS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
 @st.composite
-def pair_lists(draw, pts):
-    """All pairs in order, shuffled with random orientation, or a sparse
-    list with repeats."""
-    every = all_pairs(pts)
-    kind = draw(st.sampled_from(["all", "shuffled", "sparse"]))
-    if kind == "all":
-        return every
+def point_samples(draw, pts):
+    """The distinct points in the given order, shuffled, or with one of them
+    repeated at a random place."""
+    kind = draw(st.sampled_from(["given", "shuffled", "repeat"]))
+    if kind == "given":
+        return pts
     if kind == "shuffled":
-        flips = draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
-        return [(y, x) if f else (x, y) for (x, y), f in zip(draw(st.permutations(every)), flips)]
-    return draw(st.lists(st.sampled_from(every), min_size=1, max_size=2 * len(every)))
+        return draw(st.permutations(pts))
+    out = list(pts)
+    out.insert(draw(st.integers(0, len(out))), draw(st.sampled_from(pts)))
+    return out
 
 
 COORDS = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), st.floats(-3.0, 3.0))
@@ -118,13 +133,14 @@ def branch_problems(draw, coef, offset, coord=COORDS):
         branches.append((a, b))
     point = st.tuples(*[coord] * dim)
     pts = draw(st.lists(point, min_size=2, max_size=8, unique=True))
-    return space, make_branch_map(space, branches), draw(pair_lists(pts))
+    return space, make_branch_map(space, branches), draw(point_samples(pts))
 
 
 @st.composite
 def table_problems(draw):
     """A matrix space on 2-7 points with tied distances and images of 1-3
-    elements; a constant map gives all-zero ratios."""
+    elements; a constant map gives all-zero ratios. Sampling every id gives
+    an exhaustive certificate."""
     n = draw(st.integers(2, 7))
     d = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -138,7 +154,7 @@ def table_problems(draw):
         const = draw(image)
         images = {i: const for i in range(n)}
     pts = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
-    return space, make_table_map(space, images), draw(pair_lists(pts))
+    return space, make_table_map(space, images), draw(point_samples(pts))
 
 
 class TestCertifyMatchesPairLoop:
@@ -166,18 +182,18 @@ class TestCertifyMatchesPairLoop:
         block=BLOCKS,
     )
     def test_overflowing_maps(self, problem, c, q, block):
-        # images and distances overflow to inf or NaN, or raise OverflowError
+        # points, images and distances overflow to inf or NaN, or raise
+        # OverflowError
         assert_same_certificate(*problem, c, q, block)
 
     @SETTINGS
     @given(problem=table_problems(), c=COEFFS, q=COEFFS, block=BLOCKS, data=st.data())
     def test_bad_pair_after_good_ones(self, problem, c, q, block, data):
-        # a repeated point, or an id outside the domain, anywhere in the list
-        space, tmap, pairs = problem
-        x = data.draw(st.sampled_from([p for pair in pairs for p in pair]))
-        bad = data.draw(st.sampled_from([(x, x), (x, space.n_points)]))
-        pairs.insert(data.draw(st.integers(0, len(pairs))), bad)
-        assert assert_same_certificate(space, tmap, pairs, c, q, block)[0] in (ValueError, IndexError)
+        # a repeated point, or an id outside the domain, anywhere in the sample
+        space, tmap, points = problem
+        bad = data.draw(st.sampled_from([data.draw(st.sampled_from(points)), space.n_points]))
+        points.insert(data.draw(st.integers(0, len(points))), bad)
+        assert assert_same_certificate(space, tmap, points, c, q, block)[0] in (ValueError, IndexError, KeyError)
 
     def test_images_at_one_infinity(self):
         # T(1) = T(2) = {(inf,)}: the image-to-image distance is NaN, which
@@ -185,36 +201,68 @@ class TestCertifyMatchesPairLoop:
         space = make_power_space(1, 1.0)
         tmap = make_branch_map(space, [([[1e308]], [1e308])])
         for block in (1, qc._BLOCK_DISTANCES):
-            kind, message = assert_same_certificate(space, tmap, [((1.0,), (2.0,))], 0.0, 0.0, block)
+            kind, message = assert_same_certificate(space, tmap, [(1.0,), (2.0,)], 0.0, 0.0, block)
             assert kind is ValueError and message.startswith("pair ((1.0,), (2.0,)) has non-finite")
+
+    def test_overflowing_terms_name_their_pair(self):
+        # the p = 1 line under x -> 0.5x: d(1e308, -1e308) overflows, and was
+        # once read as a pair with ratio h/inf = 0; under x -> -x the
+        # residual d(1e308, -1e308) overflows while d(x, y) does not
+        space = make_power_space(1, 1.0)
+        half = make_branch_map(space, [([[0.5]], [0.0])])
+        flip = make_branch_map(space, [([[-1.0]], [0.0])])
+        for block in (1, 9, qc._BLOCK_DISTANCES):
+            got = assert_same_certificate(space, half, [(0.0,), (1e308,), (-1e308,)], 0.0, 0.0, block)
+            assert got == (ValueError, "sample pair ((1e+308,), (-1e+308,)) has non-finite distance inf")
+            got = assert_same_certificate(space, flip, [(1e308,), (9e307,)], 0.0, 0.0, block)
+            d = 1e308 - 9e307
+            assert got == (
+                ValueError,
+                f"pair ((1e+308,), (9e+307,)) has non-finite contraction ratios (h / N = {d!r} / {d!r} four-term, "
+                f"{d!r} / inf five-term): the map cannot be certified",
+            )
 
     def test_tied_ratios_keep_the_first_pair(self):
         # x -> x/2 on the p = 1 line with c = q = 0: every pair has
         # four-term ratio exactly 1/2
         space = make_power_space(1, 1.0)
         tmap = make_branch_map(space, [([[0.5]], [0.0])])
-        pairs = all_pairs([(float(v),) for v in range(1, 7)])
+        points = [(float(v),) for v in range(1, 7)]
         for block in (1, 9, qc._BLOCK_DISTANCES):
-            _, (alpha_min, _, worst, _) = assert_same_certificate(space, tmap, pairs, 0.0, 0.0, block)
-            assert (alpha_min, worst) == (0.5, pairs[0])
-            assert_same_certificate(space, tmap, pairs[::-1], 0.0, 0.0, block)
+            _, (alpha_min, _, worst, _, _) = assert_same_certificate(space, tmap, points, 0.0, 0.0, block)
+            assert (alpha_min, worst) == (0.5, (points[0], points[1]))
+            assert assert_same_certificate(space, tmap, points[::-1], 0.0, 0.0, block)[1][2] == (points[5], points[4])
 
     def test_constant_map_keeps_the_given_first_pair(self):
         space = make_power_space(2, 2.0)
         tmap = make_branch_map(space, [([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0])])
-        pairs = [[(0.0, 0.0), (1.0, 0.0)], [(1.0, 0.0), (0.0, 2.0)]]
-        cert = certify(space, tmap, pairs, 0.5, 0.5)
-        assert (cert.alpha_min, cert.alpha41_min) == (0.0, 0.0)
-        assert cert.worst_pair is pairs[0] and cert.worst_pair41 is pairs[0]
+        points = [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)]
+        for order in (points, points[::-1]):
+            cert = certify(space, tmap, order, 0.5, 0.5)
+            assert (cert.alpha_min, cert.alpha41_min) == (0.0, 0.0)
+            assert cert.worst_pair == cert.worst_pair41 == (order[0], order[1])
+
+
+def test_pair_indices_follow_combinations():
+    """Every block of pair numbers lo .. hi-1 maps to the same (i, j) as
+    combinations(range(n), 2), for every boundary between two blocks."""
+    for n in range(2, 41):
+        want = np.array(list(combinations(range(n), 2))).T
+        total = want.shape[1]
+        for k in range(total + 1):
+            head, tail = qc._pair_indices(n, 0, k), qc._pair_indices(n, k, total)
+            assert (np.concatenate([head, tail], axis=1) == want).all()
+        for step in (1, 2, 3, n - 1, n, n + 1):
+            blocks = [qc._pair_indices(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
+            assert (np.concatenate(blocks, axis=1) == want).all()
 
 
 def test_one_image_per_distinct_point():
-    """Work guard: certify calls image_of once per distinct sample point,
-    not once or more per pair."""
+    """Work guard: certify calls image_of once per sample point, not once
+    or more per pair."""
     space = make_power_space(2, 1.5)
     tmap = make_branch_map(space, [([[0.5, 0.1], [0.0, 0.5]], [0.0, 1.0]), ([[0.3, 0.0], [0.2, 0.3]], [1.0, 0.0])])
     pts = [(0.25 * i, 0.5 * (i % 3)) for i in range(30)]
-    pairs = all_pairs(pts) + all_pairs(pts[:5])
     calls = []
 
     def counted_image_of(space, tmap, x):
@@ -222,6 +270,6 @@ def test_one_image_per_distinct_point():
         return image_of(space, tmap, x)
 
     with mock.patch.object(qc, "image_of", counted_image_of):
-        cert = certify(space, tmap, pairs, 0.5, 0.5)
-    assert cert.n_pairs == len(pairs)
+        cert = certify(space, tmap, iter(pts), 0.5, 0.5)
+    assert cert.n_pairs == 30 * 29 // 2
     assert calls == pts

@@ -74,6 +74,25 @@ def nan_ratio_scenario():
     )
 
 
+def overflowing_distance_scenario():
+    # finite coordinates whose distance overflows: math.dist((1e308,), (-1e308,)) is inf
+    return dict(
+        paper_scenario(),
+        space={"kind": "power", "dim": 1, "p": 1.0},
+        map={"kind": "branches", "branches": [{"A": [[0.5]], "b": [0.0]}]},
+        sample={"kind": "points", "pts": [[1e308], [-1e308], [0.0]]},
+    )
+
+
+def overflowing_residual_scenario():
+    # x -> -x: d(1e308, T(1e308)) overflows while the pair's distance does not
+    return dict(
+        overflowing_distance_scenario(),
+        map={"kind": "branches", "branches": [{"A": [[-1.0]], "b": [0.0]}]},
+        sample={"kind": "points", "pts": [[1e308], [9e307]]},
+    )
+
+
 def duplicate_sample_scenario():
     return dict(paper_scenario(), sample={"kind": "points", "pts": [[0.5], [0.25], [0.5]]})
 
@@ -108,11 +127,26 @@ def command_argv(command, path, tmp_path):
         (non_finite_plane_scenario, r"pair \(\(0\.0, 0\.0\), \(10\.0, 10\.0\)\) has non-finite"),
         (nan_ratio_scenario, r"pair \(\(-1\.0,\), \(0\.8,\)\) has non-finite"),
         (duplicate_sample_scenario, r"pair \(\(0\.5,\), \(0\.5,\)\) is not distinct"),
+        (overflowing_distance_scenario, r"sample pair \(\(1e\+308,\), \(-1e\+308,\)\) has non-finite distance inf\n"),
+        (
+            overflowing_residual_scenario,
+            r"pair \(\(1e\+308,\), \(9e\+307,\)\) has non-finite contraction ratios "
+            r"\(h / N = \S+ / \S+ four-term, \S+ / inf five-term\)",
+        ),
         (out_of_domain_image_scenario, r"image given for point 7 outside the domain"),
         (aliased_image_key_scenario, r"map\.images keys '0' and '00' both name point 0"),
         (infinite_s_scenario, r"relaxation coefficient s must be finite and >= 1, got inf\n"),
     ],
-    ids=["non-finite-images", "nan-ratios", "duplicate-sample", "out-of-domain-image", "aliased-image-key", "infinite-s"],
+    ids=[
+        "non-finite-images",
+        "nan-ratios",
+        "duplicate-sample",
+        "overflowing-distance",
+        "overflowing-residual",
+        "out-of-domain-image",
+        "aliased-image-key",
+        "infinite-s",
+    ],
 )
 def test_uncertifiable_scenario_is_invalid_input(tmp_path, capsys, command, scenario, message):
     path = write_json(tmp_path / "sc.json", scenario())

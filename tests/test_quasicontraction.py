@@ -106,7 +106,7 @@ class TestNFunctional:
 
 class TestCertify:
     def test_grid_certificate(self):
-        cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0)
+        cert = certify(QUAD, SHRINK, GRID, 0.0, 0.0)
         assert cert.alpha_min == pytest.approx(0.81, abs=1e-9)
         assert cert.alpha41_min == pytest.approx(0.81, abs=1e-9)
         assert cert.coverage == "empirical"
@@ -116,19 +116,19 @@ class TestCertify:
         assert cert.verdicts["lemma41"] is None
 
     def test_gamma_verdict(self):
-        cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0)
+        cert = certify(QUAD, SHRINK, GRID, 0.0, 0.0)
         assert verdicts(cert, cert.alpha_min, gamma=0.95)["lemma41"] is False  # 2 * 0.95 >= 1
         assert verdicts(cert, cert.alpha_min, gamma=0.3)["lemma41"] is True
 
     def test_constant_map_certifies_at_zero(self):
         sp = line_space()
         tmap = make_table_map(sp, {0: [1], 1: [1], 2: [1]})
-        cert = certify(sp, tmap, all_pairs(sp.points()), 0.0, 0.0)
+        cert = certify(sp, tmap, sp.points(), 0.0, 0.0)
         assert cert.alpha_min == 0.0
         assert cert.coverage == "exhaustive"
 
     def test_tight_at_worst_pair(self):
-        cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0)
+        cert = certify(QUAD, SHRINK, GRID, 0.0, 0.0)
         for x, y in all_pairs(GRID):
             h = hausdorff(QUAD, image_of(QUAD, SHRINK, x), image_of(QUAD, SHRINK, y))
             n = n_functional(QUAD, SHRINK, 0.0, 0.0, x, y)
@@ -140,35 +140,36 @@ class TestCertify:
 
     def test_equal_pair_rejected(self):
         with pytest.raises(ValueError, match="not distinct"):
-            certify(QUAD, SHRINK, [((1.0,), (1.0,))], 0.0, 0.0)
+            certify(QUAD, SHRINK, [(1.0,), (1.0,)], 0.0, 0.0)
 
     def test_non_finite_ratio_names_the_pair(self):
         root = make_power_space(1, 0.5)
         big = make_branch_map(root, [([[1e308]], [1e308])])  # T(1) = (inf,)
         with pytest.raises(ValueError, match=r"pair \(\(0\.0,\), \(1\.0,\)\) has non-finite"):
-            certify(root, big, [((0.0,), (0.5,)), ((0.0,), (1.0,))], 0.5, 0.5)
+            certify(root, big, [(0.0,), (0.5,), (1.0,)], 0.5, 0.5)
 
     def test_verdicts_at_alpha_min_above_one(self):
         grow = make_branch_map(QUAD, [([[2.0]], [0.0])])  # x -> {2x}
-        cert = certify(QUAD, grow, all_pairs(GRID), 0.5, 0.5)
+        cert = certify(QUAD, grow, GRID, 0.5, 0.5)
         assert cert.alpha_min > 1.0
         assert cert.verdicts == {"thm21_feasible": False, "thm33": False, "lemma41": None, "thm41": False}
 
-    def test_empty_pairs_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            certify(QUAD, SHRINK, [], 0.0, 0.0)
+    def test_fewer_than_two_points_rejected(self):
+        for points in ([], [(1.0,)]):
+            with pytest.raises(ValueError, match=f"at least two sample points, got {len(points)}"):
+                certify(QUAD, SHRINK, points, 0.0, 0.0)
 
     def test_finite_space_assumptions_hold(self):
         sp = line_space()
         tmap = make_table_map(sp, {0: [0], 1: [0], 2: [1]})
-        cert = certify(sp, tmap, all_pairs(sp.points()), 0.5, 0.5)
+        cert = certify(sp, tmap, sp.points(), 0.5, 0.5)
         assert cert.assumptions["map_continuity"] == "holds (finite space)"
         assert cert.coverage == "exhaustive"
 
 
 class TestCheckHypotheses:
     def test_builtin_example_verdicts(self):
-        cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0)
+        cert = certify(QUAD, SHRINK, GRID, 0.0, 0.0)
         hyp = check_hypotheses(cert, 0.9)
         assert hyp["contraction_holds"]
         assert hyp["thm33"]["applicable"]
@@ -179,7 +180,7 @@ class TestCheckHypotheses:
     def test_metric_space_with_unit_coefficients(self):
         sp = line_space()
         tmap = make_table_map(sp, {0: [0], 1: [0], 2: [1]})
-        cert = certify(sp, tmap, all_pairs(sp.points()), 1.0, 1.0)
+        cert = certify(sp, tmap, sp.points(), 1.0, 1.0)
         assert cert.alpha_min == pytest.approx(0.5, rel=1e-15)
         hyp = check_hypotheses(cert, 0.6)
         assert hyp["contraction_holds"]
@@ -188,20 +189,20 @@ class TestCheckHypotheses:
         assert hyp["thm31"]["assumption"] == "holds (finite space)"
 
     def test_exact_constant_certifies_despite_rounding(self):
-        cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0)
+        cert = certify(QUAD, SHRINK, GRID, 0.0, 0.0)
         assert cert.alpha_min > 0.81  # 0.8100000000000009
         assert certifies(cert, 0.81)
         assert check_hypotheses(cert, 0.81)["contraction_holds"]
         assert not certifies(cert, 0.81 * (1.0 - 1e-11))
 
     def test_alpha_below_minimum_flagged(self):
-        cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 0.0)
+        cert = certify(QUAD, SHRINK, GRID, 0.0, 0.0)
         hyp = check_hypotheses(cert, 0.5)
         assert not hyp["contraction_holds"]
         assert not hyp["thm33"]["applicable"]
 
     def test_infeasible_q_side_condition(self):
-        cert = certify(QUAD, SHRINK, all_pairs(GRID), 0.0, 1.0)
+        cert = certify(QUAD, SHRINK, GRID, 0.0, 1.0)
         hyp = check_hypotheses(cert, 0.9)
         assert hyp["thm31"]["value"] == pytest.approx(1.8)
         assert not hyp["thm31"]["applicable"]
