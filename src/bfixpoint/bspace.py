@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -56,13 +56,40 @@ class BMetricSpace:
         # d(y,x) agree bit for bit without canonical ordering.
         return math.dist(x, y) ** self.p
 
+    def point_table(self, points) -> np.ndarray:
+        """The points as a one-dimensional array, in the form dists
+        evaluates from: the ids (intp) of a matrix space, the coordinates
+        (float64) of a one-dimensional power space, the point tuples (an
+        object array) in higher dimensions. Bulk callers build one table
+        and pass gathers of it, dists(table[ix], table[iy]). An array
+        already in that form is returned as it is."""
+        dtype = np.intp if self.kind == "matrix" else float if self.dim == 1 else object
+        if isinstance(points, np.ndarray) and points.dtype == dtype and points.ndim == 1:
+            return points
+        if dtype is float:
+            return np.fromiter((x for (x,) in points), float)
+        return np.fromiter(points, dtype)
+
     def dists(self, xs, ys) -> np.ndarray:
-        """d(x, y) for each pair of zip(xs, ys) (any iterables), as a float64
-        array whose entries equal dist(x, y) bit for bit: a matrix gather, or
-        math.dist and builtin pow, the same float power as ** with the same
-        OverflowError (numpy's power and norms round differently)."""
+        """d(x, y) for each pair of zip(xs, ys), as a float64 array whose
+        entries equal dist(x, y) bit for bit. xs and ys are any iterables
+        of points, or gathers from point_table. Matrix spaces gather. A
+        one-dimensional power space takes numpy's |x - y|, which is what
+        math.dist returns for one coordinate, then Python's float power per
+        entry unless p = 1 (x ** 1.0 is x). Higher dimensions take
+        math.dist and builtin pow. The float power is that of ** with the
+        same OverflowError; numpy's float power and norms round
+        differently."""
         if self.kind == "matrix":
-            return self.matrix[np.fromiter(xs, np.intp), np.fromiter(ys, np.intp)]
+            return self.matrix[self.point_table(xs), self.point_table(ys)]
+        if self.dim == 1:
+            a, b = self.point_table(xs), self.point_table(ys)
+            n = min(len(a), len(b))
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = np.abs(a[:n] - b[:n])
+            # an object array's power is the builtin float power, entry by entry
+            return d if self.p == 1.0 else np.power(d.astype(object), self.p).astype(float)
+        xs, ys = (v.tolist() if isinstance(v, np.ndarray) else v for v in (xs, ys))
         return np.fromiter(map(pow, map(math.dist, xs, ys), repeat(self.p)), float)
 
     def check_point(self, x: Point) -> None:
@@ -149,12 +176,19 @@ def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     # (the first in index order) here, before any check or reduction does
     # arithmetic on it.
     n = len(sample)
-    xs = chain.from_iterable(map(repeat, sample, repeat(n)))
-    dmat = space.dists(xs, chain.from_iterable(repeat(sample, n))).reshape(n, n)
+    table = space.point_table(sample)
+    dmat = space.dists(np.repeat(table, n), np.tile(table, n)).reshape(n, n)
     if not np.isfinite(dmat).all():
         i, j = map(int, np.argwhere(~np.isfinite(dmat))[0])
         raise ValueError(f"sample pair ({sample[i]!r}, {sample[j]!r}) has non-finite distance {dmat[i, j]}")
     return dmat
+
+
+def pair_distances(space: BMetricSpace, points: list) -> np.ndarray:
+    """d(x, y) for every pair of the points, in itertools.combinations order."""
+    table = space.point_table(points)
+    i, j = np.triu_indices(len(table), 1)
+    return space.dists(table[i], table[j])
 
 
 # The via-point reduction sums d(x,z) + d(z,y) for a block of rows x at a

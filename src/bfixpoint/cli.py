@@ -15,10 +15,9 @@ import argparse
 import sys
 import time
 from dataclasses import asdict, replace
-from itertools import chain, repeat
 from pathlib import Path
 
-from .bspace import AxiomReport, verify_axioms
+from .bspace import AxiomReport, pair_distances, verify_axioms
 from .jsonutil import dumps_canonical, format_float
 from .orbit import OrbitTrace, bound_audit, cauchy_bound, cauchy_series, run_orbit
 from .quasicontraction import ContractionCertificate, certify, check_hypotheses, verdicts
@@ -179,13 +178,10 @@ def cmd_run(
         "timing_ms": (time.perf_counter() - t0) * 1000.0,
     }
     # everything is formatted before the first file is written
-    files = {"report.json": dumps_canonical(report) + "\n"}
-    if trace is None:  # no orbit: a CSV trace with the header alone
-        files["trace.csv"] = _trace_csv(())
-    elif fmt == "json":
-        files["trace.json"] = _trace_json(_trace_rows(space, trace))
-    else:
-        files["trace.csv"] = _trace_csv(_trace_rows(space, trace))
+    # without an orbit the trace has no rows, in the format asked for
+    rows = () if trace is None else _trace_rows(space, trace)
+    trace_name, write_trace = ("trace.json", _trace_json) if fmt == "json" else ("trace.csv", _trace_csv)
+    files = {"report.json": dumps_canonical(report) + "\n", trace_name: write_trace(rows)}
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out / name).write_text(text)
@@ -198,8 +194,7 @@ def cmd_verify(scenario_arg: str, seed: int | None = None) -> int:
     sc, cert, hyp = _certified(scenario_arg, seed)
     pts = sample_points(sc)
     # zero is read up to 1e-12 of the largest distance over the sample's pairs
-    xs = chain.from_iterable(map(repeat, pts, range(len(pts) - 1, 0, -1)))
-    tol = 1e-12 * float(sc.space.dists(xs, chain.from_iterable(pts[i:] for i in range(1, len(pts)))).max())
+    tol = 1e-12 * float(pair_distances(sc.space, pts).max())
     axioms = verify_axioms(sc.space, pts, tol=tol)
     print(dumps_canonical({"axioms": _axiom_obj(axioms), "certificate": _cert_obj(sc, cert, hyp)}))
     return 0 if axioms.passed and hyp["thm33"]["applicable"] else 1

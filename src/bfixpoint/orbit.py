@@ -338,24 +338,25 @@ def cauchy_bound(m: int, cert: CauchyCertificate) -> float:
     return b
 
 
-def _row_maxima(space: BMetricSpace, pts) -> np.ndarray:
+def _row_maxima(space: BMetricSpace, pts, table: np.ndarray) -> np.ndarray:
     """For each Cauchy row m = 0 .. len(pts)-2, the exact maximum of
     d(pts[m+1], pts[j]) over j >= m+1, or NaN where the row has to be
-    checked in full.
+    checked in full; table is space.point_table(pts).
 
     Screen, then confirm. The pair table is walked in fixed tiles of
     approximate values: squared euclidean distances for power spaces (d is
     increasing in them) and the exact entries for matrix spaces. A row's
     candidates are the entries within relative `rel` of its largest value,
-    and their exact distances come from one space.dists call per block of
-    rows. Squared distances and d = math.dist(x, y)**p differ by a few ulps
-    of relative error, and a candidate window of 1e-9 (1e-9/p for p < 1,
-    where d**p flattens differences) exceeds what that error can reorder,
-    so the true maximum is always a candidate. That error bound holds for
-    normal floats, so a row is screened only if its largest value is a
-    normal float and its exact maximum is too (rounding to a subnormal
-    result may reorder near ties); values below the normal range elsewhere
-    in the row are too small to lead. Other rows (the last one, whose only
+    and their exact distances come from one space.dists call on gathers of
+    the table per block of rows. Squared distances and
+    d = math.dist(x, y)**p differ by a few ulps of relative error, and a
+    candidate window of 1e-9 (1e-9/p for p < 1, where d**p flattens
+    differences) exceeds what that error can reorder, so the true maximum
+    is always a candidate. That error bound holds for normal floats, so a
+    row is screened only if its largest value is a normal float and its
+    exact maximum is too (rounding to a subnormal result may reorder near
+    ties); values below the normal range elsewhere in the row are too small
+    to lead. Other rows (the last one, whose only
     value is d(x_i, x_i) = 0, underflowing or overflowing distances,
     non-finite coordinates) are left to the full check.
     """
@@ -363,11 +364,10 @@ def _row_maxima(space: BMetricSpace, pts) -> np.ndarray:
     rows, cols = 32, 256  # tile shape; the two float64 tiles take 128 KiB
     tiny, huge = float_info.min, float_info.max
     if space.kind == "matrix":
-        ids = np.asarray(pts, dtype=np.intp)
         rel = 0.0
 
         def tile(r0, r1, c0, c1):
-            return space.matrix[ids[r0:r1, None], ids[c0:c1]]
+            return space.matrix[table[r0:r1, None], table[c0:c1]]
 
     else:
         coords = np.array([[x[k] for x in pts] for k in range(space.dim)], dtype=float)
@@ -409,9 +409,9 @@ def _row_maxima(space: BMetricSpace, pts) -> np.ndarray:
                     b, c = np.nonzero((row_tile(r0, r1, c0) >= thr[:, None]) & need[:, None])
                     hits.append((b, c + c0))
             if hits:
-                b, c = (np.concatenate(ix).tolist() for ix in zip(*hits))
+                b, c = (np.concatenate(ix) for ix in zip(*hits))
                 best = np.full(r1 - r0, -np.inf)
-                np.fmax.at(best, b, space.dists([pts[r0 + i] for i in b], [pts[j] for j in c]))
+                np.fmax.at(best, b, space.dists(table[r0 + b], table[c]))
                 maxima[r0 - 1 : r1 - 1] = np.where(ok & (best >= tiny), best, np.nan)
     return maxima
 
@@ -458,15 +458,15 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
         # row m's bound; bound(m+1) = gamma*bound(m), as cauchy_bound accumulates it
         first = cauchy_bound(0, cert)
         bounds = np.fromiter(accumulate(repeat(cert.gamma, n - 2), operator.mul, initial=first), float)
-        tops = _row_maxima(space, pts)
+        table = space.point_table(pts)
+        tops = _row_maxima(space, pts, table)
         vouched = ~np.isnan(tops) & (bounds != 0.0)
         cauchy, violations = _worst_ratio(tops[vouched], bounds[vouched])
         for m in np.flatnonzero(~vouched).tolist():
-            row = _worst_ratio(space.dists([pts[m + 1]] * (n - 1 - m), pts[m + 1 :]), bounds[m])
+            row = _worst_ratio(space.dists(table[np.full(n - 1 - m, m + 1)], table[m + 1 :]), bounds[m])
             cauchy, violations = max(cauchy, row[0]), violations + row[1]
-        chaining, chain_violations = _worst_ratio(
-            space.dists([pts[0]] * (n - 1), pts[1:]), np.fromiter(chaining_bounds(steps, space.s), float)
-        )
+        from_x0 = space.dists(table[np.zeros(n - 1, np.intp)], table[1:])
+        chaining, chain_violations = _worst_ratio(from_x0, np.fromiter(chaining_bounds(steps, space.s), float))
         violations += chain_violations
 
     slack = 1.0 + 1e-9

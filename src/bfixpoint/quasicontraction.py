@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
-from operator import mul
+from functools import reduce
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -230,44 +230,47 @@ def _pair_indices(n: int, lo: int, hi: int) -> tuple:
     return i, k - ends[i] + n
 
 
-def _block_ratios(space, ext, width, feeds, dxt, xi, yi, c, q) -> tuple:
-    """Both ratio arrays for the pairs (ext[xi[b]][0], ext[yi[b]][0]), or
-    None when a pair needs _pair_ratios (not distinct, a non-finite term).
+def _block_ratios(space, table, rows, real, dxt, xi, yi, c, q) -> tuple:
+    """Both ratio arrays for the pairs (x, y) = (points[xi[b]], points[yi[b]]),
+    or None when a pair needs _pair_ratios (not distinct, a non-finite term).
 
-    ext[u] is the sample point u followed by its image, width[u] its length
-    and dxt[u] = d(u, T(u)). space.dists takes each pair's table of
-    distances from ext[x] to ext[y], fed in C: each element of ext[x]
-    width[y] times against ext[y] width[x] times (`feeds` holds both per
-    point when all widths are equal). Row 0 holds d(x,y) and d(x,T(y)),
-    column 0 d(y,T(x)), the rest the distances of h. The gather pads ragged
-    tables by repeating the last image element, which changes no min or
-    max. fmin/fmax skip NaN as the `<`/`>` loops do, from the same inf / 0."""
-    xl, yl = xi.tolist(), yi.tolist()
-    w = int(width.max())
-    if feeds is not None:
-        xs, ys = chain.from_iterable(map(feeds[0].__getitem__, xl)), chain.from_iterable(map(feeds[1].__getitem__, yl))
-        m = space.dists(xs, ys).reshape(len(xl), w, w)
+    table holds each sample point u followed by its image T(u) (a
+    BMetricSpace.point_table), and dxt[u] = d(u, T(u)). Row u of rows holds
+    the table indices of u and T(u), padded to the widest image by
+    repeating the last element; real[u] marks the entries that are not such
+    repeats (None when no row has one). One space.dists call on gathers of
+    the table evaluates each pair's distances from x, T(x) to y, T(y) once;
+    padded entries are then copied from the elements they repeat, which
+    changes no min or max. Row 0 holds d(x,y) and d(x,T(y)), column 0
+    d(y,T(x)), the rest the distances of h. fmin/fmax skip NaN as the
+    `<`/`>` loops do, from the same inf / 0."""
+    shape = (len(xi), rows.shape[1], rows.shape[1])
+    xs = np.broadcast_to(table[rows[xi]][:, :, None], shape)
+    ys = np.broadcast_to(table[rows[yi]][:, None, :], shape)
+    if real is None:
+        m = space.dists(xs.ravel(), ys.ravel()).reshape(shape)
     else:
-        rows, cols = width[xi], width[yi]
-        heads = chain.from_iterable(map(ext.__getitem__, xl))
-        xs = chain.from_iterable(map(repeat, heads, np.repeat(cols, rows).tolist()))
-        vals = space.dists(xs, chain.from_iterable(map(mul, map(ext.__getitem__, yl), rows.tolist())))
-        row_of, col_of = (np.minimum(np.arange(w), r[:, None] - 1) for r in (rows, cols))
-        start = np.cumsum(rows * cols) - rows * cols
-        m = vals[start[:, None, None] + row_of[:, :, None] * cols[:, None, None] + col_of[:, None, :]]
+        keep = real[xi][:, :, None] & real[yi][:, None, :]
+        m = np.empty(shape)
+        m[keep] = space.dists(xs[keep], ys[keep])
+        slot = rows - rows[:, :1]  # the element each padded entry repeats
+        m = m[np.arange(len(xi))[:, None, None], slot[xi][:, :, None], slot[yi][:, None, :]]
 
-    fmin, fmax, inf = np.fmin.reduce, np.fmax.reduce, np.inf
+    # each min and max runs over image elements, a short axis, so it is
+    # folded one element at a time: numpy's reduce along a short axis costs
+    # about as much per output as a whole binary pass
+    fmin, fmax, inf = np.fmin, np.fmax, np.inf
     d_xy = m[:, 0, 0]
-    d_x_ty = fmin(m[:, 0, 1:], axis=1, initial=inf)
-    d_y_tx = fmin(m[:, 1:, 0], axis=1, initial=inf)
+    d_x_ty = reduce(fmin, m[:, 0, 1:].T, inf)
+    d_y_tx = reduce(fmin, m[:, 1:, 0].T, inf)
     img = m[:, 1:, 1:]
-    h = np.fmax(fmax(fmin(img, axis=2, initial=inf), axis=1, initial=0.0),
-                fmax(fmin(img, axis=1, initial=inf), axis=1, initial=0.0))
+    h = fmax(reduce(fmax, reduce(fmin, img.transpose(2, 1, 0), inf), 0.0),
+             reduce(fmax, reduce(fmin, img.transpose(1, 2, 0), inf), 0.0))
     d_x_tx, d_y_ty = dxt[xi], dxt[yi]
     # the terms in the order of _n_from_parts and five_term_max; a NaN d_xy
     # (which Python's max would keep) fails the d_xy > 0 test instead
-    n4 = fmax([d_xy, c * d_x_tx, c * d_y_ty, 0.5 * q * (d_x_ty + d_y_tx)], axis=0)
-    n5 = fmax([d_xy, d_x_tx, d_y_ty, d_x_ty, d_y_tx], axis=0)
+    n4 = reduce(fmax, [c * d_x_tx, c * d_y_ty, 0.5 * q * (d_x_ty + d_y_tx)], d_xy)
+    n5 = reduce(fmax, [d_x_tx, d_y_ty, d_x_ty, d_y_tx], d_xy)
     ratio, ratio41 = h / n4, h / n5
     if not ((d_xy > 0.0) & np.isfinite(n4) & np.isfinite(n5) & np.isfinite(ratio) & np.isfinite(ratio41)).all():
         return None
@@ -278,27 +281,30 @@ def _ratio_blocks(space, tmap, c, q, points):
     """Yield (xi, yi, ratio, ratio41) for consecutive blocks of the pairs
     (points[xi[b]], points[yi[b]]), in combinations order.
 
-    T(x) and d(x, T(x)) are computed once for each sample point. Any failure
-    is left to _reference_ratios, which raises the error of the first
-    failing pair: from the first pair when a point's own terms fail, or from
+    T(x) and d(x, T(x)) are computed once for each sample point, and the
+    points and their images go into one point table. Any failure is left to
+    _reference_ratios, which raises the error of the first failing pair:
+    from the first pair when a point's own terms or the table fail, or from
     the start of the block that failed."""
     n, total = len(points), len(points) * (len(points) - 1) // 2
     try:
         images = [image_of(space, tmap, x) for x in points]
         dxt = np.array([dist_point_set(space, x, t).value for x, t in zip(points, images)])
+        table = space.point_table(chain.from_iterable((x, *t.elements) for x, t in zip(points, images)))
     except _PAIR_ERRORS:
         yield (*_pair_indices(n, 0, total), *_reference_ratios(space, tmap, c, q, combinations(points, 2)))
         return
-    ext = [(x, *t.elements) for x, t in zip(points, images)]
-    width = np.array([len(e) for e in ext])
+    width = np.array([1 + len(t.elements) for t in images])
     w = int(width.max())
-    feeds = ([tuple(a for a in e for _ in e) for e in ext], [e * w for e in ext]) if (width == w).all() else None
+    slot = np.arange(w)
+    rows = (np.cumsum(width) - width)[:, None] + np.minimum(slot, width[:, None] - 1)
+    real = None if (width == w).all() else slot < width[:, None]
     step = max(1, _BLOCK_DISTANCES // w**2)
     for lo in range(0, total, step):
         xi, yi = _pair_indices(n, lo, min(lo + step, total))
         try:
             with np.errstate(all="ignore"):
-                got = _block_ratios(space, ext, width, feeds, dxt, xi, yi, c, q)
+                got = _block_ratios(space, table, rows, real, dxt, xi, yi, c, q)
         except _PAIR_ERRORS:
             got = None
         if got is None:

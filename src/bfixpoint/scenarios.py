@@ -26,10 +26,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from math import cos, dist as _euclid, isfinite, pi, sin
+from math import cos, dist as _euclid, floor, pi, sin
 from sys import float_info
 
-from .bspace import BMetricSpace, make_matrix_space, make_power_space
+from .bspace import BMetricSpace, _distance_table, make_matrix_space, make_power_space
 from .jsonutil import dumps_canonical
 from .orbit import beta_limit
 from .quasicontraction import (
@@ -133,20 +133,25 @@ def instantiate(sc: Scenario) -> tuple[BMetricSpace, SetValuedMap]:
 
 
 def sample_points(sc: Scenario) -> list:
-    """Materialize the certification sample (grid or explicit list); a grid
-    of more than MAX_GRID_POINTS points is rejected before it is built."""
+    """Materialize the certification sample (grid or explicit list). A grid
+    holds lo + i*step for every whole number i of steps that ends at or
+    below hi; one of more than MAX_GRID_POINTS points is rejected before it
+    is built."""
     if isinstance(sc.sample, GridSample):
         g = sc.sample
         if sc.space.kind != "power" or sc.space.dim != 1:
             raise ScenarioFormatError("sample.kind 'grid' needs a 1-dimensional power space")
         if not g.step > 0 or not g.hi > g.lo:
             raise ScenarioFormatError("sample grid needs step > 0 and hi > lo")
-        n = (g.hi - g.lo) / g.step
-        if not (isfinite(n) and round(n) < MAX_GRID_POINTS):
+        steps = (g.hi - g.lo) / g.step
+        # whole steps up to hi; the slack keeps the point at hi when the
+        # division rounds just below a whole number (2 / 0.1 = 19.999999999999996)
+        count = floor(steps * (1.0 + 1e-12)) + 1 if steps < MAX_GRID_POINTS else MAX_GRID_POINTS + 1
+        if count > MAX_GRID_POINTS:
             raise ScenarioFormatError(
                 f"sample grid {g.lo}..{g.hi} step {g.step} has too many points (over {MAX_GRID_POINTS})"
             )
-        return [(g.lo + i * g.step,) for i in range(round(n) + 1)]
+        return [(g.lo + i * g.step,) for i in range(count)]
     return list(sc.sample.pts)
 
 
@@ -275,7 +280,7 @@ def _build_candidate(rng: SplitMix64, seed: int, n_points: int, p: float, alpha_
         images[index[e]] = (0, index[near])
 
     plane = make_power_space(2, p)
-    d = [plane.dists([a] * len(pts), pts) for a in pts]
+    d = _distance_table(plane, pts)
     s = plane.s
 
     # keep the side conditions reachable: q (and c) below 0.9/(alpha_cap*s)

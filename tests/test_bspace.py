@@ -387,8 +387,9 @@ class TestNonFiniteSampleDistance:
 # -- bulk distances -----------------------------------------------------------
 
 # 0, the tiny and huge coordinates make d**p underflow, overflow (p >= 2 at
-# 1e154) or neither; a small pool repeats points
-EDGE_COORDS = st.sampled_from([0.0, 1.0, -1.0, 1e-160, -1e-160, 1e154, -1e154])
+# 1e154) or neither; at +-1e308 the difference x - y itself overflows to
+# inf, and 5e-324 gives subnormal differences; a small pool repeats points
+EDGE_COORDS = st.sampled_from([0.0, 1.0, -1.0, 5e-324, 1e-160, -1e-160, 1e154, -1e154, 1e308, -1e308])
 COORDS = st.one_of(EDGE_COORDS, st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
 
 
@@ -429,10 +430,29 @@ class TestDistsMatchesDist:
         got = bits_or_error(lambda: space.dists(xs, ys))
         assert got == bits_or_error(lambda: [space.dist(x, y) for x, y in zip(xs, ys)])
         assert got == bits_or_error(lambda: space.dists(iter(xs), iter(ys)))
+        # the form bulk callers use: gathers from one point table by index
+        table = space.point_table(xs + ys)
+        ix, iy = np.arange(len(xs)), np.arange(len(xs), len(xs) + len(ys))
+        assert got == bits_or_error(lambda: space.dists(table[ix], table[iy]))
         if not isinstance(got, type):
             assert space.dists(xs, ys).dtype == np.float64
 
-    @pytest.mark.parametrize("space", [make_power_space(2, 1.5), make_matrix_space(3, SQUARED_LINE, 2.0)])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "x, y", [((0.0,), (5e-324,)), ((-5e-324,), (5e-324,)), ((1e308,), (-1e308,)), ((-1e308,), (1e308,))]
+    )
+    def test_extreme_differences_in_one_dimension(self, p, x, y):
+        # a subnormal |x - y| is kept, not flushed to 0, and one that
+        # overflows is inf, with no warning, in every input form
+        space = make_power_space(1, p)
+        table = space.point_table([x, y])
+        want = bits_or_error(lambda: [space.dist(a, b) for a, b in ((x, y), (y, x), (x, x))])
+        assert bits_or_error(lambda: space.dists(table[[0, 1, 0]], table[[1, 0, 0]])) == want
+        assert bits_or_error(lambda: space.dists([x, y, x], [y, x, x])) == want
+
+    @pytest.mark.parametrize(
+        "space", [make_power_space(1, 1.5), make_power_space(2, 1.5), make_matrix_space(3, SQUARED_LINE, 2.0)]
+    )
     def test_empty_input(self, space):
         got = space.dists([], [])
         assert got.shape == (0,) and got.dtype == np.float64
@@ -484,12 +504,16 @@ def test_certify_work_per_point_and_pair(monkeypatch):
     ragged = make_branch_map(plane, [shear, (lift[0], [0.0, 0.0])])
     line = make_matrix_space(3, SQUARED_LINE, 2.0)
     table = qc.make_table_map(line, {0: [0, 2], 1: [0], 2: [1, 0, 2]})
+    # x -> 0.5x and x -> -0.5x meet only at 0, the one point with a single image
+    real_line = make_power_space(1, 1.5)
+    fold = make_branch_map(real_line, [([[0.5]], [0.0]), ([[-0.5]], [0.0])])
     cases = [
         (paper.space, paper.map, sample_points(paper), False),
         (finite.space, finite.map, sample_points(finite), False),
         (plane, make_branch_map(plane, [shear, lift]), sample, False),
         (plane, ragged, [(0.0, 0.0)] + sample, True),
         (line, table, [2, 0, 1], True),
+        (real_line, fold, [(-0.75,), (0.0,), (0.25,), (1.0,), (-2.0,)], True),
     ]
     real_image_of, real_dist, real_dists = qc.image_of, BMetricSpace.dist, BMetricSpace.dists
     for space, tmap, pts, is_ragged in cases:

@@ -6,6 +6,7 @@ import pytest
 
 from bfixpoint.cli import main
 from bfixpoint.jsonutil import dumps_canonical
+from bfixpoint.scenarios import paper_example, scenario_to_obj
 
 
 def write_json(path, obj):
@@ -399,6 +400,21 @@ class TestRun:
         assert main(["run", "--scenario", path, "--out", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
         assert report["orbit"]["status"] == "hypothesis_violation"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_violation_writes_an_empty_trace_in_the_asked_format(self, tmp_path, fmt):
+        obj = scenario_to_obj(paper_example())
+        obj["params"]["alpha"] = 0.5  # below the certified 0.81: no orbit is run
+        path = write_json(tmp_path / "sc.json", obj)
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", path, "--out", str(out), "--format", fmt]) == 1
+        assert json.loads((out / "report.json").read_text())["orbit"]["status"] == "hypothesis_violation"
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", f"trace.{fmt}"]
+        trace = (out / f"trace.{fmt}").read_text()
+        if fmt == "json":
+            assert json.loads(trace) == {"rows": []}
+        else:
+            assert trace == "n,point,d_n,ratio,gamma,cauchy_bound_at_n\n"
 
 
 class TestVerify:

@@ -221,6 +221,18 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="too many points"):
             load(write_json(tmp_path / "bad.json", obj))
 
+    @pytest.mark.parametrize(
+        "lo, hi, step, count",
+        [(-1.0, 1.0, 0.3, 7), (0.0, 1.0, 0.6, 2), (-1.0, 1.0, 0.1, 21), (0.1, 0.7, 0.2, 4), (-1.0, 1.0, 0.01, 201)],
+    )
+    def test_grid_stops_at_hi(self, tmp_path, lo, hi, step, count):
+        # whole steps up to hi, and hi itself where the division rounds
+        # just below a whole number (2 / 0.1 = 19.999999999999996)
+        grid = {"kind": "grid", "lo": lo, "hi": hi, "step": step}
+        pts = sample_points(load(write_json(tmp_path / "g.json", dict(paper_scenario_obj(), sample=grid))))
+        assert len(pts) == count
+        assert pts[-1][0] <= hi + 1e-12 and pts[-1][0] + step > hi
+
     def test_grid_is_counted_before_it_is_built(self, tmp_path):
         # hi - lo = (MAX_GRID_POINTS - 1) * step gives exactly MAX_GRID_POINTS points
         grid = {"kind": "grid", "lo": 0.0, "hi": MAX_GRID_POINTS - 1.0, "step": 1.0}
@@ -229,6 +241,10 @@ class TestLoadValidation:
         obj = dict(paper_scenario_obj(), sample=dict(grid, hi=float(MAX_GRID_POINTS)))
         with pytest.raises(ScenarioFormatError, match="too many points"):
             load(write_json(tmp_path / "bad.json", obj))
+        # the cap counts as the grid does: a partial last step adds no point
+        part = dict(paper_scenario_obj(), sample=dict(grid, hi=MAX_GRID_POINTS - 0.5))
+        sc = load(write_json(tmp_path / "part.json", part))
+        assert len(sample_points(sc)) == MAX_GRID_POINTS
 
     def test_huge_integer_literal_is_format_error(self, tmp_path):
         obj = dict(paper_scenario_obj(), tol=10**400)
