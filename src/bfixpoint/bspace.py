@@ -141,7 +141,7 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
     off-diagonal entries (so distance zero is equivalent to identity).
     The b-metric axioms are NOT assumed; run verify_axioms for that.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = np.array(matrix, dtype=float)  # a copy: the caller's array stays writable
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

@@ -12,9 +12,12 @@ filesystem paths.
 from __future__ import annotations
 
 import argparse
+import operator
+import re
 import sys
 import time
 from dataclasses import asdict, replace
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 
 from .bspace import AxiomReport, pair_distances, verify_axioms
@@ -49,12 +52,6 @@ def _certified(scenario_arg: str, seed: int | None) -> tuple[Scenario, Contracti
     return sc, cert, check_hypotheses(cert, sc.params.alpha)
 
 
-def _point_cell(pt) -> str:
-    if isinstance(pt, tuple):
-        return ";".join(format_float(c) for c in pt)
-    return str(pt)
-
-
 def _cert_obj(sc: Scenario, cert: ContractionCertificate, hyp: dict, gamma: float | None = None) -> dict:
     return {
         "scenario_digest": scenario_digest(sc),
@@ -86,39 +83,67 @@ def _axiom_obj(report: AxiomReport) -> dict:
 
 
 _TRACE_COLUMNS = ("n", "point", "d_n", "ratio", "gamma", "cauchy_bound_at_n")
+# one row of each trace format; field {i} is the cell of _TRACE_COLUMNS[i],
+# and json's keys come in the sorted order dumps_canonical writes
+_CSV_ROW = "{0},{1},{2},{3},{4},{5}\n"
+_JSON_ROW = (
+    '    {{\n      "cauchy_bound_at_n": {5},\n      "d_n": {2},\n      "gamma": {4},\n'
+    '      "n": {0},\n      "point": {1},\n      "ratio": {3}\n    }}'
+)
 
 
-def _trace_rows(space, trace: OrbitTrace):
-    """Yield one row per orbit point, in _TRACE_COLUMNS order; None marks an
-    empty cell. The Cauchy bound is carried from row to row (bound(n+1) =
-    gamma*bound(n), which is how cauchy_bound accumulates it)."""
-    steps = trace.steps
-    bound = None
+def _formatted(xs) -> list:
+    """format(x, ".17g") of each number of xs, which is format_float's
+    text; a non-finite number comes out as "inf", "-inf" or "nan"."""
+    return list(map(format, xs, repeat(".17g")))
+
+
+def _trace_cells(space, trace: OrbitTrace | None, empty: str) -> list:
+    """The trace's cells, column by column in _TRACE_COLUMNS order: n; each
+    point as the tuple of its coordinates' texts (an id's text for a matrix
+    space); the numbers as _formatted texts, `empty` for a missing cell.
+    The Cauchy bound is carried from row to row (bound(n+1) =
+    gamma*bound(n), which is how cauchy_bound accumulates it) and gamma is
+    formatted once. No trace gives no rows."""
+    if trace is None:
+        return [()] * len(_TRACE_COLUMNS)
+    pts, steps, gamma = trace.points, trace.steps, trace.gamma
+    n = len(pts)
+    if space.kind == "matrix":
+        points = list(map(str, pts))
+    else:
+        points = list(zip(*[iter(_formatted(chain.from_iterable(pts)))] * space.dim))
+    ratio = [format(b / a, ".17g") if a else empty for a, b in zip(steps, steps[1:])]
+    bound = [empty] * n
     if steps:
-        bound = cauchy_bound(0, cauchy_series(trace.gamma, space.s, first_step=steps[0]))
-    for n, pt in enumerate(trace.points):
-        d_n = steps[n] if n < len(steps) else None
-        ratio = None
-        if 0 < n < len(steps) and steps[n - 1] != 0.0:
-            ratio = steps[n] / steps[n - 1]
-        yield n, pt, d_n, ratio, trace.gamma, bound
-        if bound is not None:
-            bound *= trace.gamma
+        first = cauchy_bound(0, cauchy_series(gamma, space.s, first_step=steps[0]))
+        bound = _formatted(accumulate(repeat(gamma, n - 1), operator.mul, initial=first))
+    d_n = _formatted(steps) + [empty]
+    return [range(n), points, d_n, [empty, *ratio, empty][:n], repeat(format(gamma, ".17g"), n), bound]
 
 
-def _csv_cell(x) -> str:
-    return "" if x is None else format_float(x)
+def _finite(text: str) -> str:
+    """The trace text, or format_float's ValueError for its first non-finite
+    number (no column name or JSON keyword spells inf or nan)."""
+    if "inf" in text or "nan" in text:
+        format_float(float(re.search("-?inf|nan", text).group()))
+    return text
 
 
-def _trace_csv(rows) -> str:
-    lines = [",".join(_TRACE_COLUMNS)]
-    for n, pt, *values in rows:
-        lines.append(",".join([str(n), _point_cell(pt)] + [_csv_cell(x) for x in values]))
-    return "\n".join(lines) + "\n"
+def _trace_csv(space, trace: OrbitTrace | None) -> str:
+    n, points, *rest = _trace_cells(space, trace, "")
+    if space.kind != "matrix":
+        points = map(";".join, points)
+    return _finite(",".join(_TRACE_COLUMNS) + "\n" + "".join(map(_CSV_ROW.format, n, points, *rest)))
 
 
-def _trace_json(rows) -> str:
-    return dumps_canonical({"rows": [dict(zip(_TRACE_COLUMNS, row)) for row in rows]}) + "\n"
+def _trace_json(space, trace: OrbitTrace | None) -> str:
+    n, points, *rest = _trace_cells(space, trace, "null")
+    if not n:
+        return dumps_canonical({"rows": []}) + "\n"
+    if space.kind != "matrix":
+        points = map("[\n        {}\n      ]".format, map(",\n        ".join, points))
+    return _finite('{\n  "rows": [\n' + ",\n".join(map(_JSON_ROW.format, n, points, *rest)) + "\n  ]\n}\n")
 
 
 def cmd_run(
@@ -179,9 +204,8 @@ def cmd_run(
     }
     # everything is formatted before the first file is written
     # without an orbit the trace has no rows, in the format asked for
-    rows = () if trace is None else _trace_rows(space, trace)
     trace_name, write_trace = ("trace.json", _trace_json) if fmt == "json" else ("trace.csv", _trace_csv)
-    files = {"report.json": dumps_canonical(report) + "\n", trace_name: write_trace(rows)}
+    files = {"report.json": dumps_canonical(report) + "\n", trace_name: write_trace(space, trace)}
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out / name).write_text(text)

@@ -338,17 +338,19 @@ def cauchy_bound(m: int, cert: CauchyCertificate) -> float:
     return b
 
 
-def _row_maxima(space: BMetricSpace, pts, table: np.ndarray) -> np.ndarray:
-    """For each Cauchy row m = 0 .. len(pts)-2, the exact maximum of
-    d(pts[m+1], pts[j]) over j >= m+1, or NaN where the row has to be
-    checked in full; table is space.point_table(pts).
+def _row_maxima(space: BMetricSpace, table: np.ndarray, coords, rows: np.ndarray) -> np.ndarray:
+    """For each point index i in rows (ascending), the exact maximum of
+    d(x_i, x_j) over j >= i, or NaN where the row has to be checked in
+    full; table is space.point_table of the points and coords their
+    coordinates, one array per dimension (None for a matrix space).
 
-    Screen, then confirm. The pair table is walked in fixed tiles of
+    Screen, then confirm. The rows are taken in groups of up to 32, each
+    against the points from its first row on, in fixed tiles of
     approximate values: squared euclidean distances for power spaces (d is
     increasing in them) and the exact entries for matrix spaces. A row's
     candidates are the entries within relative `rel` of its largest value,
     and their exact distances come from one space.dists call on gathers of
-    the table per block of rows. Squared distances and
+    the table per group. Squared distances and
     d = math.dist(x, y)**p differ by a few ulps of relative error, and a
     candidate window of 1e-9 (1e-9/p for p < 1, where d**p flattens
     differences) exceeds what that error can reorder, so the true maximum
@@ -360,60 +362,100 @@ def _row_maxima(space: BMetricSpace, pts, table: np.ndarray) -> np.ndarray:
     value is d(x_i, x_i) = 0, underflowing or overflowing distances,
     non-finite coordinates) are left to the full check.
     """
-    n = len(pts)
-    rows, cols = 32, 256  # tile shape; the two float64 tiles take 128 KiB
+    n = len(table)
+    group, cols = 32, 256  # tile shape; the two float64 tiles take 128 KiB
     tiny, huge = float_info.min, float_info.max
     if space.kind == "matrix":
         rel = 0.0
 
-        def tile(r0, r1, c0, c1):
-            return space.matrix[table[r0:r1, None], table[c0:c1]]
+        def tile(ri, c0, c1):
+            return space.matrix[table[ri, None], table[c0:c1]]
 
     else:
-        coords = np.array([[x[k] for x in pts] for k in range(space.dim)], dtype=float)
-        sq, tmp = np.empty((rows, cols)), np.empty((rows, cols))
+        sq, tmp = np.empty((group, cols)), np.empty((group, cols))
         rel = 1e-9 * max(1.0, 1.0 / space.p)
 
-        def tile(r0, r1, c0, c1):
-            out = sq[: r1 - r0, : c1 - c0]
-            t = tmp[: r1 - r0, : c1 - c0]
+        def tile(ri, c0, c1):
+            out = sq[: len(ri), : c1 - c0]
+            t = tmp[: len(ri), : c1 - c0]
             for k, xs in enumerate(coords):
                 dst = t if k else out
-                np.subtract(xs[c0:c1], xs[r0:r1, None], out=dst)
+                np.subtract(xs[c0:c1], xs[ri, None], out=dst)
                 np.multiply(dst, dst, out=dst)
                 if k:
                     np.add(out, t, out=out)
             return out
 
-    before_row = np.arange(cols) < np.arange(rows)[:, None]  # tile entries j < i
-
-    def row_tile(r0, r1, c0):
-        """Rows x_i, i in [r0, r1), against x_j, j from c0; -inf where j < i."""
-        v = tile(r0, r1, c0, min(c0 + cols, n))
-        if c0 == r0:  # the tile holding the diagonal j = i
-            v[before_row[: r1 - r0, : v.shape[1]]] = -np.inf
+    def row_tile(ri, c0):
+        """Rows x_i, i in ri, against x_j, j from c0; -inf where j < i."""
+        c1 = min(c0 + cols, n)
+        v = tile(ri, c0, c1)
+        if c0 < ri[-1]:  # some row starts after this tile's first column
+            v[np.arange(c0, c1) < ri[:, None]] = -np.inf
         return v
 
-    maxima = np.full(n - 1, np.nan)
+    maxima = np.full(len(rows), np.nan)
     with np.errstate(all="ignore"):
-        for r0 in range(1, n, rows):  # tile rows are the points x_i = x_{m+1}
-            r1 = min(r0 + rows, n)
-            tops = [row_tile(r0, r1, c0).max(axis=1) for c0 in range(r0, n, cols)]
+        for g0 in range(0, len(rows), group):
+            ri = rows[g0 : g0 + group]
+            starts = range(ri[0], n, cols)
+            tops = [row_tile(ri, c0).max(axis=1) for c0 in starts]
             top = np.max(tops, axis=0)
             ok = (top >= tiny) & (top <= huge)
             thr = top * (1.0 - rel)
             hits = []
-            for c0, tile_top in zip(range(r0, n, cols), tops):
+            for c0, tile_top in zip(starts, tops):
                 need = ok & (tile_top >= thr)
                 if need.any():  # the tile holds a candidate: recompute it
-                    b, c = np.nonzero((row_tile(r0, r1, c0) >= thr[:, None]) & need[:, None])
+                    b, c = np.nonzero((row_tile(ri, c0) >= thr[:, None]) & need[:, None])
                     hits.append((b, c + c0))
             if hits:
                 b, c = (np.concatenate(ix) for ix in zip(*hits))
-                best = np.full(r1 - r0, -np.inf)
-                np.fmax.at(best, b, space.dists(table[r0 + b], table[c]))
-                maxima[r0 - 1 : r1 - 1] = np.where(ok & (best >= tiny), best, np.nan)
+                best = np.full(len(ri), -np.inf)
+                np.fmax.at(best, b, space.dists(table[ri[b]], table[c]))
+                maxima[g0 : g0 + len(ri)] = np.where(ok & (best >= tiny), best, np.nan)
     return maxima
+
+
+def _ruled_out(space: BMetricSpace, table: np.ndarray, coords, bounds: np.ndarray) -> np.ndarray:
+    """For each Cauchy row m = 0 .. n-2, its exact last entry
+    d(x_{m+1}, x_{n-1}) if the row cannot hold the audit's largest ratio,
+    NaN if it has to be screened; bounds[m] is the row's bound, table and
+    coords are as in _row_maxima.
+
+    The largest ratio is at least that of any real entry, so at least
+    lb = max over m of d(x_{m+1}, x_{n-1}) / bounds[m]. Every distance of
+    row m is at most d_hi, the length of the vector from x_{m+1} to the far
+    corner of the bounding box of x_{m+1}, ..., x_{n-1}, to the power p,
+    widened by 1e-9*max(1, p) relative. That is far more than the rounding
+    of the squares, their sum, math.dist, the power (whose relative error
+    grows by p/2 from squared lengths) and the division can move it, so
+    d_hi covers every exact entry, and if d_hi / bounds[m] < lb no entry of
+    the row can lead (rounded division is monotone). The error bound holds
+    for normal floats, so a row is ruled out only if its bound, its squared
+    length and d_hi are finite positive normal floats: then no entry of it
+    overflows or is NaN, and a zero bound, the only source of violations,
+    is never ruled out. In one dimension the far corner is a point of the
+    orbit, so d_hi is tight. Matrix spaces rule out no row.
+    """
+    n = len(table)
+    out = np.full(n - 1, np.nan)
+    if space.kind == "matrix":
+        return out
+    last = space.dists(table[1:], table[np.full(n - 1, n - 1)])
+    lb = _worst_ratio(last, bounds)[0]
+    suffix = coords[:, :0:-1]  # x_{n-1}, ..., x_1; accumulated and reversed, column m spans x_{m+1:}
+    hi = np.maximum.accumulate(suffix, axis=1)[:, ::-1]
+    lo = np.minimum.accumulate(suffix, axis=1)[:, ::-1]
+    with np.errstate(all="ignore"):
+        far = np.maximum(coords[:, 1:] - lo, hi - coords[:, 1:])
+        u2 = (far * far).sum(axis=0)
+        d_hi = u2 ** (0.5 * space.p) * (1.0 + 1e-9 * max(1.0, space.p))
+        ruled = d_hi / bounds < lb
+        for v in (bounds, u2, d_hi):
+            ruled &= (v >= float_info.min) & (v <= float_info.max)
+    out[ruled] = last[ruled]
+    return out
 
 
 def _worst_ratio(actual: np.ndarray, bound) -> tuple[float, int]:
@@ -438,15 +480,20 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
     distances come from space.dists and bounds from exact arithmetic. The
     largest ratio in a Cauchy row is the row's largest distance over its one
     bound, since rounded division by a positive number is monotone, so each
-    row needs only its farthest point. A numpy screen picks the candidates
-    for it and space.dists confirms them (see _row_maxima); rows the screen
-    cannot vouch for, and rows whose bound has underflowed to 0, are checked
-    in full, so the violation count and any error raised are those of the
-    full pairwise scan. (The distances d(x_0, x_k) are taken before the
-    chaining bounds, which raise only for a negative step.) Chaining bounds
-    come from a running exact prefix sum (chaining_bounds). On an orbit of
-    L points this takes O(L) exact distance evaluations; the O(L**2) screen
-    runs in numpy in fixed-size buffers.
+    row needs only its farthest point, and only if it can lead at all. A
+    bounding-box bound rules out, in O(L) numpy work, the rows whose every
+    ratio stays below one that a real entry attains (see _ruled_out); they
+    contribute that exact entry. A numpy screen picks the farthest-point
+    candidates of the other rows and space.dists confirms them (see
+    _row_maxima); rows the screen cannot vouch for, and rows whose bound has
+    underflowed to 0, are checked in full, so the largest ratio, the
+    violation count and any error raised are those of the full pairwise
+    scan. (The distances d(x_0, x_k) are taken before the chaining bounds,
+    which raise only for a negative step.) Chaining bounds come from a
+    running exact prefix sum (chaining_bounds). On an orbit of L points
+    this takes O(L) exact distance evaluations; the screen is quadratic
+    only in the rows that cannot be ruled out, and runs in numpy in
+    fixed-size buffers.
     """
     pts = trace.points
     steps = trace.steps
@@ -459,7 +506,10 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
         first = cauchy_bound(0, cert)
         bounds = np.fromiter(accumulate(repeat(cert.gamma, n - 2), operator.mul, initial=first), float)
         table = space.point_table(pts)
-        tops = _row_maxima(space, pts, table)
+        coords = None if space.kind == "matrix" else np.array(pts, dtype=float).T.copy()
+        tops = _ruled_out(space, table, coords, bounds)
+        screened = np.flatnonzero(np.isnan(tops) & (bounds != 0.0))
+        tops[screened] = _row_maxima(space, table, coords, screened + 1)
         vouched = ~np.isnan(tops) & (bounds != 0.0)
         cauchy, violations = _worst_ratio(tops[vouched], bounds[vouched])
         for m in np.flatnonzero(~vouched).tolist():

@@ -18,6 +18,7 @@ condition with the stricter threshold 1/(s+s^2)).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations
@@ -110,9 +111,11 @@ def image_of(space: BMetricSpace, tmap: SetValuedMap, x: Point) -> PointSet:
     """The image set T(x). Branch outputs that coincide exactly are deduplicated."""
     if tmap.kind == "table":
         return tmap.table[x]
+    if len(x) != space.dim:  # map() would silently stop at the shorter of a row and x
+        raise ValueError(f"expected a coordinate tuple of length {space.dim}, got {x!r}")
     outs = []
     for a, b in tmap.branches:
-        y = tuple(sum(row[j] * x[j] for j in range(len(x))) + b[i] for i, row in enumerate(a))
+        y = tuple(sum(map(operator.mul, row, x)) + b[i] for i, row in enumerate(a))
         if y not in outs:
             outs.append(y)
     return PointSet(tuple(outs))

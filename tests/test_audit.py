@@ -1,8 +1,8 @@
 """Differential tests for the orbit audit and the orbit loop.
 
-bound_audit screens each Cauchy row with numpy and confirms the farthest
-point with exact distances; run_orbit carries each image into the next
-step. Both are checked here against per-pair / per-step references that
+bound_audit rules Cauchy rows out with bounding boxes, screens the rest
+with numpy and confirms the farthest point with exact distances; run_orbit
+carries each image into the next step. Both are checked here against per-pair / per-step references that
 spell out the definitions directly, and a work guard keeps them linear.
 """
 
@@ -13,11 +13,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import bfixpoint.orbit as orbit_mod
 from bfixpoint.bspace import BMetricSpace, make_matrix_space, make_power_space
 from bfixpoint.cli import bound_audit
 from bfixpoint.orbit import (
     OrbitTrace,
     RatioViolation,
+    _ruled_out,
+    cauchy_bound,
     cauchy_series,
     chaining_bound,
     chaining_bounds,
@@ -93,6 +96,23 @@ def outcome(fn, *args, **kwargs):
 def trace_of(space, points, gamma):
     steps = tuple(space.dist(a, b) for a, b in zip(points, points[1:]))
     return OrbitTrace(tuple(points), steps, 0.5, gamma, "max_iter", None, 0.0)
+
+
+def screened_rows(space, trace):
+    """The Cauchy rows m that bound_audit hands to the tile screen."""
+    rows = []
+    real = orbit_mod._row_maxima
+
+    def spy(space, table, coords, points):
+        rows.extend((points - 1).tolist())
+        return real(space, table, coords, points)
+
+    orbit_mod._row_maxima = spy
+    try:
+        bound_audit(space, trace)
+    finally:
+        orbit_mod._row_maxima = real
+    return rows
 
 
 def assert_same_audit(space, points, gamma):
@@ -238,6 +258,60 @@ class TestBoundAuditMatchesPairwise:
             reference_audit(space, trace)
         with pytest.raises(OverflowError):
             bound_audit(space, trace)
+
+    def test_spiral_whose_leading_row_is_not_the_lower_bound_row(self):
+        # the largest last-entry ratio, which rules rows out, is at row 3;
+        # the largest ratio is at row 0, which must be screened
+        space = make_power_space(2, 2.0)
+        pts = [(0.95**k * math.cos(k), 0.95**k * math.sin(k)) for k in range(40)]
+        trace = trace_of(space, pts, 0.99)
+        bounds = [cauchy_bound(m, cauchy_series(0.99, space.s, first_step=trace.steps[0])) for m in range(39)]
+        lower = [space.dist(pts[m + 1], pts[-1]) / bounds[m] for m in range(39)]
+        top = [max(space.dist(pts[m + 1], y) for y in pts[m + 1 :]) / bounds[m] for m in range(39)]
+        assert lower.index(max(lower)) == 3 and top.index(max(top)) == 0
+        rows = screened_rows(space, trace)
+        assert 0 in rows and len(rows) < 39  # some rows are ruled out
+        assert bound_audit(space, trace) == reference_audit(space, trace)
+
+    def test_row_just_above_the_lower_bound_is_screened(self):
+        # row 0's largest ratio, at (a, b), exceeds the lower bound (row 1's
+        # last entry) by one ulp, and the box bound of row 0 before widening,
+        # (a*a + b*b)**4, falls below it: only the margin keeps row 0
+        space = make_power_space(2, 8.0)
+        a, b = 0.5290052282836147, 0.9656226543781053
+        pts = [(-1.0, 0.3), (0.0, 0.0), (a, b), (0.006921355562776953, 0.012633935116497897)]
+        trace = trace_of(space, pts, 0.8999999999999991)
+        cert = cauchy_series(trace.gamma, space.s, first_step=trace.steps[0])
+        b0, b1 = cauchy_bound(0, cert), cauchy_bound(1, cert)
+        lower = max(space.dist(pts[1], pts[3]) / b0, space.dist(pts[2], pts[3]) / b1)
+        unwidened = float((np.float64(a) * a + np.float64(b) * b) ** 4.0) / b0
+        assert unwidened < lower < space.dist(pts[1], pts[2]) / b0
+        assert 0 in screened_rows(space, trace)
+        assert bound_audit(space, trace) == reference_audit(space, trace)
+
+    def test_subnormal_box_does_not_rule_out(self):
+        # delta**2 = 100.49 * 5e-324 rounds to 100 * 5e-324, so the box bound
+        # of row 0 falls 0.24% short of its distance delta, below the lower
+        # bound delta / (2 * gamma) from row 1
+        delta = math.sqrt(100.49) * math.sqrt(5e-324)
+        space = make_power_space(1, 1.0)
+        trace = trace_of(space, [(1.0,), (0.0,), (delta,), (delta / 2,)], 0.50025)
+        assert 0 in screened_rows(space, trace)
+        assert bound_audit(space, trace) == reference_audit(space, trace)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coordinates_are_never_ruled_out(self, bad):
+        space = make_power_space(2, 2.0)
+        pts = [(0.9**k * math.cos(k), 0.9**k * math.sin(k)) for k in range(30)]
+        pts[25] = (0.5, bad)
+        trace = trace_of(space, pts, 0.95)
+        table = space.point_table(pts)
+        coords = np.array(pts).T.copy()
+        bounds = np.array([cauchy_bound(m, cauchy_series(0.95, space.s, first_step=trace.steps[0])) for m in range(29)])
+        ruled = ~np.isnan(_ruled_out(space, table, coords, bounds))
+        assert not ruled[:25].any()  # rows m <= 24 hold x_25
+        assert ruled[25:].any()
+        assert bound_audit(space, trace) == reference_audit(space, trace)
 
     def test_empty_trace(self):
         space = make_power_space(1, 2.0)
@@ -414,9 +488,8 @@ class TestRunOrbitMatchesStepLoop:
 def test_audit_and_orbit_do_linear_work(monkeypatch):
     """A long orbit must cost O(L) exact distances in the audit and one
     image per step in the orbit loop; the quadratic scan would need
-    L**2 / 2 distances here."""
-    import bfixpoint.orbit as orbit_mod
-
+    L**2 / 2 distances here. The tile screen, quadratic in the rows it
+    gets, must get only the rows the bounding boxes cannot rule out."""
     space = make_power_space(2, 2.0)
     rate, angle = 0.995, 0.1
     a = [[rate * math.cos(angle), -rate * math.sin(angle)], [rate * math.sin(angle), rate * math.cos(angle)]]
@@ -450,3 +523,12 @@ def test_audit_and_orbit_do_linear_work(monkeypatch):
     assert audit["cauchy_checks"] == n * (n - 1) // 2
     assert audit["ok"]
     assert dists[0] <= 10 * n
+    assert len(screened_rows(space, trace)) <= n // 4  # 204 of 1838 rows
+
+    # in one dimension the box's far corner is an orbit point: the bound is tight
+    line = make_power_space(1, 2.0)
+    shrink = make_branch_map(line, [([[0.995]], [0.0])])
+    trace = run_orbit(line, shrink, 0.0, 0.0, 0.995, (1.0,), tol=1e-10, max_iter=5000)
+    assert len(trace.points) == 1241
+    assert len(screened_rows(line, trace)) <= 4  # 2 rows
+    assert bound_audit(line, trace) == reference_audit(line, trace)

@@ -107,6 +107,16 @@ class TestMakeMatrixSpace:
         with pytest.raises(ValueError, match="s must be finite and >= 1"):
             make_matrix_space(2, [[0.0, 1.0], [1.0, 0.0]], s)
 
+    def test_callers_array_stays_writable(self):
+        # a float64 array used to be frozen in place rather than copied
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sp = make_matrix_space(2, m, 1.0)
+        m[0, 1] = 2.0
+        assert not sp.matrix.flags.writeable
+        assert sp.matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            sp.matrix[0, 1] = 3.0
+
 
 class TestVerifyAxioms:
     def test_quadratic_grid_passes_at_zero_tol(self):

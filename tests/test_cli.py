@@ -1,11 +1,15 @@
+import hashlib
 import json
+import math
 import re
 import warnings
 
 import pytest
 
-from bfixpoint.cli import main
-from bfixpoint.jsonutil import dumps_canonical
+from bfixpoint.bspace import make_matrix_space, make_power_space
+from bfixpoint.cli import _trace_csv, _trace_json, main
+from bfixpoint.jsonutil import dumps_canonical, format_float
+from bfixpoint.orbit import OrbitTrace, cauchy_bound, cauchy_series
 from bfixpoint.scenarios import paper_example, scenario_to_obj
 
 
@@ -415,6 +419,149 @@ class TestRun:
             assert json.loads(trace) == {"rows": []}
         else:
             assert trace == "n,point,d_n,ratio,gamma,cauchy_bound_at_n\n"
+
+
+# -- trace writers ----------------------------------------------------------
+
+ROTATION = [[0.96, -0.12], [0.12, 0.96]]
+
+
+def plane_scenario():
+    # a 2-D rotation-contraction with a far translated copy: a 289-step orbit
+    return {
+        "space": {"kind": "power", "dim": 2, "p": 2.0},
+        "map": {
+            "kind": "branches",
+            "branches": [{"A": ROTATION, "b": [0.0, 0.0]}, {"A": ROTATION, "b": [6.0, -6.0]}],
+        },
+        "params": {"c": 0.5, "q": 0.3, "alpha": 0.97},
+        "x0": [1.0, 0.5],
+        "tol": 1e-10,
+        "max_iter": 2000,
+        "sample": {"kind": "points", "pts": [[0.0, 0.0], [1.0, 0.5], [-0.5, 0.8], [0.3, -0.9], [-1.0, -1.0]]},
+    }
+
+
+def reference_rows(space, trace):
+    """The trace rows by their definitions; None is an empty cell."""
+    if trace is None:
+        return []
+    steps = trace.steps
+    cert = cauchy_series(trace.gamma, space.s, first_step=steps[0]) if steps else None
+    rows = []
+    for n, pt in enumerate(trace.points):
+        rows.append({
+            "n": n,
+            "point": pt,
+            "d_n": steps[n] if n < len(steps) else None,
+            "ratio": steps[n] / steps[n - 1] if 0 < n < len(steps) and steps[n - 1] != 0.0 else None,
+            "gamma": trace.gamma,
+            "cauchy_bound_at_n": cauchy_bound(n, cert) if cert else None,
+        })
+    return rows
+
+
+def reference_csv(rows):
+    def cell(x):
+        if x is None:
+            return ""
+        if isinstance(x, tuple):
+            return ";".join(map(format_float, x))
+        return str(x) if isinstance(x, int) else format_float(x)
+
+    lines = ["n,point,d_n,ratio,gamma,cauchy_bound_at_n"]
+    lines += [",".join(cell(r[k]) for k in ("n", "point", "d_n", "ratio", "gamma", "cauchy_bound_at_n")) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def writer_trace(space, points, gamma, steps=None):
+    if steps is None:
+        steps = tuple(space.dist(a, b) for a, b in zip(points, points[1:]))
+    return OrbitTrace(tuple(points), tuple(steps), 0.5, gamma, "max_iter", None, 0.0)
+
+
+SPIRAL = [(0.9**k * math.cos(k), 0.9**k * math.sin(k), 0.5 * 0.8**k) for k in range(40)]
+WRITER_CASES = {
+    "1-D": (make_power_space(1, 2.0), lambda sp: writer_trace(sp, [(0.9**k,) for k in range(30)], 0.95)),
+    "2-D": (make_power_space(2, 1.0), lambda sp: writer_trace(sp, [p[:2] for p in SPIRAL], 0.9)),
+    "3-D": (make_power_space(3, 0.5), lambda sp: writer_trace(sp, SPIRAL, 0.99)),
+    "matrix-ids": (
+        make_matrix_space(3, [[0, 1, 4], [1, 0, 1], [4, 1, 0]], 2.0),
+        lambda sp: writer_trace(sp, [2, 1, 0, 0], 0.5),
+    ),
+    "zero-step": (
+        make_power_space(1, 1.0),
+        lambda sp: writer_trace(sp, [(2.0,), (1.0,), (1.0,), (0.5,)], 0.9, steps=(1.0, 0.0, 0.5)),
+    ),
+    "bound-underflows-to-0": (make_power_space(2, 2.0), lambda sp: writer_trace(sp, [p[:2] for p in SPIRAL], 1e-12)),
+    "single-point": (make_power_space(2, 2.0), lambda sp: writer_trace(sp, [(0.25, -0.5)], 0.9)),
+    "no-orbit": (make_power_space(1, 2.0), lambda sp: None),
+}
+
+
+class TestTraceWriters:
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_trace_json_is_the_canonical_dump_of_the_rows(self, case):
+        space, make = WRITER_CASES[case]
+        trace = make(space)
+        rows = reference_rows(space, trace)
+        if case == "bound-underflows-to-0":
+            assert rows[-1]["cauchy_bound_at_n"] == 0.0
+        assert _trace_json(space, trace) == dumps_canonical({"rows": rows}) + "\n"
+        assert _trace_csv(space, trace) == reference_csv(rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cell_is_invalid_input(self, fmt):
+        space = make_power_space(1, 1.0)
+        # gamma = 0 sums the Cauchy series to 0, so the first bound is inf*0
+        trace = writer_trace(space, [(1.0,), (math.inf,)], 0.0)
+        writer = _trace_json if fmt == "json" else _trace_csv
+        # the first non-finite number each writer meets: row 0's d_n in csv,
+        # its bound, the first of json's sorted keys, in json
+        want = "nan" if fmt == "json" else "inf"
+        with pytest.raises(ValueError, match=f"non-finite number in JSON output: {want}"):
+            writer(space, trace)
+
+
+# sha256 of trace.csv, trace.json and report.json without timing_ms: the
+# byte-stability contract of `run` on three scenarios
+RUN_PINS = {
+    "paper-example": (
+        "63793473f727f37391ea1d3357d543923e77dfcfc60e6bfd93f9783a1fc2bd6b",
+        "09b1750a592946bb6492583e730f81b644a64ecb4f43b18492225a821d5f312e",
+        "cd6ccde7a8d1b54bd24ffe395700d1dd6b62b9c97c67ee08db2176aad4bd45cf",
+    ),
+    "plane": (
+        "80347a008a4fd05009caa15a821f761d89bd140da214fe95781197d2016d7bd7",
+        "466d95d5f65c8932c8257a4ee289bed3cfe69a65865705eef0eae56a362be7aa",
+        "ad457aa294ccb7e88dcfcfdc11b03a7f9b19a91e3a6c1b6eea97dd9d5bba1c44",
+    ),
+    "random-finite-3": (
+        "41bbb703c86534f47162791c12e71adec9ce2df00da8a7a872a55a8650ec3a7d",
+        "08b9ff11917547ee2331b6ce05860982ac3872be33f642dc6c08264dd5165490",
+        "44daa96a6f0e7b9adb1506f413ed8dd94377077eb6192e6d75ce6067aea16e67",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_PINS))
+def test_run_outputs_are_pinned(tmp_path, name):
+    args = {
+        "paper-example": ["--scenario", "paper-example"],
+        "plane": ["--scenario", write_json(tmp_path / "plane.json", plane_scenario())],
+        "random-finite-3": ["--scenario", "random-finite", "--seed", "3"],
+    }[name]
+    got = []
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert main(["run", *args, "--out", str(out), "--format", fmt]) == 0
+        got.append(hashlib.sha256((out / f"trace.{fmt}").read_bytes()).hexdigest())
+        report = json.loads((out / "report.json").read_text())
+        del report["timing_ms"]
+        got.append(hashlib.sha256(dumps_canonical(report).encode()).hexdigest())
+    csv_trace, csv_report, json_trace, json_report = got
+    assert csv_report == json_report
+    assert (csv_trace, json_trace, csv_report) == RUN_PINS[name]
 
 
 class TestVerify:

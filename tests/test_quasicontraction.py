@@ -32,6 +32,13 @@ class TestMaps:
         img = image_of(QUAD, SHRINK, (2.0,))
         assert img.elements == ((1.8,),)
 
+    @pytest.mark.parametrize("x", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_branch_image_rejects_wrong_arity(self, x):
+        plane = make_power_space(2, 2.0)
+        tmap = make_branch_map(plane, [([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0])])
+        with pytest.raises(ValueError, match="length 2"):
+            image_of(plane, tmap, x)
+
     def test_branch_duplicates_collapse(self):
         tmap = make_branch_map(QUAD, [([[1.0]], [0.0]), ([[1.0]], [0.0])])
         assert len(image_of(QUAD, tmap, (3.0,)).elements) == 1
