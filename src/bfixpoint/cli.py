@@ -44,12 +44,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _certified(scenario_arg: str, seed: int | None) -> tuple[Scenario, ContractionCertificate, dict]:
+def _certified(scenario_arg: str, seed: int | None) -> tuple[Scenario, list, ContractionCertificate, dict]:
     """The set-up every command shares: resolve the scenario, certify it on
-    its sample, and check the hypotheses at its declared alpha."""
+    its sample points (returned too), and check the hypotheses at its
+    declared alpha."""
     sc = builtin(scenario_arg, seed) if scenario_arg in BUILTIN_NAMES else load(scenario_arg)
-    cert = certify(sc.space, sc.map, sample_points(sc), sc.params.c, sc.params.q)
-    return sc, cert, check_hypotheses(cert, sc.params.alpha)
+    pts = sample_points(sc)
+    cert = certify(sc.space, sc.map, pts, sc.params.c, sc.params.q)
+    return sc, pts, cert, check_hypotheses(cert, sc.params.alpha)
 
 
 def _cert_obj(sc: Scenario, cert: ContractionCertificate, hyp: dict, gamma: float | None = None) -> dict:
@@ -161,7 +163,7 @@ def cmd_run(
     for name in ("report.json", "trace.csv", "trace.json"):
         (out / name).unlink(missing_ok=True)
 
-    sc, cert, hyp = _certified(scenario_arg, seed)
+    sc, _pts, cert, hyp = _certified(scenario_arg, seed)
     # the overrides pass the scenario's own checks; the report keeps the
     # digest of the scenario as loaded
     run = replace(sc, tol=sc.tol if tol is None else tol, max_iter=sc.max_iter if max_iter is None else max_iter)
@@ -215,8 +217,7 @@ def cmd_run(
 
 
 def cmd_verify(scenario_arg: str, seed: int | None = None) -> int:
-    sc, cert, hyp = _certified(scenario_arg, seed)
-    pts = sample_points(sc)
+    sc, pts, cert, hyp = _certified(scenario_arg, seed)
     # zero is read up to 1e-12 of the largest distance over the sample's pairs
     tol = 1e-12 * float(pair_distances(sc.space, pts).max())
     axioms = verify_axioms(sc.space, pts, tol=tol)
@@ -225,7 +226,7 @@ def cmd_verify(scenario_arg: str, seed: int | None = None) -> int:
 
 
 def cmd_compare(scenario_arg: str, seed: int | None = None) -> int:
-    _sc, _cert, hyp = _certified(scenario_arg, seed)
+    *_, hyp = _certified(scenario_arg, seed)
     rows = []
     for name in ("thm33", "thm41"):
         v = hyp[name]

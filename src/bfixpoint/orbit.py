@@ -35,10 +35,6 @@ from .setops import PointSet, SetDistance, dist_point_set
 class RatioViolation(RuntimeError):
     """Raised when a selected step breaks the certified contraction bound."""
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-
 
 @dataclass(frozen=True)
 class OrbitTrace:
@@ -254,44 +250,38 @@ def chaining_bound(steps, s: float) -> float:
     return (s ** (k - 1).bit_length()) * math.fsum(steps)
 
 
-def _grow_expansion(partials: list, x: float) -> bool:
-    """Add x to the Shewchuk expansion `partials` (non-overlapping floats whose
-    exact sum is the running total). False if x is not finite or a sum
-    overflowed, after which the expansion no longer holds the total (a
-    non-finite sum stays non-finite through the rest of the pass, so
-    checking the final one is enough)."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-    return math.isfinite(x)
-
-
 def chaining_bounds(steps, s: float):
     """Yield chaining_bound(steps[:k], s) for k = 1, 2, ..., len(steps).
 
-    The prefix is kept as an exact Shewchuk expansion, so math.fsum of it is
-    the correctly rounded prefix sum, bit for bit what math.fsum(steps[:k])
-    gives, and the whole sequence costs O(len(steps)) instead of O(len**2).
-    Each step is validated when its prefix is reached, so the errors are
-    those chaining_bound raises for that prefix.
+    A finite step is m * 2**(e - 53), m a 53-bit integer and e its np.frexp
+    exponent. Shifted to the smallest e (0 if every e is larger), the m add
+    up as Python ints to every prefix sum exactly, and int true division
+    rounds that correctly: bit for bit what math.fsum(steps[:k]) gives, in
+    O(len(steps)) instead of O(len**2). From the first non-finite step on,
+    or once a prefix sum reaches 2**1023, the prefix goes to math.fsum
+    itself, so values and errors stay those of chaining_bound (near the top
+    of the float range fsum's partial sums can overflow, and it raises,
+    where the correctly rounded sum is still finite). Each step is
+    validated when its prefix is reached, so the errors are those
+    chaining_bound raises for that prefix.
     """
-    partials: list[float] = []
-    exact = True  # False once a step is non-finite or the sum overflows; then fsum(steps[:k])
-    for k, d in enumerate(steps, 1):
-        if k == 1 and not s >= 1.0:
-            raise ValueError(f"s must be >= 1, got {s}")
+    a = np.asarray(steps, dtype=float)
+    if a.size and not s >= 1.0:
+        raise ValueError(f"s must be >= 1, got {s}")
+    finite = np.isfinite(a)
+    mant, expo = np.frexp(np.where(finite, a, 0.0))  # no integer cast of a non-finite mantissa
+    low = int(expo.min(initial=0))
+    scale = 1 << (53 - low)  # acc / scale is the prefix sum
+    limit = scale << 1023
+    ints = (mant * 2.0**53).astype(np.int64).tolist()
+    acc = 0
+    exact = True  # False once a step is non-finite or the sum reaches 2**1023; then fsum(steps[:k])
+    for k, (d, m, e, ok) in enumerate(zip(steps, ints, (expo - low).tolist(), finite.tolist()), 1):
         if d < 0:
             raise ValueError("step distances must be non-negative")
-        exact = exact and _grow_expansion(partials, d)
-        total = math.fsum(partials) if exact else math.fsum(steps[:k])
+        acc += m << e
+        exact = exact and ok and acc < limit
+        total = acc / scale if exact else math.fsum(steps[:k])
         yield (s ** (k - 1).bit_length()) * total
 
 
@@ -338,82 +328,54 @@ def cauchy_bound(m: int, cert: CauchyCertificate) -> float:
     return b
 
 
+_BLOCK_ENTRIES = 1 << 14  # approximate values per row block of _row_maxima
+
+
 def _row_maxima(space: BMetricSpace, table: np.ndarray, coords, rows: np.ndarray) -> np.ndarray:
     """For each point index i in rows (ascending), the exact maximum of
     d(x_i, x_j) over j >= i, or NaN where the row has to be checked in
     full; table is space.point_table of the points and coords their
     coordinates, one array per dimension (None for a matrix space).
 
-    Screen, then confirm. The rows are taken in groups of up to 32, each
-    against the points from its first row on, in fixed tiles of
-    approximate values: squared euclidean distances for power spaces (d is
-    increasing in them) and the exact entries for matrix spaces. A row's
+    Screen, then confirm. The rows are taken in blocks of as many as fit
+    _BLOCK_ENTRIES values (at least one row), each block against the points
+    from its first row on, in approximate values: squared euclidean
+    distances for power spaces (d is increasing in them) and the exact
+    entries for matrix spaces; entries with j < i are -inf. A row's
     candidates are the entries within relative `rel` of its largest value,
-    and their exact distances come from one space.dists call on gathers of
-    the table per group. Squared distances and
-    d = math.dist(x, y)**p differ by a few ulps of relative error, and a
-    candidate window of 1e-9 (1e-9/p for p < 1, where d**p flattens
-    differences) exceeds what that error can reorder, so the true maximum
-    is always a candidate. That error bound holds for normal floats, so a
-    row is screened only if its largest value is a normal float and its
-    exact maximum is too (rounding to a subnormal result may reorder near
-    ties); values below the normal range elsewhere in the row are too small
-    to lead. Other rows (the last one, whose only
-    value is d(x_i, x_i) = 0, underflowing or overflowing distances,
-    non-finite coordinates) are left to the full check.
+    and their exact distances come from one space.dists call per block.
+    Squared distances and d = math.dist(x, y)**p differ by a few ulps of
+    relative error, and a candidate window of 1e-9 (1e-9/p for p < 1, where
+    d**p flattens differences) exceeds what that error can reorder, so the
+    true maximum is always a candidate. That error bound holds for normal
+    floats, so a row is screened only if its largest value is a normal
+    float and its exact maximum is too (rounding to a subnormal result may
+    reorder near ties); values below the normal range elsewhere in the row
+    are too small to lead. Other rows (the last one, whose only value is
+    d(x_i, x_i) = 0, underflowing or overflowing distances, non-finite
+    coordinates) are left to the full check.
     """
     n = len(table)
-    group, cols = 32, 256  # tile shape; the two float64 tiles take 128 KiB
     tiny, huge = float_info.min, float_info.max
-    if space.kind == "matrix":
-        rel = 0.0
-
-        def tile(ri, c0, c1):
-            return space.matrix[table[ri, None], table[c0:c1]]
-
-    else:
-        sq, tmp = np.empty((group, cols)), np.empty((group, cols))
-        rel = 1e-9 * max(1.0, 1.0 / space.p)
-
-        def tile(ri, c0, c1):
-            out = sq[: len(ri), : c1 - c0]
-            t = tmp[: len(ri), : c1 - c0]
-            for k, xs in enumerate(coords):
-                dst = t if k else out
-                np.subtract(xs[c0:c1], xs[ri, None], out=dst)
-                np.multiply(dst, dst, out=dst)
-                if k:
-                    np.add(out, t, out=out)
-            return out
-
-    def row_tile(ri, c0):
-        """Rows x_i, i in ri, against x_j, j from c0; -inf where j < i."""
-        c1 = min(c0 + cols, n)
-        v = tile(ri, c0, c1)
-        if c0 < ri[-1]:  # some row starts after this tile's first column
-            v[np.arange(c0, c1) < ri[:, None]] = -np.inf
-        return v
-
+    rel = 0.0 if space.kind == "matrix" else 1e-9 * max(1.0, 1.0 / space.p)
     maxima = np.full(len(rows), np.nan)
+    lo = 0
     with np.errstate(all="ignore"):
-        for g0 in range(0, len(rows), group):
-            ri = rows[g0 : g0 + group]
-            starts = range(ri[0], n, cols)
-            tops = [row_tile(ri, c0).max(axis=1) for c0 in starts]
-            top = np.max(tops, axis=0)
+        while lo < len(rows):
+            ri = rows[lo : lo + max(1, _BLOCK_ENTRIES // (n - rows[lo]))]
+            c0 = ri[0]
+            if space.kind == "matrix":
+                v = space.matrix[table[ri, None], table[c0:]]
+            else:
+                v = sum((xs[c0:] - xs[ri, None]) ** 2 for xs in coords)  # in coordinate order
+            v[np.arange(c0, n) < ri[:, None]] = -np.inf
+            top = v.max(axis=1)
             ok = (top >= tiny) & (top <= huge)
-            thr = top * (1.0 - rel)
-            hits = []
-            for c0, tile_top in zip(starts, tops):
-                need = ok & (tile_top >= thr)
-                if need.any():  # the tile holds a candidate: recompute it
-                    b, c = np.nonzero((row_tile(ri, c0) >= thr[:, None]) & need[:, None])
-                    hits.append((b, c + c0))
-            if hits:
-                b, c = (np.concatenate(ix) for ix in zip(*hits))
-                best = np.full(len(ri), -np.inf)
-                np.fmax.at(best, b, space.dists(table[ri[b]], table[c]))
-                maxima[g0 : g0 + len(ri)] = np.where(ok & (best >= tiny), best, np.nan)
+            b, c = np.nonzero((v >= (top * (1.0 - rel))[:, None]) & ok[:, None])
+            best = np.full(len(ri), -np.inf)
+            np.fmax.at(best, b, space.dists(table[ri[b]], table[c + c0]))
+            maxima[lo : lo + len(ri)] = np.where(ok & (best >= tiny), best, np.nan)
+            lo += len(ri)
     return maxima
 
 
@@ -484,16 +446,17 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
     bounding-box bound rules out, in O(L) numpy work, the rows whose every
     ratio stays below one that a real entry attains (see _ruled_out); they
     contribute that exact entry. A numpy screen picks the farthest-point
-    candidates of the other rows and space.dists confirms them (see
-    _row_maxima); rows the screen cannot vouch for, and rows whose bound has
-    underflowed to 0, are checked in full, so the largest ratio, the
-    violation count and any error raised are those of the full pairwise
-    scan. (The distances d(x_0, x_k) are taken before the chaining bounds,
-    which raise only for a negative step.) Chaining bounds come from a
-    running exact prefix sum (chaining_bounds). On an orbit of L points
-    this takes O(L) exact distance evaluations; the screen is quadratic
-    only in the rows that cannot be ruled out, and runs in numpy in
-    fixed-size buffers.
+    candidates of the other rows, a block of rows at a time, and
+    space.dists confirms them (see _row_maxima); rows the screen cannot
+    vouch for, and rows whose bound has underflowed to 0, are checked in
+    full, so the largest ratio, the violation count and any error raised
+    are those of the full pairwise scan. (The distances d(x_0, x_k) are
+    taken before the chaining bounds, which raise only for a negative
+    step.) Chaining bounds come from exact integer prefix sums
+    (chaining_bounds). On an orbit of L points this takes O(L) exact
+    distance evaluations; the screen is quadratic only in the rows that
+    cannot be ruled out, and holds at most _BLOCK_ENTRIES approximate
+    values (or one row) at a time.
     """
     pts = trace.points
     steps = trace.steps

@@ -38,9 +38,6 @@ class SplitMix64:
             raise ValueError("randrange needs n >= 1")
         return self.next_u64() % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def derive(self) -> "SplitMix64":
         """Child generator seeded from the next output (for rejection rounds)."""
         return SplitMix64(self.next_u64())

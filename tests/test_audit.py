@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import bfixpoint.orbit as orbit_mod
@@ -99,7 +99,7 @@ def trace_of(space, points, gamma):
 
 
 def screened_rows(space, trace):
-    """The Cauchy rows m that bound_audit hands to the tile screen."""
+    """The Cauchy rows m that bound_audit hands to the row screen."""
     rows = []
     real = orbit_mod._row_maxima
 
@@ -220,6 +220,23 @@ class TestBoundAuditMatchesPairwise:
         trace = trace_of(space, pts, 0.999)
         assert bound_audit(space, trace) == reference_audit(space, trace)
 
+    @pytest.mark.parametrize("kind", ["spiral", "matrix"])
+    def test_row_blocks_of_one_row_and_a_short_last_block(self, monkeypatch, kind):
+        # a budget of 64 entries makes every block one row wide until the
+        # rows are 32 points long, then wider blocks, the last one short
+        monkeypatch.setattr(orbit_mod, "_BLOCK_ENTRIES", 64)
+        if kind == "spiral":
+            space = make_power_space(2, 3.0)
+            pts = [(math.cos(0.05 * k) * 0.999**k, math.sin(0.05 * k) * 0.999**k) for k in range(290)]
+        else:
+            d = [[float(0 if i == j else 1 + (i * j + i + j) % 3) for j in range(7)] for i in range(7)]
+            space = make_matrix_space(7, d, 2.0)
+            pts = [(k * k + 3 * k) % 7 for k in range(150)]
+        trace = trace_of(space, pts, 0.999)
+        rows = screened_rows(space, trace)
+        assert rows[0] < len(pts) - 65 and len(rows) > 64
+        assert bound_audit(space, trace) == reference_audit(space, trace)
+
     def test_screen_keeps_near_ties(self):
         # numpy's a*a + b*b ranks (a, b) above (c, d), math.dist ranks it
         # below; the exact maximum must still be found
@@ -332,6 +349,15 @@ class TestChainingBounds:
         ),
         st.sampled_from([1.0, 1.5, 2.0, 4.0]),
     )
+    @example(steps=[1e308, 1e308], s=2.0)  # the sum is out of range; each step is >= 2**53
+    @example(steps=[5e-324] * 3, s=2.0)
+    @example(steps=[1e-300, 1e300, 1e-300], s=2.0)
+    @example(steps=[1.0, math.inf, 1.0], s=2.0)
+    @example(steps=[1.0, math.nan], s=2.0)
+    @example(steps=[0.0, 0.0], s=2.0)
+    @example(steps=[0.995**k for k in range(1200)], s=2.0)
+    # the correctly rounded sum is the largest float, but fsum's partial sums overflow and it raises
+    @example(steps=list(map(float.fromhex, ["0x1.90cd3970eae8bp+1022", "0x1.bfba4bffb0427p+974", "0x1.379963478a8acp+1023"])), s=2.0)
     def test_every_prefix_bit_for_bit(self, steps, s):
         steps = tuple(steps)
         bounds = chaining_bounds(steps, s)
@@ -488,7 +514,7 @@ class TestRunOrbitMatchesStepLoop:
 def test_audit_and_orbit_do_linear_work(monkeypatch):
     """A long orbit must cost O(L) exact distances in the audit and one
     image per step in the orbit loop; the quadratic scan would need
-    L**2 / 2 distances here. The tile screen, quadratic in the rows it
+    L**2 / 2 distances here. The row screen, quadratic in the rows it
     gets, must get only the rows the bounding boxes cannot rule out."""
     space = make_power_space(2, 2.0)
     rate, angle = 0.995, 0.1

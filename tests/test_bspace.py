@@ -71,6 +71,20 @@ class TestMakePowerSpace:
             make_power_space(0, 2.0)
 
 
+# one call per argument check: (call, message)
+BAD_ARGUMENTS = {
+    "n-points-of-power-space": (lambda: make_power_space(1, 2.0).n_points, "continuous space has no finite point list"),
+    "negative-tol": (lambda: verify_axioms(make_power_space(1, 2.0), grid1(0, 1), tol=-1.0), "tol must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_argument_rejected(case):
+    call, message = BAD_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestMakeMatrixSpace:
     def test_two_point_metric(self):
         sp = make_matrix_space(2, [[0.0, 1.0], [1.0, 0.0]], 1.0)

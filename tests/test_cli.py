@@ -118,6 +118,14 @@ def infinite_s_scenario():
     return squared_line_scenario(s=float("inf"))
 
 
+def plane_grid_scenario():
+    # a grid sample is one-dimensional, and this space is the plane
+    obj = non_finite_plane_scenario()
+    obj["map"]["branches"] = [{"A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.0, 0.0]}]
+    obj["sample"] = {"kind": "grid", "lo": -1.0, "hi": 1.0, "step": 0.1}
+    return obj
+
+
 def command_argv(command, path, tmp_path):
     argv = [command, "--scenario", path]
     if command == "run":
@@ -141,6 +149,7 @@ def command_argv(command, path, tmp_path):
         (out_of_domain_image_scenario, r"image given for point 7 outside the domain"),
         (aliased_image_key_scenario, r"map\.images keys '0' and '00' both name point 0"),
         (infinite_s_scenario, r"relaxation coefficient s must be finite and >= 1, got inf\n"),
+        (plane_grid_scenario, r"sample.kind 'grid' needs a 1-dimensional power space\n"),
     ],
     ids=[
         "non-finite-images",
@@ -151,6 +160,7 @@ def command_argv(command, path, tmp_path):
         "out-of-domain-image",
         "aliased-image-key",
         "infinite-s",
+        "grid-on-plane",
     ],
 )
 def test_uncertifiable_scenario_is_invalid_input(tmp_path, capsys, command, scenario, message):

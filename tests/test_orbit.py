@@ -32,6 +32,27 @@ def expanding_line():
     return space, tmap
 
 
+# one call per argument check: (call, message)
+BAD_ARGUMENTS = {
+    "gamma_of-q": (lambda: gamma_of(0.5, 1.5, 2.0), "q must be in"),
+    "gamma_of-s": (lambda: gamma_of(0.5, 0.5, 0.5), "s must be >= 1"),
+    "run_orbit-alpha": (lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 1.0, (1.0,)), "alpha must be in"),
+    "run_orbit-tol": (lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), tol=0.0), "tol must be positive"),
+    "run_orbit-max_iter": (lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), max_iter=0), "max_iter must be >= 1"),
+    "chaining_bound-s": (lambda: chaining_bound([1.0], 0.5), "s must be >= 1"),
+    "chaining_bound-negative-step": (lambda: chaining_bound([1.0, -1.0], 2.0), "non-negative"),
+    "cauchy_series-s": (lambda: cauchy_series(0.5, 0.5), "s must be >= 1"),
+    "cauchy_bound-m": (lambda: cauchy_bound(-1, cauchy_series(0.5, 2.0, first_step=1.0)), "m must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_argument_rejected(case):
+    call, message = BAD_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestGammaOf:
     def test_zero_q_returns_beta(self):
         assert gamma_of(0.9, 0.0, 2.0) == 0.9

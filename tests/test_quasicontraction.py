@@ -27,6 +27,23 @@ def line_space():
     return make_matrix_space(3, [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]], 1.0)
 
 
+# one call per argument check: (call, message)
+BAD_ARGUMENTS = {
+    "table-map-on-power-space": (lambda: make_table_map(QUAD, {0: [0]}), "table maps need a finite"),
+    "branch-map-on-matrix-space": (lambda: make_branch_map(line_space(), [([[0.5]], [0.0])]), "branch maps need a continuous"),
+    "fixed-points-of-power-space": (lambda: enumerate_fixed_points(QUAD, SHRINK), "needs a finite"),
+    "check-hypotheses-alpha": (lambda: check_hypotheses(certify(QUAD, SHRINK, GRID, 0.0, 0.0), 1.0), "alpha must be in"),
+    "randrange-empty": (lambda: SplitMix64(1).randrange(0), "randrange needs n >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_argument_rejected(case):
+    call, message = BAD_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestMaps:
     def test_branch_image(self):
         img = image_of(QUAD, SHRINK, (2.0,))
