@@ -42,10 +42,6 @@ class BMetricSpace:
             raise ValueError("continuous space has no finite point list")
         return self.matrix.shape[0]
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "matrix"
-
     def points(self) -> list[int]:
         return list(range(self.n_points))
 

@@ -12,18 +12,17 @@ filesystem paths.
 from __future__ import annotations
 
 import argparse
-import operator
 import re
 import sys
 import time
 from dataclasses import asdict, replace
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from .bspace import AxiomReport, pair_distances, verify_axioms
 from .jsonutil import dumps_canonical, format_float
-from .orbit import OrbitTrace, bound_audit, cauchy_bound, cauchy_series, run_orbit
-from .quasicontraction import ContractionCertificate, certify, check_hypotheses, verdicts
+from .orbit import OrbitTrace, bound_audit, cauchy_bounds, cauchy_series, run_orbit
+from .quasicontraction import ContractionCertificate, certify, check_hypotheses, side_conditions, verdicts
 from .scenarios import (
     BUILTIN_NAMES,
     Scenario,
@@ -103,10 +102,9 @@ def _formatted(xs) -> list:
 def _trace_cells(space, trace: OrbitTrace | None, empty: str) -> list:
     """The trace's cells, column by column in _TRACE_COLUMNS order: n; each
     point as the tuple of its coordinates' texts (an id's text for a matrix
-    space); the numbers as _formatted texts, `empty` for a missing cell.
-    The Cauchy bound is carried from row to row (bound(n+1) =
-    gamma*bound(n), which is how cauchy_bound accumulates it) and gamma is
-    formatted once. No trace gives no rows."""
+    space); the numbers as _formatted texts, `empty` for a missing cell,
+    the Cauchy bounds those of cauchy_bounds. gamma is formatted once. No
+    trace gives no rows."""
     if trace is None:
         return [()] * len(_TRACE_COLUMNS)
     pts, steps, gamma = trace.points, trace.steps, trace.gamma
@@ -118,8 +116,7 @@ def _trace_cells(space, trace: OrbitTrace | None, empty: str) -> list:
     ratio = [format(b / a, ".17g") if a else empty for a, b in zip(steps, steps[1:])]
     bound = [empty] * n
     if steps:
-        first = cauchy_bound(0, cauchy_series(gamma, space.s, first_step=steps[0]))
-        bound = _formatted(accumulate(repeat(gamma, n - 1), operator.mul, initial=first))
+        bound = _formatted(cauchy_bounds(cauchy_series(gamma, space.s, first_step=steps[0]), n))
     d_n = _formatted(steps) + [empty]
     return [range(n), points, d_n, [empty, *ratio, empty][:n], repeat(format(gamma, ".17g"), n), bound]
 
@@ -226,21 +223,13 @@ def cmd_verify(scenario_arg: str, seed: int | None = None) -> int:
 
 
 def cmd_compare(scenario_arg: str, seed: int | None = None) -> int:
-    *_, hyp = _certified(scenario_arg, seed)
+    sc, _pts, cert, hyp = _certified(scenario_arg, seed)
+    conditions = side_conditions(cert, sc.params.alpha)
     rows = []
     for name in ("thm33", "thm41"):
-        v = hyp[name]
-        rel = "<" if name == "thm33" else "<="
-        ok = v["applicable"]
-        rel_shown = rel if v["value"] <= v["threshold"] else ">"
-        rows.append(
-            (
-                name,
-                "YES" if ok else "NO",
-                v["condition"],
-                f"{format_float(v['value'])} {rel_shown} {format_float(v['threshold'])}",
-            )
-        )
+        cond = conditions[name]
+        values = f"{format_float(cond.value)} {cond.shown_relation} {format_float(cond.threshold)}"
+        rows.append((name, "YES" if hyp[name]["applicable"] else "NO", cond.condition, values))
     headers = ("theorem", "applicable", "condition", "values")
     widths = [max(len(headers[i]), max(len(r[i]) for r in rows)) for i in range(3)]
     print("  ".join(h.ljust(w) for h, w in zip(headers, widths)) + "  " + headers[3])

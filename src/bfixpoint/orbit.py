@@ -18,10 +18,9 @@ arbitrary finite stretches of any sequence.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from sys import float_info
 from typing import NamedTuple
 
@@ -238,32 +237,26 @@ def run_orbit(
 
 def chaining_bound(steps, s: float) -> float:
     """Dyadic upper bound on d(x_0, x_k) from the k step distances:
-    s**ceil(log2 k) * sum(steps), the tightest admissible exponent."""
+    s**ceil(log2 k) * sum(steps), the tightest admissible exponent; the
+    last value of chaining_bounds."""
     steps = list(steps)
-    k = len(steps)
-    if k == 0:
+    if not steps:
         raise ValueError("steps must be nonempty")
-    if not s >= 1.0:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if any(d < 0 for d in steps):
-        raise ValueError("step distances must be non-negative")
-    return (s ** (k - 1).bit_length()) * math.fsum(steps)
+    *_, last = chaining_bounds(steps, s)
+    return last
 
 
 def chaining_bounds(steps, s: float):
-    """Yield chaining_bound(steps[:k], s) for k = 1, 2, ..., len(steps).
+    """Yield s**ceil(log2 k) * sum(steps[:k]) for k = 1, 2, ..., len(steps),
+    the sum correctly rounded.
 
     A finite step is m * 2**(e - 53), m a 53-bit integer and e its np.frexp
     exponent. Shifted to the smallest e (0 if every e is larger), the m add
     up as Python ints to every prefix sum exactly, and int true division
-    rounds that correctly: bit for bit what math.fsum(steps[:k]) gives, in
-    O(len(steps)) instead of O(len**2). From the first non-finite step on,
-    or once a prefix sum reaches 2**1023, the prefix goes to math.fsum
-    itself, so values and errors stay those of chaining_bound (near the top
-    of the float range fsum's partial sums can overflow, and it raises,
-    where the correctly rounded sum is still finite). Each step is
-    validated when its prefix is reached, so the errors are those
-    chaining_bound raises for that prefix.
+    rounds that correctly, in O(len(steps)); a sum beyond the float range
+    raises its OverflowError. A prefix that holds a non-finite step sums to
+    inf, or to nan if a step is nan. Each step is validated when its prefix
+    is reached, so a negative step raises after the bounds before it.
     """
     a = np.asarray(steps, dtype=float)
     if a.size and not s >= 1.0:
@@ -272,17 +265,16 @@ def chaining_bounds(steps, s: float):
     mant, expo = np.frexp(np.where(finite, a, 0.0))  # no integer cast of a non-finite mantissa
     low = int(expo.min(initial=0))
     scale = 1 << (53 - low)  # acc / scale is the prefix sum
-    limit = scale << 1023
     ints = (mant * 2.0**53).astype(np.int64).tolist()
     acc = 0
-    exact = True  # False once a step is non-finite or the sum reaches 2**1023; then fsum(steps[:k])
+    special = 0.0  # the sum of the non-finite steps so far: 0, inf or nan
     for k, (d, m, e, ok) in enumerate(zip(steps, ints, (expo - low).tolist(), finite.tolist()), 1):
         if d < 0:
             raise ValueError("step distances must be non-negative")
         acc += m << e
-        exact = exact and ok and acc < limit
-        total = acc / scale if exact else math.fsum(steps[:k])
-        yield (s ** (k - 1).bit_length()) * total
+        if not ok:
+            special += d
+        yield (s ** (k - 1).bit_length()) * (acc / scale if special == 0.0 else special)
 
 
 def cauchy_series(gamma: float, s: float, first_step: float | None = None) -> CauchyCertificate:
@@ -309,23 +301,26 @@ def cauchy_series(gamma: float, s: float, first_step: float | None = None) -> Ca
     return CauchyCertificate(gamma, s, total, first_step, terms)
 
 
-def cauchy_bound(m: int, cert: CauchyCertificate) -> float:
-    """Tail bound gamma**m * first_step * series_sum / (1 - gamma) on
-    d(x_{m+1}, x_{m+k}) for every k; monotone non-increasing in m.
+def cauchy_bounds(cert: CauchyCertificate, n: int) -> list:
+    """The tail bounds gamma**m * first_step * series_sum / (1 - gamma) on
+    d(x_{m+1}, x_{m+k}) for m = 0 .. n-1.
 
-    The power is accumulated multiplicatively so consecutive bounds satisfy
+    The power is accumulated multiplicatively, so consecutive bounds satisfy
     bound(m+1) = gamma * bound(m) exactly (and underflow cleanly to 0).
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
     if cert.first_step is None:
         raise ValueError("certificate has no first_step; rebuild with cauchy_series(gamma, s, d01)")
-    b = cert.first_step * cert.series_sum / (1.0 - cert.gamma)
-    for _ in range(m):
-        if b == 0.0:
-            break
-        b *= cert.gamma
-    return b
+    first = cert.first_step * cert.series_sum / (1.0 - cert.gamma)
+    return list(islice(accumulate(repeat(cert.gamma), operator.mul, initial=first), n))
+
+
+def cauchy_bound(m: int, cert: CauchyCertificate) -> float:
+    """Tail bound at m, cauchy_bounds(cert, m + 1)[m] (O(m) time and
+    memory): it bounds d(x_{m+1}, x_{m+k}) for every k and is monotone
+    non-increasing in m."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    return cauchy_bounds(cert, m + 1)[m]
 
 
 _BLOCK_ENTRIES = 1 << 14  # approximate values per row block of _row_maxima
@@ -465,9 +460,7 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
     violations = 0
     if steps:
         cert = cauchy_series(trace.gamma, space.s, first_step=steps[0])
-        # row m's bound; bound(m+1) = gamma*bound(m), as cauchy_bound accumulates it
-        first = cauchy_bound(0, cert)
-        bounds = np.fromiter(accumulate(repeat(cert.gamma, n - 2), operator.mul, initial=first), float)
+        bounds = np.array(cauchy_bounds(cert, n - 1))  # row m's bound
         table = space.point_table(pts)
         coords = None if space.kind == "matrix" else np.array(pts, dtype=float).T.copy()
         tops = _ruled_out(space, table, coords, bounds)

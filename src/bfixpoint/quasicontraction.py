@@ -22,6 +22,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +71,7 @@ class ContractionCertificate:
 
 def make_table_map(space: BMetricSpace, images: dict) -> SetValuedMap:
     """Explicit finite map: every domain id must get a nonempty image set."""
-    if not space.is_finite:
+    if space.kind != "matrix":
         raise ValueError("table maps need a finite (matrix) space")
     n = space.n_points
     table = {}
@@ -86,7 +87,7 @@ def make_table_map(space: BMetricSpace, images: dict) -> SetValuedMap:
 
 def make_branch_map(space: BMetricSpace, branches) -> SetValuedMap:
     """Affine branch family: the image of x is the set of branch outputs A@x + b."""
-    if space.is_finite:
+    if space.kind == "matrix":
         raise ValueError("branch maps need a continuous (power) space")
     k = space.dim
     normd = []
@@ -173,14 +174,9 @@ def five_term_max(space: BMetricSpace, tmap: SetValuedMap, x: Point, y: Point) -
     )
 
 
-def all_pairs(points) -> list[tuple]:
-    """All unordered pairs of `points` in index order: the pairs certify walks (both ratios are symmetric)."""
-    return list(combinations(points, 2))
-
-
 def enumerate_fixed_points(space: BMetricSpace, tmap: SetValuedMap) -> list[int]:
     """Brute force over a finite domain: every u whose image contains u exactly."""
-    if not space.is_finite:
+    if space.kind != "matrix":
         raise ValueError("fixed-point enumeration needs a finite (matrix) space")
     out = []
     for u in range(space.n_points):
@@ -353,7 +349,7 @@ def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float)
             alpha41_min, worst41 = float(ratio41[j]), (points[xi[j]], points[yi[j]])
 
     # every pair is certified, so on a finite space the points are distinct ids
-    finite = space.is_finite
+    finite = space.kind == "matrix"
     continuity = "holds (finite space)" if finite else "assumed (not checkable from finite samples)"
     return ContractionCertificate(
         alpha_min=alpha_min, alpha41_min=alpha41_min, worst_pair=worst, worst_pair41=worst41,
@@ -369,19 +365,39 @@ def certifies(cert: ContractionCertificate, alpha: float) -> bool:
     return alpha >= cert.alpha_min * (1.0 - 1e-12)
 
 
-def _conditions(cert: ContractionCertificate, alpha: float, gamma: float | None) -> dict:
-    """Each theorem's side condition at alpha, as name -> (condition, value,
-    threshold, holds); lemma41 is None without a run's gamma. Every verdict
-    is read from here."""
+class SideCondition(NamedTuple):
+    """A theorem's side condition `value relation threshold`, written as
+    `condition`."""
+
+    condition: str
+    value: float
+    relation: str  # "<" or "<="
+    threshold: float
+
+    @property
+    def holds(self) -> bool:
+        return self.value < self.threshold if self.relation == "<" else self.value <= self.threshold
+
+    @property
+    def shown_relation(self) -> str:
+        """How value compares with threshold: the condition's own relation
+        when it holds, else ">", or ">=" at equality (a failed "<")."""
+        if self.holds:
+            return self.relation
+        return ">=" if self.value == self.threshold else ">"
+
+
+def side_conditions(cert: ContractionCertificate, alpha: float, gamma: float | None = None) -> dict:
+    """Each theorem's side condition at alpha, as name -> SideCondition;
+    lemma41 is None without a run's gamma. Every verdict is read from here."""
     s = cert.s
     aqs = alpha * cert.q * s
-    a33 = max(alpha * cert.c * s, aqs)
     t41 = 1.0 / (s + s * s)
     return {
-        "thm21_feasible": ("alpha*q*s < 1", aqs, 1.0, aqs < 1.0),
-        "thm33": ("max(alpha*c*s, alpha*q*s) < 1", a33, 1.0, a33 < 1.0),
-        "lemma41": None if gamma is None else ("s*gamma < 1", s * gamma, 1.0, s * gamma < 1.0),
-        "thm41": ("alpha41_min <= 1/(s + s^2)", cert.alpha41_min, t41, cert.alpha41_min <= t41),
+        "thm21_feasible": SideCondition("alpha*q*s < 1", aqs, "<", 1.0),
+        "thm33": SideCondition("max(alpha*c*s, alpha*q*s) < 1", max(alpha * cert.c * s, aqs), "<", 1.0),
+        "lemma41": None if gamma is None else SideCondition("s*gamma < 1", s * gamma, "<", 1.0),
+        "thm41": SideCondition("alpha41_min <= 1/(s + s^2)", cert.alpha41_min, "<=", t41),
     }
 
 
@@ -390,7 +406,7 @@ def verdicts(cert: ContractionCertificate, alpha: float, gamma: float | None = N
     thm33 (max(alpha*c*s, alpha*q*s) < 1), thm41 (alpha41_min <= 1/(s + s^2))
     and lemma41 (single-step decay s*gamma < 1, None unless a run's gamma is
     given). Any alpha is accepted, alpha_min >= 1 included."""
-    return {name: None if cond is None else cond[3] for name, cond in _conditions(cert, alpha, gamma).items()}
+    return {name: None if cond is None else cond.holds for name, cond in side_conditions(cert, alpha, gamma).items()}
 
 
 def check_hypotheses(cert: ContractionCertificate, alpha: float) -> dict:
@@ -407,15 +423,15 @@ def check_hypotheses(cert: ContractionCertificate, alpha: float) -> dict:
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0,1), got {alpha}")
     contraction_holds = certifies(cert, alpha)
-    conditions = _conditions(cert, alpha, None)
+    conditions = side_conditions(cert, alpha)
 
     def _verdict(name, needs_contraction=True, assumption=None):
-        condition, value, threshold, holds = conditions[name]
+        cond = conditions[name]
         out = {
-            "applicable": bool(holds and (contraction_holds or not needs_contraction)),
-            "condition": condition,
-            "value": value,
-            "threshold": threshold,
+            "applicable": bool(cond.holds and (contraction_holds or not needs_contraction)),
+            "condition": cond.condition,
+            "value": cond.value,
+            "threshold": cond.threshold,
         }
         if assumption is not None:
             out["assumption"] = assumption

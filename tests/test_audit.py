@@ -7,6 +7,7 @@ spell out the definitions directly, and a work guard keeps them linear.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,17 @@ SETTINGS = settings(
 )
 
 
+def reference_chaining(prefix, s):
+    """The chaining bound of a prefix from the exact sum of its steps: inf,
+    or nan if a step is nan, when a step is not finite; a finite sum past
+    the float range raises OverflowError in the conversion."""
+    if all(map(math.isfinite, prefix)):
+        total = float(sum(map(Fraction, prefix)))
+    else:
+        total = math.nan if any(map(math.isnan, prefix)) else math.inf
+    return s ** (len(prefix) - 1).bit_length() * total
+
+
 def reference_audit(space, trace):
     """The audit by its definition: every pair and every prefix, one at a time."""
     pts = trace.points
@@ -68,7 +80,7 @@ def reference_audit(space, trace):
         bound *= cert.gamma
     for k in range(1, len(pts)):
         actual = space.dist(pts[0], pts[k])
-        cb = chaining_bound(steps[:k], space.s)
+        cb = reference_chaining(steps[:k], space.s)
         audit["chaining_checks"] += 1
         if actual == 0.0:
             continue
@@ -336,6 +348,9 @@ class TestBoundAuditMatchesPairwise:
         assert bound_audit(space, trace) == reference_audit(space, trace)
 
 
+TOP_OF_RANGE = list(map(float.fromhex, ["0x1.90cd3970eae8bp+1022", "0x1.bfba4bffb0427p+974", "0x1.379963478a8acp+1023"]))
+
+
 class TestChainingBounds:
     @SETTINGS
     @given(
@@ -356,14 +371,18 @@ class TestChainingBounds:
     @example(steps=[1.0, math.nan], s=2.0)
     @example(steps=[0.0, 0.0], s=2.0)
     @example(steps=[0.995**k for k in range(1200)], s=2.0)
-    # the correctly rounded sum is the largest float, but fsum's partial sums overflow and it raises
-    @example(steps=list(map(float.fromhex, ["0x1.90cd3970eae8bp+1022", "0x1.bfba4bffb0427p+974", "0x1.379963478a8acp+1023"])), s=2.0)
+    # the correctly rounded sum is the largest float, 1.7976931348623157e+308 (math.fsum's
+    # partial sums overflow here); at s = 2 the bound is inf
+    @example(steps=TOP_OF_RANGE, s=2.0)
+    @example(steps=TOP_OF_RANGE, s=1.0)
+    # the finite steps after an inf overflow on their own (math.fsum raises here)
+    @example(steps=[math.inf, 1e308, 1e308], s=2.0)
     def test_every_prefix_bit_for_bit(self, steps, s):
         steps = tuple(steps)
         bounds = chaining_bounds(steps, s)
         for k in range(1, len(steps) + 1):
             got = outcome(next, bounds)
-            want = outcome(chaining_bound, steps[:k], s)
+            want = outcome(reference_chaining, steps[:k], s)
             assert got == want or (math.isnan(got) and math.isnan(want))
             if isinstance(want, tuple):
                 break  # the error ends both sequences

@@ -9,7 +9,7 @@ import pytest
 from bfixpoint.bspace import make_matrix_space, make_power_space
 from bfixpoint.cli import _trace_csv, _trace_json, main
 from bfixpoint.jsonutil import dumps_canonical, format_float
-from bfixpoint.orbit import OrbitTrace, cauchy_bound, cauchy_series
+from bfixpoint.orbit import OrbitTrace, cauchy_series
 from bfixpoint.scenarios import paper_example, scenario_to_obj
 
 
@@ -457,7 +457,10 @@ def reference_rows(space, trace):
     if trace is None:
         return []
     steps = trace.steps
-    cert = cauchy_series(trace.gamma, space.s, first_step=steps[0]) if steps else None
+    bound = None
+    if steps:
+        cert = cauchy_series(trace.gamma, space.s, first_step=steps[0])
+        bound = cert.first_step * cert.series_sum / (1.0 - cert.gamma)
     rows = []
     for n, pt in enumerate(trace.points):
         rows.append({
@@ -466,8 +469,10 @@ def reference_rows(space, trace):
             "d_n": steps[n] if n < len(steps) else None,
             "ratio": steps[n] / steps[n - 1] if 0 < n < len(steps) and steps[n - 1] != 0.0 else None,
             "gamma": trace.gamma,
-            "cauchy_bound_at_n": cauchy_bound(n, cert) if cert else None,
+            "cauchy_bound_at_n": bound,
         })
+        if bound is not None:
+            bound *= trace.gamma
     return rows
 
 
@@ -611,7 +616,15 @@ class TestCompare:
         path = write_json(tmp_path / "sc.json", squared_line_scenario(c=1.0, q=1.0, alpha=0.6))
         assert main(["compare", "--scenario", path]) == 0
         row33 = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("thm33"))
-        assert "NO" in row33
+        assert "NO" in row33 and row33.endswith("  1.2 > 1")
+
+    def test_side_condition_at_its_boundary_reports_no(self, tmp_path, capsys):
+        # alpha*c*s = 0.5*1*2 = 1 fails thm33's strict < while x -> 0.5x certifies at alpha 0.5
+        obj = dict(paper_scenario(alpha=0.5), params={"c": 1.0, "q": 0.0, "alpha": 0.5})
+        obj["map"] = {"kind": "branches", "branches": [{"A": [[0.5]], "b": [0.0]}]}
+        assert main(["compare", "--scenario", write_json(tmp_path / "sc.json", obj)]) == 0
+        row33 = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("thm33"))
+        assert "NO" in row33 and row33.endswith("  1 >= 1")
 
     def test_metric_constant_map_passes_both(self, tmp_path, capsys):
         obj = {
