@@ -7,6 +7,8 @@ version.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -31,6 +33,19 @@ class SplitMix64:
         """Uniform float in [lo, hi), built from the top 53 output bits."""
         u = self.next_u64() >> 11
         return lo + (hi - lo) * (u * (1.0 / (1 << 53)))
+
+    def peek_uniforms(self, k: int) -> np.ndarray:
+        """The next k values of uniform() as a float64 array, bit for bit,
+        without advancing. Draw i mixes state + (i+1)*GOLDEN; uint64 array
+        arithmetic wraps silently, as the mask does."""
+        z = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN + self._state
+        z = (z ^ (z >> 30)) * _MIX1
+        z = (z ^ (z >> 27)) * _MIX2
+        return ((z ^ (z >> 31)) >> 11).astype(np.float64) * (1.0 / (1 << 53))
+
+    def advance(self, k: int) -> None:
+        """Skip k draws: the state k next_u64() calls would leave."""
+        self._state = (self._state + k * _GOLDEN) & _MASK64
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n). Modulo bias is negligible for desk-scale n."""

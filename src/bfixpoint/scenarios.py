@@ -26,8 +26,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from itertools import repeat
 from math import cos, dist as _euclid, floor, pi, sin
 from sys import float_info
+
+import numpy as np
 
 from .bspace import BMetricSpace, _distance_table, make_matrix_space, make_power_space
 from .jsonutil import dumps_canonical
@@ -168,9 +171,11 @@ def random_finite(
     Planar points get p-power euclidean distances (s = 2**(p-1)); the map
     sends each point one hop along a contraction orbit toward a designated
     root (sometimes with a second image element), so the root is a fixed
-    point by construction. Candidates that certify badly are rejected and
-    rebuilt from a derived seed; generation is a pure function of the seed.
-    The accepted scenario's alpha is tightened to the certified minimum.
+    point by construction. Candidates whose chains cannot be placed or
+    trimmed, or that certify badly, are rejected and rebuilt from a derived
+    seed; after 1000 rejections RuntimeError is raised. Generation is a pure
+    function of the arguments. The accepted scenario's alpha is tightened to
+    the certified minimum.
     """
     if n_points < 3:
         raise ValueError(f"n_points must be >= 3, got {n_points}")
@@ -182,7 +187,10 @@ def random_finite(
     master = SplitMix64(seed)
     for _attempt in range(1000):
         rng = master.derive()
-        sc = _build_candidate(rng, seed, n_points, p, alpha_cap)
+        try:
+            sc = _build_candidate(rng, seed, n_points, p, alpha_cap)
+        except _PlacementError:
+            continue
         cert = certify_scenario(sc)
         if cert.alpha_min <= alpha_cap and cert.verdicts["thm33"]:
             # tighten the declared alpha to the certified minimum; the
@@ -193,6 +201,16 @@ def random_finite(
 
 _SEPARATION = 0.04  # cross-chain spacing; keeps positive distances far above tolerances
 _STOP_RADIUS = 0.06  # chain points inside this radius snap to the root
+_MAX_CHAINS = 2000  # chain starts a candidate may draw before it is rejected
+_BLOCK = 64  # chain starts drawn at once
+_RUN = 16  # chains rolled back in a row before the rest of a block is screened
+_SCREEN_STEPS = 6  # steps the screen follows a start; lam < 0.3 stops chains within 3
+_MARGIN = 1e-9  # relative margin on squared thresholds, far above their rounding
+
+
+class _PlacementError(RuntimeError):
+    """A candidate whose chains cannot be placed or trimmed; random_finite
+    rejects it like one that certifies badly."""
 
 
 def _build_candidate(rng: SplitMix64, seed: int, n_points: int, p: float, alpha_cap: float) -> Scenario:
@@ -211,41 +229,11 @@ def _build_candidate(rng: SplitMix64, seed: int, n_points: int, p: float, alpha_
     u = (rng.uniform(0.35, 0.65), rng.uniform(0.35, 0.65))
     ct, st = cos(theta), sin(theta)
 
-    def step(z):
+    def step(z):  # also steps a pair of coordinate arrays, element-wise
         dx, dy = z[0] - u[0], z[1] - u[1]
         return (u[0] + lam * (ct * dx - st * dy), u[1] + lam * (st * dx + ct * dy))
 
-    placed: list[tuple[float, float]] = [u]
-    succ: dict[tuple[float, float], tuple[float, float]] = {u: u}
-
-    guard = 0
-    while len(placed) < n_points:
-        guard += 1
-        if guard > 2000:
-            raise RuntimeError("could not place separated chains")
-        r0 = rng.uniform(0.18, 0.5)
-        ang = rng.uniform(0.0, 2.0 * pi)
-        z = (u[0] + r0 * cos(ang), u[1] + r0 * sin(ang))
-        chain: list[tuple[float, float]] = []
-        target = None
-        while True:
-            near = min(placed, key=lambda w: _euclid(z, w))
-            gap = _euclid(z, near)
-            if chain and gap <= graft_tol:
-                target = near
-                break
-            if gap < _SEPARATION:
-                break  # too close to graft, too far to ignore: roll back
-            chain.append(z)
-            if _euclid(z, u) <= _STOP_RADIUS:
-                target = u
-                break
-            z = step(z)
-        if target is not None and chain:
-            for a, b in zip(chain, chain[1:]):
-                succ[a] = b
-            succ[chain[-1]] = target
-            placed.extend(chain)
+    placed, succ = _place_chains(rng, n_points, u, step, graft_tol)
 
     # trim outermost unreferenced points until exactly n_points remain
     while len(placed) > n_points:
@@ -255,7 +243,7 @@ def _build_candidate(rng: SplitMix64, seed: int, n_points: int, p: float, alpha_
                 indeg[b] += 1
         free = [w for w in placed if indeg[w] == 0 and w != u]
         if not free:
-            raise RuntimeError("cannot trim without breaking the map closure")
+            raise _PlacementError("cannot trim without breaking the map closure")
         victim = max(free, key=lambda w: _euclid(w, u))
         placed.remove(victim)
         del succ[victim]
@@ -301,6 +289,95 @@ def _build_candidate(rng: SplitMix64, seed: int, n_points: int, p: float, alpha_
         seed=seed,
         sample=PointsSample(pts=tuple(range(n_points))),
     )
+
+
+def _place_chains(rng: SplitMix64, n_points: int, u, step, graft_tol: float):
+    """Grow chains toward the root u until at least n_points are placed;
+    returns (placed points, successor map). Each chain start takes two
+    draws, r0 and ang. They are read _BLOCK starts at a time, and the
+    generator is advanced past the starts used, so it ends where one
+    uniform() call per draw would leave it. After _RUN chains in a row roll
+    back, the leading starts of the block that _sure_rollbacks proves roll
+    back too are skipped without running the chain body."""
+    placed: list[tuple[float, float]] = [u]
+    succ: dict[tuple[float, float], tuple[float, float]] = {u: u}
+    drawn = run = 0
+    while len(placed) < n_points:
+        if drawn == _MAX_CHAINS:
+            raise _PlacementError("could not place separated chains")
+        units = rng.peek_uniforms(2 * min(_BLOCK, _MAX_CHAINS - drawn))
+        # uniform(0.18, 0.5) and uniform(0, 2*pi): uniform's own affine step
+        r0s = (0.18 + (0.5 - 0.18) * units[0::2]).tolist()
+        angs = ((2.0 * pi) * units[1::2]).tolist()
+        zx = [u[0] + r0 * cos(ang) for r0, ang in zip(r0s, angs)]
+        zy = [u[1] + r0 * sin(ang) for r0, ang in zip(r0s, angs)]
+        i = 0
+        while i < len(zx) and len(placed) < n_points:
+            if run >= _RUN:
+                i += _sure_rollbacks(zx[i:], zy[i:], placed, u, step, graft_tol)
+                if i == len(zx):
+                    break
+            chain, target = _follow((zx[i], zy[i]), placed, u, step, graft_tol)
+            i += 1
+            if target is None or not chain:
+                run += 1  # rolled back
+                continue
+            run = 0
+            for a, b in zip(chain, chain[1:]):
+                succ[a] = b
+            succ[chain[-1]] = target
+            placed.extend(chain)
+        rng.advance(2 * i)
+        drawn += i
+    return placed, succ
+
+
+def _follow(z, placed, u, step, graft_tol):
+    """One chain from start z: (its points, the point its last one maps to),
+    with target None when the chain rolls back. The nearest placed point is
+    the first one at the smallest math.dist."""
+    chain: list[tuple[float, float]] = []
+    while True:
+        ds = list(map(_euclid, repeat(z), placed))
+        gap = min(ds)
+        if chain and gap <= graft_tol:
+            return chain, placed[ds.index(gap)]
+        if gap < _SEPARATION:
+            return chain, None  # too close to graft, too far to ignore: roll back
+        chain.append(z)
+        if _euclid(z, u) <= _STOP_RADIUS:
+            return chain, u
+        z = step(z)
+
+
+def _sure_rollbacks(zx, zy, placed, u, step, graft_tol: float) -> int:
+    """How many leading starts (zx[i], zy[i]) surely roll back among the
+    placed points. The starts are followed for up to _SCREEN_STEPS steps,
+    as arrays through the same step, which gives the same bits. Each test
+    of _follow is decided on squared gaps only where they clear the squared
+    threshold by the relative _MARGIN; a square sum and math.dist squared
+    differ by a few ulps. Every coordinate is a sum onto u's scale, a
+    multiple of 2**-56, so a squared gap is 0 or a normal float and the
+    margin holds even where graft_tol**2 underflows. A start that is
+    accepted, or that the screen cannot decide, ends the count."""
+    pts = np.array(placed)
+    zx, zy = np.array(zx), np.array(zy)
+    lo, hi = 1.0 - _MARGIN, 1.0 + _MARGIN
+    sep, graft, stop = _SEPARATION**2, graft_tol**2, _STOP_RADIUS**2
+    rolled = np.zeros(len(zx), dtype=bool)
+    live = np.ones(len(zx), dtype=bool)
+    for k in range(_SCREEN_STEPS):
+        gap = ((zx[:, None] - pts[:, 0]) ** 2 + (zy[:, None] - pts[:, 1]) ** 2).min(axis=1)
+        dx, dy = zx - u[0], zy - u[1]
+        close = gap < sep * lo
+        if k:
+            close &= gap > graft * hi  # from the second point on, a chain grafts
+        rolled |= live & close
+        live &= (gap > sep * hi) & (dx**2 + dy**2 > stop * hi)
+        if not live.any():
+            break
+        zx, zy = step((zx, zy))
+    return int(np.logical_and.accumulate(rolled).sum())
 
 
 # --- JSON (de)serialization -------------------------------------------------
