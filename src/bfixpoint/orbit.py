@@ -99,9 +99,15 @@ def _select(
 ) -> Point:
     """select_next from the terms a caller already holds: d_prev = d(x_prev, x_cur),
     t_prev = T(x_prev), r_prev = d(x_prev, T(x_prev)), t_cur = T(x_cur) and
-    near = dist_point_set(x_cur, T(x_cur))."""
+    near = dist_point_set(x_cur, T(x_cur)).
+
+    A step with d < beta*d_prev passes without N's cross terms: N is a max
+    whose first term is d_prev, so N >= d_prev unless d_prev is NaN (which
+    fails the screen), and rounded multiplication by beta > 0 is monotone,
+    so d < beta*d_prev implies d < beta*N in floats too. (run_orbit's beta
+    is always positive; select_next takes any beta, so the screen checks.)"""
     d, idx = near
-    if d > 0.0:
+    if d > 0.0 and not (beta > 0.0 and d < beta * d_prev):
         bound = beta * _n_from_parts(space, c, q, x_prev, x_cur, d_prev, t_prev, t_cur, r_prev, d)
         if not d < bound:
             raise RatioViolation(
@@ -160,7 +166,10 @@ def run_orbit(
 
     Each point's image and residual are computed once and carried into the
     next step as T(x_prev) and d(x_prev, T(x_prev)), so a step costs one
-    image evaluation; d(x_prev, x_cur) is the previous step distance.
+    image evaluation and one point-set scan; d(x_prev, x_cur) is the
+    previous step distance. N's cross terms d(x_prev, T(x_cur)) and
+    d(x_cur, T(x_prev)) are computed only when d >= beta*d_prev, since
+    N >= d_prev settles every other step (see _select).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0,1), got {alpha}")

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import bfixpoint.orbit as orbit_mod
+import bfixpoint.quasicontraction as qc_mod
 from bfixpoint.bspace import BMetricSpace, make_matrix_space, make_power_space
 from bfixpoint.cli import bound_audit
 from bfixpoint.orbit import (
@@ -465,9 +466,8 @@ def table_problems(draw):
     return space, make_table_map(space, images), draw(st.integers(0, n - 1))
 
 
-def assert_same_orbit(problem, c, q, alpha, tol, max_iter, x1_choice, beta_frac=None):
+def assert_same_orbit(problem, c, q, alpha, tol, max_iter, x1_choice, beta_frac=None, beta=None):
     space, tmap, x0 = problem
-    beta = None
     if beta_frac is not None:
         # a beta near alpha with a large q*s puts gamma well above beta, so
         # the selection check d < beta*N, not the decay check, ends orbits
@@ -526,15 +526,47 @@ class TestRunOrbitMatchesStepLoop:
         assert trace.status == "ratio_violation"
         assert trace.violation_step == 1
 
+    @pytest.mark.parametrize("q, status", [(0.0, "ratio_violation"), (1.0, "converged")])
+    def test_step_at_exactly_beta_times_previous(self, q, status):
+        # d(1, T(1)) = 0.5 = beta*d(0, 1): the screen d < beta*d_prev fails
+        # and N decides, N = 1 with q = 0 and (3 + 0)/2 = 1.5 with q = 1
+        space = make_matrix_space(3, [[0.0, 1.0, 3.0], [1.0, 0.0, 0.5], [3.0, 0.5, 0.0]], 1.0)
+        tmap = make_table_map(space, {0: [1], 1: [2], 2: [2]})
+        trace = assert_same_orbit((space, tmap, 0), 0.0, q, 0.4, 1e-9, 100, None, beta=0.5)
+        assert trace.status == status
+        assert trace.violation_step == (1 if status == "ratio_violation" else None)
+
+    def test_every_step_takes_the_cross_terms(self, monkeypatch):
+        # d_n / d_{n-1} = 0.81 > beta = 0.8, so no step passes the screen
+        # and each of the 109 selection checks scans both cross terms
+        scans = [0]
+        real_dist_point_set = qc_mod.dist_point_set
+
+        def counted_dist_point_set(*args):
+            scans[0] += 1
+            return real_dist_point_set(*args)
+
+        monkeypatch.setattr(qc_mod, "dist_point_set", counted_dist_point_set)
+        space = make_power_space(1, 2.0)
+        tmap = make_branch_map(space, [([[0.9]], [0.0])])
+        got = run_orbit(space, tmap, 0.5, 0.6, 0.5, (1.0,), beta=0.8, tol=1e-12)
+        monkeypatch.undo()
+        want = reference_run_orbit(space, tmap, 0.5, 0.6, 0.5, (1.0,), beta=0.8, tol=1e-12)
+        assert got == want
+        assert got.status == "converged"
+        assert len(got.steps) == 110
+        assert scans[0] == 2 * (len(got.steps) - 1)
+
 
 # -- work guard -------------------------------------------------------------
 
 
 def test_audit_and_orbit_do_linear_work(monkeypatch):
     """A long orbit must cost O(L) exact distances in the audit and one
-    image per step in the orbit loop; the quadratic scan would need
-    L**2 / 2 distances here. The row screen, quadratic in the rows it
-    gets, must get only the rows the bounding boxes cannot rule out."""
+    image and one point-set scan per step in the orbit loop; the quadratic
+    scan would need L**2 / 2 distances here. The row screen, quadratic in
+    the rows it gets, must get only the rows the bounding boxes cannot
+    rule out."""
     space = make_power_space(2, 2.0)
     rate, angle = 0.995, 0.1
     a = [[rate * math.cos(angle), -rate * math.sin(angle)], [rate * math.sin(angle), rate * math.cos(angle)]]
@@ -547,12 +579,22 @@ def test_audit_and_orbit_do_linear_work(monkeypatch):
         images[0] += 1
         return real_image_of(*args)
 
+    scans = [0]
+    real_dist_point_set = orbit_mod.dist_point_set
+
+    def counted_dist_point_set(*args):
+        scans[0] += 1
+        return real_dist_point_set(*args)
+
     monkeypatch.setattr(orbit_mod, "image_of", counted_image_of)
+    monkeypatch.setattr(orbit_mod, "dist_point_set", counted_dist_point_set)
+    monkeypatch.setattr(qc_mod, "dist_point_set", counted_dist_point_set)
     trace = run_orbit(space, tmap, 0.5, 0.3, 0.995, (1.0, 0.0), tol=1e-10, max_iter=5000)
     monkeypatch.undo()
     assert trace.status == "converged"
     assert len(trace.steps) >= 1500
     assert images[0] <= len(trace.steps) + 2
+    assert scans[0] <= len(trace.steps) + 2  # the screen settles each selection check
 
     dists = [0]
     real_dist = BMetricSpace.dist

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from bfixpoint.bspace import make_matrix_space, make_power_space
+from bfixpoint.bspace import BMetricSpace, make_matrix_space, make_power_space
 from bfixpoint.orbit import (
     RatioViolation,
     cauchy_bound,
@@ -92,6 +93,15 @@ class TestSelectNext:
         with pytest.raises(RatioViolation):
             select_next(space, tmap, 0, 1, 0.9, 0.0, 0.0)
 
+    def test_nonpositive_beta_skips_the_screen(self):
+        # with a negative d_prev, beta*d_prev = 0.5 > d = 0.25, yet
+        # beta*N = -0.5 * max(-1, 0, 0, 0) = 0, so the step fails
+        matrix = np.array([[0.0, -1.0, 3.0], [-1.0, 0.0, 0.25], [3.0, 0.25, 0.0]])
+        space = BMetricSpace("matrix", 1.0, matrix=matrix)  # no axiom checks
+        tmap = make_table_map(space, {0: [1], 1: [2], 2: [2]})
+        with pytest.raises(RatioViolation):
+            select_next(space, tmap, 0, 1, -0.5, 0.0, 0.0)
+
 
 class TestRunOrbit:
     def test_builtin_example_converges(self):
@@ -151,6 +161,16 @@ class TestRunOrbit:
     def test_infeasible_alpha_q_s_rejected(self):
         with pytest.raises(ValueError, match="alpha\\*q\\*s"):
             run_orbit(QUAD, SHRINK, 0.0, 1.0, 0.9, (1.0,), tol=1e-9)
+
+    def test_passing_step_skips_overflowing_cross_terms(self):
+        # x1 = -r/2, and scanning d(x0, T(x1)) squares the gap to its far
+        # element, top + 0.15r > sqrt(max float), which overflows; the first
+        # step is below beta*d(x0, x1), so N's cross terms are not needed
+        r, top = 1e141, 1.3407807929942596e154
+        tmap = make_branch_map(QUAD, [([[0.5]], [0.0]), ([[0.5]], [top - 0.6 * r])])
+        trace = run_orbit(QUAD, tmap, 0.5, 0.5, 0.3, (-r,), tol=1e-9, max_iter=2000)
+        assert trace.status == "converged"
+        assert len(trace.steps) == 483
 
     def test_bad_beta_rejected(self):
         with pytest.raises(ValueError, match="beta"):
