@@ -104,10 +104,9 @@ def _select(
     A step with d < beta*d_prev passes without N's cross terms: N is a max
     whose first term is d_prev, so N >= d_prev unless d_prev is NaN (which
     fails the screen), and rounded multiplication by beta > 0 is monotone,
-    so d < beta*d_prev implies d < beta*N in floats too. (run_orbit's beta
-    is always positive; select_next takes any beta, so the screen checks.)"""
+    so d < beta*d_prev implies d < beta*N in floats too."""
     d, idx = near
-    if d > 0.0 and not (beta > 0.0 and d < beta * d_prev):
+    if d > 0.0 and not d < beta * d_prev:
         bound = beta * _n_from_parts(space, c, q, x_prev, x_cur, d_prev, t_prev, t_cur, r_prev, d)
         if not d < bound:
             raise RatioViolation(
@@ -129,9 +128,11 @@ def select_next(
 
     Enforces the selection inequality d(x_cur, next) < beta * N(x_prev, x_cur)
     unless the step is zero; a violation means the contraction hypothesis
-    fails at this pair and raises RatioViolation.
+    fails at this pair and raises RatioViolation. A beta outside
+    (0, beta_limit(q, s)) raises ValueError, as in gamma_of.
     """
     _check_coefficients(c, q)
+    gamma_of(beta, q, space.s)
     t_prev = image_of(space, tmap, x_prev)
     t_cur = image_of(space, tmap, x_cur)
     return _select(

@@ -203,7 +203,7 @@ _SEPARATION = 0.04  # cross-chain spacing; keeps positive distances far above to
 _STOP_RADIUS = 0.06  # chain points inside this radius snap to the root
 _MAX_CHAINS = 2000  # chain starts a candidate may draw before it is rejected
 _BLOCK = 64  # chain starts drawn at once
-_RUN = 16  # chains rolled back in a row before the rest of a block is screened
+_RUN = 16  # chains rolled back in a row before a placement starts screening
 _SCREEN_STEPS = 6  # steps the screen follows a start; lam < 0.3 stops chains within 3
 _MARGIN = 1e-9  # relative margin on squared thresholds, far above their rounding
 
@@ -296,9 +296,9 @@ def _place_chains(rng: SplitMix64, n_points: int, u, step, graft_tol: float):
     returns (placed points, successor map). Each chain start takes two
     draws, r0 and ang. They are read _BLOCK starts at a time, and the
     generator is advanced past the starts used, so it ends where one
-    uniform() call per draw would leave it. After _RUN chains in a row roll
-    back, the leading starts of the block that _sure_rollbacks proves roll
-    back too are skipped without running the chain body."""
+    uniform() call per draw would leave it. From the first run of _RUN
+    rollbacks on, each block gets a _Screen that takes every accepted chain,
+    and the starts it proves roll back skip the chain body."""
     placed: list[tuple[float, float]] = [u]
     succ: dict[tuple[float, float], tuple[float, float]] = {u: u}
     drawn = run = 0
@@ -311,22 +311,25 @@ def _place_chains(rng: SplitMix64, n_points: int, u, step, graft_tol: float):
         angs = ((2.0 * pi) * units[1::2]).tolist()
         zx = [u[0] + r0 * cos(ang) for r0, ang in zip(r0s, angs)]
         zy = [u[1] + r0 * sin(ang) for r0, ang in zip(r0s, angs)]
-        i = 0
+        i, screen = 0, None
         while i < len(zx) and len(placed) < n_points:
-            if run >= _RUN:
-                i += _sure_rollbacks(zx[i:], zy[i:], placed, u, step, graft_tol)
-                if i == len(zx):
-                    break
+            if screen is None and run >= _RUN:
+                screen = _Screen(zx, zy, placed, u, step, graft_tol)
+            if screen is not None and (i := screen.next_open(i)) == len(zx):
+                break
             chain, target = _follow((zx[i], zy[i]), placed, u, step, graft_tol)
             i += 1
-            if target is None or not chain:
+            if target is None:
                 run += 1  # rolled back
                 continue
-            run = 0
             for a, b in zip(chain, chain[1:]):
                 succ[a] = b
             succ[chain[-1]] = target
             placed.extend(chain)
+            if screen is None:
+                run = 0
+            else:
+                screen.add(chain)
         rng.advance(2 * i)
         drawn += i
     return placed, succ
@@ -350,34 +353,54 @@ def _follow(z, placed, u, step, graft_tol):
         z = step(z)
 
 
-def _sure_rollbacks(zx, zy, placed, u, step, graft_tol: float) -> int:
-    """How many leading starts (zx[i], zy[i]) surely roll back among the
-    placed points. The starts are followed for up to _SCREEN_STEPS steps,
-    as arrays through the same step, which gives the same bits. Each test
-    of _follow is decided on squared gaps only where they clear the squared
-    threshold by the relative _MARGIN; a square sum and math.dist squared
-    differ by a few ulps. Every coordinate is a sum onto u's scale, a
-    multiple of 2**-56, so a squared gap is 0 or a normal float and the
-    margin holds even where graft_tol**2 underflows. A start that is
-    accepted, or that the screen cannot decide, ends the count."""
-    pts = np.array(placed)
-    zx, zy = np.array(zx), np.array(zy)
-    lo, hi = 1.0 - _MARGIN, 1.0 + _MARGIN
-    sep, graft, stop = _SEPARATION**2, graft_tol**2, _STOP_RADIUS**2
-    rolled = np.zeros(len(zx), dtype=bool)
-    live = np.ones(len(zx), dtype=bool)
-    for k in range(_SCREEN_STEPS):
-        gap = ((zx[:, None] - pts[:, 0]) ** 2 + (zy[:, None] - pts[:, 1]) ** 2).min(axis=1)
-        dx, dy = zx - u[0], zy - u[1]
-        close = gap < sep * lo
-        if k:
-            close &= gap > graft * hi  # from the second point on, a chain grafts
-        rolled |= live & close
-        live &= (gap > sep * hi) & (dx**2 + dy**2 > stop * hi)
-        if not live.any():
-            break
-        zx, zy = step((zx, zy))
-    return int(np.logical_and.accumulate(rolled).sum())
+class _Screen:
+    """Which starts (zx[b], zy[b]) of a block surely roll back among the
+    placed points, followed for up to _SCREEN_STEPS steps as arrays through
+    the same step (the same bits) until none can be live. gaps[k, b] is the
+    smallest squared gap from start b's k-th point to a placed point; add()
+    lowers it by a min, which does not depend on order, so the marks equal a
+    fresh screen's. A test of _follow is decided only where a squared gap
+    clears its squared threshold by the relative _MARGIN (a square sum and
+    math.dist squared differ by a few ulps). Every coordinate is a sum onto
+    u's scale, a multiple of 2**-56, so a squared gap is 0 or a normal float
+    and the margin holds even where graft_tol**2 underflows."""
+
+    def __init__(self, zx, zy, placed, u, step, graft_tol: float):
+        lo, hi = 1.0 - _MARGIN, 1.0 + _MARGIN
+        self.sep_lo, self.sep_hi, self.graft_hi = _SEPARATION**2 * lo, _SEPARATION**2 * hi, graft_tol**2 * hi
+        pts, xs, ys = np.array(placed), np.array(zx), np.array(zy)
+        rows, live = [], np.ones(len(zx), dtype=bool)
+        while True:
+            gap, far = _gaps(xs, ys, pts), (xs - u[0]) ** 2 + (ys - u[1]) ** 2 > _STOP_RADIUS**2 * hi
+            rows.append((xs, ys, gap, far))
+            live &= (gap > self.sep_hi) & far
+            if len(rows) == _SCREEN_STEPS or not live.any():
+                break
+            xs, ys = step((xs, ys))
+        self.xs, self.ys, self.gaps, self.far = map(np.array, zip(*rows))
+        self._mark()
+
+    def _mark(self):
+        # goes[k, b]: b surely goes on past point k; from point 1 on, close may be a graft
+        goes = np.logical_and.accumulate((self.gaps > self.sep_hi) & self.far, axis=0)
+        close = self.gaps < self.sep_lo
+        close[1:] &= (self.gaps[1:] > self.graft_hi) & goes[:-1]
+        self.skip = close.any(axis=0)
+
+    def add(self, chain):
+        """Lower the gaps with an accepted chain's points and mark again."""
+        np.minimum(self.gaps, _gaps(self.xs, self.ys, np.array(chain)), out=self.gaps)
+        self._mark()
+
+    def next_open(self, i: int) -> int:
+        """The first start from i on that is not a sure rollback (the block's length if none)."""
+        rest = np.flatnonzero(~self.skip[i:])
+        return i + int(rest[0]) if rest.size else len(self.skip)
+
+
+def _gaps(xs, ys, pts):
+    """The smallest squared gap from each point (xs, ys) to the points pts."""
+    return ((xs[..., None] - pts[:, 0]) ** 2 + (ys[..., None] - pts[:, 1]) ** 2).min(axis=-1)
 
 
 # --- JSON (de)serialization -------------------------------------------------

@@ -126,16 +126,22 @@ def block_place(rng, n, u, lam, theta, graft_tol):
 
 # seeds per size: failing candidates draw all 2000 chains, and the
 # reference scans every placed point for each, so large n is sampled thinner
-SEEDS = {8: 48, 12: 32, 16: 12, 20: 6, 24: 4, 30: 3, 40: 2}
+SEEDS = {8: 48, 12: 32, 16: 12, 20: 6, 24: 5, 30: 4, 40: 3}
 
 
 @pytest.mark.parametrize("n", sorted(SEEDS))
-def test_placement_equals_the_scalar_loop(n):
+def test_placement_equals_the_scalar_loop(n, monkeypatch):
     for seed in range(SEEDS[n]):
         for p in (1.0, 1.5, 2.0, 3.0):
             for alpha_cap in (0.45, 0.6):
                 want = placement(reference_place, seed, n, p, alpha_cap)
                 assert placement(block_place, seed, n, p, alpha_cap) == want, (seed, p, alpha_cap)
+    # blocks of 1 and 7 starts put block edges inside screened runs; a
+    # block of 1 builds a screen per start, so one placement per size
+    want = placement(reference_place, 0, n, 2.0, 0.6)
+    for block in (1, 7):
+        monkeypatch.setattr(scenarios, "_BLOCK", block)
+        assert placement(block_place, 0, n, 2.0, 0.6) == want, block
 
 
 def test_most_chains_of_a_failing_candidate_skip_the_chain_body(monkeypatch):
@@ -149,12 +155,12 @@ def test_most_chains_of_a_failing_candidate_skip_the_chain_body(monkeypatch):
     monkeypatch.setattr(scenarios, "_follow", spy)
     assert placement(block_place, 0, 40, 2.0, 0.6) == want
     assert want[0] == "could not place separated chains"
-    assert 0 < len(calls) < scenarios._MAX_CHAINS // 4
+    assert 0 < len(calls) <= 60  # 29 of them accepted chains
 
 
 def _screen(starts, placed, u=(0.2, 0.2), lam=0.1, theta=0.0, graft_tol=0.01):
     zx, zy = [z[0] for z in starts], [z[1] for z in starts]
-    return scenarios._sure_rollbacks(zx, zy, placed, u, contraction(u, lam, theta), graft_tol)
+    return scenarios._Screen(zx, zy, placed, u, contraction(u, lam, theta), graft_tol)
 
 
 def _rounds_below_separation():
@@ -174,8 +180,9 @@ def test_screen_never_skips_a_start_within_its_margin():
     z, w = _rounds_below_separation()
     far = (0.95, 0.05)  # a sure rollback: 1e-3 from a placed point
     placed = [(0.2, 0.2), w, (far[0] + 1e-3, far[1])]
-    assert _screen([far, far, z, far], placed) == 2
-    assert _screen([z, far], placed) == 0
+    screen = _screen([far, far, z, far], placed)
+    assert screen.skip.tolist() == [True, True, False, True] and screen.next_open(0) == 2
+    assert _screen([z, far], placed).next_open(0) == 0
 
 
 def test_screen_never_skips_a_graft_after_the_first_step():
@@ -185,9 +192,51 @@ def test_screen_never_skips_a_graft_after_the_first_step():
     far = (0.95, 0.05)
     placed = [u, graft, (far[0] + 1e-3, far[1])]
     assert _euclid(z0, graft) > _SEPARATION and _euclid(graft, u) > _STOP_RADIUS
-    assert _screen([far, z0], placed, u, lam, 0.0, graft_tol) == 1
+    assert _screen([far, z0], placed, u, lam, 0.0, graft_tol).skip.tolist() == [True, False]
     chain, target = scenarios._follow(z0, placed, u, contraction(u, lam, 0.0), graft_tol)
     assert target == graft and chain == [z0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    alpha_cap=st.sampled_from([0.45, 0.6]),
+    lead=st.integers(0, 128),
+)
+def test_screen_kept_current_equals_a_screen_built_fresh(seed, p, alpha_cap, lead):
+    # `lead` starts crowd the placement first; the screen then takes a block
+    # of 64 starts and each chain accepted from it, one at a time
+    rng, u, lam, theta, graft_tol = first_candidate(seed, p, alpha_cap)
+    step = contraction(u, lam, theta)
+    starts = []
+    for _ in range(lead + 64):
+        r0, ang = rng.uniform(0.18, 0.5), rng.uniform(0.0, 2.0 * pi)
+        starts.append((u[0] + r0 * cos(ang), u[1] + r0 * sin(ang)))
+    placed = [u]
+
+    def accept(z):
+        chain, target = scenarios._follow(z, placed, u, step, graft_tol)
+        return chain if target is not None else []
+
+    def check(screen):
+        fresh = scenarios._Screen(zx, zy, placed, u, step, graft_tol)
+        assert screen.skip.tolist() == fresh.skip.tolist()
+        for w, skip in zip(block, screen.skip):
+            assert not skip or scenarios._follow(w, placed, u, step, graft_tol)[1] is None
+
+    for z in starts[:lead]:
+        placed.extend(accept(z))
+    block = starts[lead:]
+    zx, zy = [z[0] for z in block], [z[1] for z in block]
+    screen = scenarios._Screen(zx, zy, placed, u, step, graft_tol)
+    check(screen)
+    for z in block:
+        chain = accept(z)
+        if chain:
+            placed.extend(chain)
+            screen.add(chain)
+            check(screen)
 
 
 # --- rejection rounds -------------------------------------------------------

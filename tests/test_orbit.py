@@ -6,6 +6,7 @@ import pytest
 from bfixpoint.bspace import BMetricSpace, make_matrix_space, make_power_space
 from bfixpoint.orbit import (
     RatioViolation,
+    beta_limit,
     cauchy_bound,
     cauchy_series,
     chaining_bound,
@@ -93,14 +94,15 @@ class TestSelectNext:
         with pytest.raises(RatioViolation):
             select_next(space, tmap, 0, 1, 0.9, 0.0, 0.0)
 
-    def test_nonpositive_beta_skips_the_screen(self):
-        # with a negative d_prev, beta*d_prev = 0.5 > d = 0.25, yet
-        # beta*N = -0.5 * max(-1, 0, 0, 0) = 0, so the step fails
+    def test_beta_outside_its_interval_raises_value_error(self):
+        # at beta = -0.5 the step would pass beta*d_prev = 0.5 > d = 0.25 and
+        # fail beta*N = 0, a RatioViolation; the beta check comes first
         matrix = np.array([[0.0, -1.0, 3.0], [-1.0, 0.0, 0.25], [3.0, 0.25, 0.0]])
         space = BMetricSpace("matrix", 1.0, matrix=matrix)  # no axiom checks
         tmap = make_table_map(space, {0: [1], 1: [2], 2: [2]})
-        with pytest.raises(RatioViolation):
-            select_next(space, tmap, 0, 1, -0.5, 0.0, 0.0)
+        for beta in (-0.5, 0.0, math.nan, beta_limit(0.0, 1.0)):
+            with pytest.raises(ValueError, match="^beta must lie in"):
+                select_next(space, tmap, 0, 1, beta, 0.0, 0.0)
 
 
 class TestRunOrbit:
