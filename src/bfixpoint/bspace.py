@@ -180,13 +180,6 @@ def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     return dmat
 
 
-def pair_distances(space: BMetricSpace, points: list) -> np.ndarray:
-    """d(x, y) for every pair of the points, in itertools.combinations order."""
-    table = space.point_table(points)
-    i, j = np.triu_indices(len(table), 1)
-    return space.dists(table[i], table[j])
-
-
 # The via-point reduction sums d(x,z) + d(z,y) for a block of rows x at a
 # time: as many rows as fit in this many sums, and at least one row, so the
 # buffer does not grow as n**3.
@@ -232,6 +225,9 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
     symmetry:         |d(x,y) - d(y,x)| <= tol;
     relaxed-triangle: d(x,y) <= s*(d(x,z) + d(z,y)) + tol.
 
+    tol is relative: each check reads it as tol times the largest sample
+    distance (tol = 0 is exact).
+
     Violations are data, not errors; each carries its witnesses and both
     sides of the failed inequality, ordered by smallest index tuple first.
     A sample distance that is not finite (finite coordinates can overflow)
@@ -246,6 +242,7 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
 
     violations: list[AxiomViolation] = []
     dmat = _distance_table(space, sample)
+    tol = tol * float(dmat.max())
 
     # identity and symmetry for every ordered pair (i, j), in index order
     # and identity first

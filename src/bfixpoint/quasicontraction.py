@@ -229,31 +229,22 @@ def _pair_indices(n: int, lo: int, hi: int) -> tuple:
     return i, k - ends[i] + n
 
 
-def _block_ratios(space, table, rows, real, dxt, xi, yi, c, q) -> tuple:
+def _block_ratios(space, table, rows, dxt, xi, yi, c, q) -> tuple:
     """Both ratio arrays for the pairs (x, y) = (points[xi[b]], points[yi[b]]),
     or None when a pair needs _pair_ratios (not distinct, a non-finite term).
 
     table holds each sample point u followed by its image T(u) (a
     BMetricSpace.point_table), and dxt[u] = d(u, T(u)). Row u of rows holds
     the table indices of u and T(u), padded to the widest image by
-    repeating the last element; real[u] marks the entries that are not such
-    repeats (None when no row has one). One space.dists call on gathers of
-    the table evaluates each pair's distances from x, T(x) to y, T(y) once;
-    padded entries are then copied from the elements they repeat, which
-    changes no min or max. Row 0 holds d(x,y) and d(x,T(y)), column 0
-    d(y,T(x)), the rest the distances of h. fmin/fmax skip NaN as the
-    `<`/`>` loops do, from the same inf / 0."""
+    repeating the last element. One space.dists call on gathers of the
+    table evaluates each pair's distances from x, T(x) to y, T(y); a padded
+    entry repeats a distance, which changes no min or max. Row 0 holds d(x,y) and d(x,T(y)), column 0 d(y,T(x)),
+    the rest the distances of h. fmin/fmax skip NaN as the `<`/`>` loops
+    do, from the same inf / 0."""
     shape = (len(xi), rows.shape[1], rows.shape[1])
     xs = np.broadcast_to(table[rows[xi]][:, :, None], shape)
     ys = np.broadcast_to(table[rows[yi]][:, None, :], shape)
-    if real is None:
-        m = space.dists(xs.ravel(), ys.ravel()).reshape(shape)
-    else:
-        keep = real[xi][:, :, None] & real[yi][:, None, :]
-        m = np.empty(shape)
-        m[keep] = space.dists(xs[keep], ys[keep])
-        slot = rows - rows[:, :1]  # the element each padded entry repeats
-        m = m[np.arange(len(xi))[:, None, None], slot[xi][:, :, None], slot[yi][:, None, :]]
+    m = space.dists(xs.ravel(), ys.ravel()).reshape(shape)
 
     # each min and max runs over image elements, a short axis, so it is
     # folded one element at a time: numpy's reduce along a short axis costs
@@ -295,15 +286,13 @@ def _ratio_blocks(space, tmap, c, q, points):
         return
     width = np.array([1 + len(t.elements) for t in images])
     w = int(width.max())
-    slot = np.arange(w)
-    rows = (np.cumsum(width) - width)[:, None] + np.minimum(slot, width[:, None] - 1)
-    real = None if (width == w).all() else slot < width[:, None]
+    rows = (np.cumsum(width) - width)[:, None] + np.minimum(np.arange(w), width[:, None] - 1)
     step = max(1, _BLOCK_DISTANCES // w**2)
     for lo in range(0, total, step):
         xi, yi = _pair_indices(n, lo, min(lo + step, total))
         try:
             with np.errstate(all="ignore"):
-                got = _block_ratios(space, table, rows, real, dxt, xi, yi, c, q)
+                got = _block_ratios(space, table, rows, dxt, xi, yi, c, q)
         except _PAIR_ERRORS:
             got = None
         if got is None:
@@ -328,10 +317,11 @@ def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float)
     is labeled empirical. Theorem verdicts come from `verdicts`.
 
     Cost: one image_of and one d(x, T(x)) per sample point, then
-    (1 + |T(x)|) * (1 + |T(y)|) space.dists entries per pair, walked by
-    index and reduced in numpy block by block. The result equals the
-    pair-by-pair loop over hausdorff, n_functional and five_term_max, worst
-    pairs (the first to attain each maximum) and errors included.
+    (1 + w)**2 space.dists entries per pair, w the widest image (narrower
+    ones are padded), walked by index and reduced in numpy block by block.
+    The result equals the pair-by-pair loop over hausdorff, n_functional
+    and five_term_max, worst pairs (the first to attain each maximum) and
+    errors included.
     """
     points = list(points)
     n = len(points)

@@ -18,10 +18,11 @@ from bfixpoint.bspace import (
     verify_axioms,
 )
 from bfixpoint.orbit import bound_audit, run_orbit
+from bfixpoint import cli
 from bfixpoint import quasicontraction as qc
-from bfixpoint.quasicontraction import certify, image_of, make_branch_map
+from bfixpoint.quasicontraction import QuasiParams, certify, image_of, make_branch_map
 from bfixpoint.rng import SplitMix64
-from bfixpoint.scenarios import builtin, sample_points
+from bfixpoint.scenarios import PointsSample, Scenario, builtin, load, sample_points, save
 
 SQUARED_LINE = [[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]]
 
@@ -32,10 +33,6 @@ def grid1(*xs):
 
 def random_sample(rng, dim, n, scale=10.0):
     return [tuple(rng.uniform(-scale, scale) for _ in range(dim)) for _ in range(n)]
-
-
-def max_distance(space, sample):
-    return max(space.dist(a, b) for a in sample for b in sample)
 
 
 class TestMakePowerSpace:
@@ -55,7 +52,7 @@ class TestMakePowerSpace:
         assert sp.s == 4.0
         rng = SplitMix64(11)
         sample = random_sample(rng, 2, 200, scale=5.0)
-        report = verify_axioms(sp, sample, tol=1e-12 * max_distance(sp, sample))
+        report = verify_axioms(sp, sample, tol=1e-12)
         assert report.passed
 
     def test_subunit_exponent_is_metric(self):
@@ -153,11 +150,12 @@ class TestVerifyAxioms:
 
     def test_identity_violation_on_indistinct_points(self):
         sp = make_power_space(1, 2.0)
-        # distance (1e-7)^2 = 1e-14 reads as zero at tol 1e-9, but the
-        # points are not coordinate-equal
-        report = verify_axioms(sp, [(0.0,), (1e-7,)], tol=1e-9)
+        # distance (1e-7)^2 = 1e-14 reads as zero at tol 1e-9 of the largest
+        # distance d(0, 1) = 1, but the points are not coordinate-equal
+        sample = grid1(0.0, 1e-7, 1.0)
+        report = verify_axioms(sp, sample, tol=1e-9)
         assert any(v.axiom == "identity" for v in report.violations)
-        assert verify_axioms(sp, [(0.0,), (1e-7,)], tol=0.0).passed
+        assert verify_axioms(sp, sample, tol=0.0).passed
 
     def test_order_insensitive(self):
         sp = make_matrix_space(3, SQUARED_LINE, 1.9)
@@ -175,15 +173,17 @@ class TestVerifyAxioms:
         sp = make_power_space(dim, p)
         rng = SplitMix64(1000 + int(10 * p) + dim)
         sample = random_sample(rng, dim, 25)
-        report = verify_axioms(sp, sample, tol=1e-12 * max_distance(sp, sample))
+        report = verify_axioms(sp, sample, tol=1e-12)
         assert report.passed
 
 
 def reference_axioms(space, sample, tol):
     """verify_axioms by its definition: every ordered pair, then every
-    ordered triple, one at a time."""
+    ordered triple, one at a time, with tol relative to the largest
+    distance."""
     n = len(sample)
     d = [[space.dist(x, y) for y in sample] for x in sample]
+    tol = tol * max(map(max, d))
     out = []
     for i, x in enumerate(sample):
         for j, y in enumerate(sample):
@@ -226,6 +226,24 @@ class TestVerifyAxiomsMatchesPairLoop:
         coord = st.sampled_from([0.0, -0.0, 1e-13, 1e-7, 0.5, 1.0])
         sample = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6))
         assert verify_axioms(space, sample, tol) == reference_axioms(space, sample, tol)
+
+
+class TestVerifyAxiomsRelativeTol:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_scaling_the_table_by_a_power_of_two_keeps_the_violations(self, data):
+        # tol is relative to the largest distance, so a table scaled by 2**40
+        # (exactly) has the same violations at tol = 0.3, each side scaled
+        n = data.draw(st.integers(1, 5))
+        entry = st.sampled_from([0.0, 0.2, 1.0, 1.0 + 1e-12, 3.0])
+        m = np.array([[data.draw(entry) for _ in range(n)] for _ in range(n)])
+        s = data.draw(st.sampled_from([1.0, 1.2, 2.0]))
+        sample = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+        scale = 2.0**40
+        small = verify_axioms(BMetricSpace(kind="matrix", s=s, matrix=m), sample, 0.3)
+        big = verify_axioms(BMetricSpace(kind="matrix", s=s, matrix=m * scale), sample, 0.3)
+        assert [(v.axiom, v.witness) for v in big.violations] == [(v.axiom, v.witness) for v in small.violations]
+        assert [(v.lhs, v.rhs) for v in big.violations] == [(v.lhs * scale, v.rhs * scale) for v in small.violations]
 
 
 class TestVerifyAxiomsAcrossBlocks:
@@ -516,9 +534,10 @@ def test_bulk_layers_make_no_scalar_distance_calls(monkeypatch):
 
 def test_certify_work_per_point_and_pair(monkeypatch):
     """certify on n points makes n image_of calls, the scalar dist calls of
-    the residuals d(x, T(x)) and nothing else, and exactly
-    (1 + |T(x)|) * (1 + |T(y)|) dists entries for each pair: ragged image
-    sizes are padded in the gather, never evaluated."""
+    the residuals d(x, T(x)) and nothing else, and exactly (1 + w)**2 dists
+    entries for each pair, w the widest image in the sample: narrower
+    images are padded by repeating an element, and the padded entries are
+    evaluated like the others."""
     paper = builtin("paper-example")
     finite = builtin("random-finite", 7)
     plane = make_power_space(2, 1.5)
@@ -543,7 +562,7 @@ def test_certify_work_per_point_and_pair(monkeypatch):
     for space, tmap, pts, is_ragged in cases:
         sizes = [len(real_image_of(space, tmap, x).elements) for x in pts]
         assert (len(set(sizes)) > 1) == is_ragged
-        want_entries = sum((1 + a) * (1 + b) for a, b in itertools.combinations(sizes, 2))
+        want_entries = len(pts) * (len(pts) - 1) // 2 * (1 + max(sizes)) ** 2
         counts = {"image_of": 0, "dist": 0, "entries": 0}
 
         def counted_image_of(*args):
@@ -566,3 +585,51 @@ def test_certify_work_per_point_and_pair(monkeypatch):
             cert = certify(space, tmap, pts, 0.5, 0.5)
         assert cert.n_pairs == len(pts) * (len(pts) - 1) // 2
         assert counts == {"image_of": len(pts), "dist": sum(sizes), "entries": want_entries}
+
+
+def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
+    """bfixpoint verify on n points evaluates certify's n(n-1)/2 * (1 + w)**2
+    dists entries and the n**2 of verify_axioms' table, nothing more. A
+    builtin is resolved uncounted: random-finite's generation runs certify
+    rounds of its own."""
+    plane = make_power_space(2, 1.5)
+    # both branches fix the origin, the one sample point with a single image
+    shear, lift = ([[0.5, 0.1], [0.0, 0.5]], [0.0, 0.0]), ([[0.5, 0.0], [0.2, 0.5]], [0.0, 0.0])
+    pts = [(0.0, 0.0)] + random_sample(SplitMix64(5), 2, 30, scale=2.0)
+    path = tmp_path / "plane.json"
+    save(
+        Scenario(
+            space=plane, map=make_branch_map(plane, [shear, lift]), params=QuasiParams(c=0.5, q=0.5, alpha=0.9),
+            x0=pts[1], x1=None, tol=1e-9, max_iter=100, seed=None, sample=PointsSample(tuple(pts)),
+        ),
+        path,
+    )
+    real_builtin, real_dists = cli.builtin, BMetricSpace.dists
+    counting, entries = [True], [0]
+
+    def uncounted_builtin(*args):
+        counting[0] = False
+        try:
+            return real_builtin(*args)
+        finally:
+            counting[0] = True
+
+    def counted_dists(self, xs, ys):
+        out = real_dists(self, xs, ys)
+        entries[0] += len(out) if counting[0] else 0
+        return out
+
+    for argv, sc in (
+        (["--scenario", "paper-example"], real_builtin("paper-example")),
+        (["--scenario", "random-finite", "--seed", "7"], real_builtin("random-finite", 7)),
+        (["--scenario", str(path)], load(path)),
+    ):
+        sample = sample_points(sc)
+        n, w = len(sample), max(len(image_of(sc.space, sc.map, x).elements) for x in sample)
+        entries[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(cli, "builtin", uncounted_builtin)
+            m.setattr(BMetricSpace, "dists", counted_dists)
+            cli.main(["verify", *argv])
+        capsys.readouterr()
+        assert entries[0] == n * (n - 1) // 2 * (1 + w) ** 2 + n * n

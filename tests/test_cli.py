@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from bfixpoint.bspace import make_matrix_space, make_power_space
+from bfixpoint.bspace import BMetricSpace, make_matrix_space, make_power_space
 from bfixpoint.cli import _trace_csv, _trace_json, main
 from bfixpoint.jsonutil import dumps_canonical, format_float
 from bfixpoint.orbit import OrbitTrace, cauchy_series
@@ -332,6 +332,26 @@ def test_arithmetic_failure_is_invalid_input(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: arithmetic failure (OverflowError")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+def test_out_of_memory_is_invalid_input(tmp_path, capsys, monkeypatch, command):
+    # numpy raises _ArrayMemoryError, a MemoryError, for a table it cannot allocate
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "paper-example", "--out", str(out)]) == 0
+    message = "Unable to allocate 74.5 GiB for an array with shape (10000000000,) and data type float64"
+
+    def no_memory(self, xs, ys):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(BMetricSpace, "dists", no_memory)
+    capsys.readouterr()
+    assert main(command_argv(command, "paper-example", tmp_path)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out of memory (MemoryError: {message})\n"
+    assert captured.out == ""
+    # a failed run leaves no outputs, not even those of the earlier run
+    assert sorted(p.name for p in out.iterdir()) == ([] if command == "run" else ["report.json", "trace.csv"])
 
 
 class TestRun:

@@ -142,8 +142,7 @@ class TestRandomFinite:
         for seed in (3, 14, 15):
             sc, _ = random_finite(seed, 7, 2.0, 0.6)
             space, _ = instantiate(sc)
-            maxd = max(space.dist(a, b) for a in space.points() for b in space.points())
-            assert verify_axioms(space, space.points(), tol=1e-12 * maxd).passed
+            assert verify_axioms(space, space.points(), tol=1e-12).passed
 
     def test_fixed_point_exists_by_enumeration(self):
         sc, _ = random_finite(42, 5, 2.0, 0.5)
