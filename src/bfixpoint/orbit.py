@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
+from math import inf
 from sys import float_info
 from typing import NamedTuple
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .bspace import BMetricSpace, Point
 from .quasicontraction import SetValuedMap, _check_coefficients, _n_from_parts, image_of
-from .setops import PointSet, SetDistance, dist_point_set
+from .setops import PointSet, dist_point_set
 
 
 class RatioViolation(RuntimeError):
@@ -84,37 +85,6 @@ def gamma_of(beta: float, q: float, s: float) -> float:
     return max(beta, q * s * beta / (2.0 - q * s * beta))
 
 
-def _select(
-    space: BMetricSpace,
-    c: float,
-    q: float,
-    beta: float,
-    x_prev: Point,
-    x_cur: Point,
-    d_prev: float,
-    t_prev: PointSet,
-    r_prev: float,
-    t_cur: PointSet,
-    near: SetDistance,
-) -> Point:
-    """select_next from the terms a caller already holds: d_prev = d(x_prev, x_cur),
-    t_prev = T(x_prev), r_prev = d(x_prev, T(x_prev)), t_cur = T(x_cur) and
-    near = dist_point_set(x_cur, T(x_cur)).
-
-    A step with d < beta*d_prev passes without N's cross terms: N is a max
-    whose first term is d_prev, so N >= d_prev unless d_prev is NaN (which
-    fails the screen), and rounded multiplication by beta > 0 is monotone,
-    so d < beta*d_prev implies d < beta*N in floats too."""
-    d, idx = near
-    if d > 0.0 and not d < beta * d_prev:
-        bound = beta * _n_from_parts(space, c, q, x_prev, x_cur, d_prev, t_prev, t_cur, r_prev, d)
-        if not d < bound:
-            raise RatioViolation(
-                f"step {d} not below beta*N = {bound} at ({x_prev!r} -> {x_cur!r})"
-            )
-    return t_cur.elements[idx]
-
-
 def select_next(
     space: BMetricSpace,
     tmap: SetValuedMap,
@@ -130,16 +100,27 @@ def select_next(
     unless the step is zero; a violation means the contraction hypothesis
     fails at this pair and raises RatioViolation. A beta outside
     (0, beta_limit(q, s)) raises ValueError, as in gamma_of.
+
+    A step with d < beta*d(x_prev, x_cur) passes without N's cross terms: N
+    is a max whose first term is d(x_prev, x_cur), so N >= d(x_prev, x_cur)
+    unless that is NaN (which fails the screen), and rounded multiplication
+    by beta > 0 is monotone, so the screen implies d < beta*N in floats too.
+    run_orbit makes the same check inline.
     """
     _check_coefficients(c, q)
     gamma_of(beta, q, space.s)
     t_prev = image_of(space, tmap, x_prev)
     t_cur = image_of(space, tmap, x_cur)
-    return _select(
-        space, c, q, beta, x_prev, x_cur,
-        space.dist(x_prev, x_cur), t_prev, dist_point_set(space, x_prev, t_prev).value,
-        t_cur, dist_point_set(space, x_cur, t_cur),
-    )
+    d_prev = space.dist(x_prev, x_cur)
+    r_prev = dist_point_set(space, x_prev, t_prev).value
+    d, idx = dist_point_set(space, x_cur, t_cur)
+    if d > 0.0 and not d < beta * d_prev:
+        bound = beta * _n_from_parts(space, c, q, x_prev, x_cur, d_prev, t_prev, t_cur, r_prev, d)
+        if not d < bound:
+            raise RatioViolation(
+                f"step {d} not below beta*N = {bound} at ({x_prev!r} -> {x_cur!r})"
+            )
+    return t_cur.elements[idx]
 
 
 def run_orbit(
@@ -159,18 +140,22 @@ def run_orbit(
     Requires alpha in [0,1) with alpha*q*s < 1. beta defaults to the midpoint
     of the admissible interval (alpha, min(1, 1/(q*s))); x1 defaults to the
     closest element of T(x0). Every step is checked against the certified
-    decay d_n <= gamma*d_{n-1} (slack 1e-12 relative); a failed check ends
-    the trace with status "ratio_violation" and the offending step index.
+    decay d_n <= gamma*d_{n-1} (slack 1e-12 relative) and the selection
+    inequality of select_next; a failed check ends the trace with status
+    "ratio_violation" and the offending step index.
 
     Stopping is by residual, not step size: a small step does not certify a
     fixed point, the residual is exactly what the fixed-point theorems bound.
 
-    Each point's image and residual are computed once and carried into the
-    next step as T(x_prev) and d(x_prev, T(x_prev)), so a step costs one
-    image evaluation and one point-set scan; d(x_prev, x_cur) is the
-    previous step distance. N's cross terms d(x_prev, T(x_cur)) and
-    d(x_cur, T(x_prev)) are computed only when d >= beta*d_prev, since
-    N >= d_prev settles every other step (see _select).
+    A step costs one tmap.evaluate call and one scalar space.dist per image
+    element: each image is a plain tuple, scanned inline for its closest
+    element as dist_point_set scans (strict < from inf, so the first of
+    equal elements wins and deduplication changes nothing). The image and
+    residual of each point are carried into the next step as T(x_prev) and
+    d(x_prev, T(x_prev)), and d(x_prev, x_cur) is the previous step
+    distance. N's cross terms d(x_prev, T(x_cur)) and d(x_cur, T(x_prev))
+    are computed, on PointSets, only when d >= beta*d_prev, since
+    N >= d_prev settles every other step (see select_next).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0,1), got {alpha}")
@@ -191,27 +176,31 @@ def run_orbit(
     gamma = gamma_of(beta, q, s)
 
     space.check_point(x0)
-    t_prev = image_of(space, tmap, x0)
-    r_prev, idx = dist_point_set(space, x0, t_prev)
+    t0 = image_of(space, tmap, x0)
+    r_prev, idx = dist_point_set(space, x0, t0)
     if r_prev <= tol:
         return OrbitTrace((x0,), (), beta, gamma, "converged", x0, r_prev)
 
     if x1 is None:
-        x1 = t_prev.elements[idx]
+        x1 = t0.elements[idx]
     else:
         x1 = tuple(x1) if isinstance(x1, (list, tuple)) else x1
         space.check_point(x1)
-        if all(space.dist(x1, w) != 0.0 for w in t_prev.elements):
+        if all(space.dist(x1, w) != 0.0 for w in t0.elements):
             raise ValueError(f"x1 {x1!r} is not an element of T(x0)")
 
+    image, dist = tmap.evaluate, space.dist
     points = [x0, x1]
     steps = [space.dist(x0, x1)]
+    x_prev, x_cur, t_prev = x0, x1, t0.elements
 
     while True:
-        x_prev, x_cur = points[-2], points[-1]
-        t_cur = image_of(space, tmap, x_cur)
-        near = dist_point_set(space, x_cur, t_cur)
-        residual = near.value
+        t_cur = image(x_cur)
+        residual, nxt = inf, t_cur[0]
+        for y in t_cur:
+            d = dist(x_cur, y)
+            if d < residual:
+                residual, nxt = d, y
         if residual <= tol:
             return OrbitTrace(
                 tuple(points), tuple(steps), beta, gamma, "converged", x_cur, residual
@@ -221,15 +210,16 @@ def run_orbit(
                 tuple(points), tuple(steps), beta, gamma, "max_iter", None, residual
             )
 
-        # the attained min is the next step distance; residual > tol > 0 here
+        # the attained min is the next step distance; residual > tol > 0 here.
+        # N's cross terms are minima over the images, which repeated
+        # branch outputs leave unchanged
         d_prev = steps[-1]
-        try:
-            if residual > gamma * d_prev + 1e-12 * d_prev:
-                raise RatioViolation(
-                    f"step {residual} above gamma*previous = {gamma * d_prev}"
-                )
-            nxt = _select(space, c, q, beta, x_prev, x_cur, d_prev, t_prev, r_prev, t_cur, near)
-        except RatioViolation:
+        if residual > gamma * d_prev + 1e-12 * d_prev or not (
+            residual < beta * d_prev
+            or residual < beta * _n_from_parts(
+                space, c, q, x_prev, x_cur, d_prev, PointSet(t_prev), PointSet(t_cur), r_prev, residual
+            )
+        ):
             return OrbitTrace(
                 tuple(points),
                 tuple(steps),
@@ -242,7 +232,7 @@ def run_orbit(
             )
         points.append(nxt)
         steps.append(residual)
-        t_prev, r_prev = t_cur, residual
+        x_prev, x_cur, t_prev, r_prev = x_cur, nxt, t_cur, residual
 
 
 def chaining_bound(steps, s: float) -> float:

@@ -18,9 +18,9 @@ condition with the stricter threshold 1/(s+s^2)).
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
-from functools import reduce
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 from itertools import chain, combinations
 from typing import NamedTuple
 
@@ -32,9 +32,53 @@ from .setops import PointSet, dist_point_set, hausdorff, make_point_set
 
 @dataclass(frozen=True)
 class SetValuedMap:
+    """A set-valued map T, by table or by affine branches.
+
+    evaluate(x) is the tuple of T(x)'s elements before deduplication, built
+    once per map. For a table map it is the image tuple table[x].elements.
+    For a branch map it is the outputs A_i x + b_i in branch order, coordinate
+    r rounded as 0.0 + A[r][0]*x[0] + ... + A[r][k-1]*x[k-1] + b[r], left to
+    right: the order sum(map(mul, A[r], x)) + b[r] rounds in before Python
+    3.12, whose sum() compensates. It is straight-line code generated per
+    shape (_branch_evaluator); it indexes x without checking its length,
+    which image_of checks.
+    """
+
     kind: str  # "table" | "branches"
     table: dict | None = None  # point id -> PointSet
     branches: tuple | None = None  # ((A, b), ...) affine maps x -> A@x + b
+    evaluate: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == "table":
+            evaluate = {u: t.elements for u, t in self.table.items()}.__getitem__
+        else:
+            coeffs = tuple(v for a, b in self.branches for row, b_r in zip(a, b) for v in (*row, b_r))
+            evaluate = _branch_evaluator(len(self.branches[0][1]), len(self.branches))(coeffs)
+        object.__setattr__(self, "evaluate", evaluate)
+
+
+@lru_cache(maxsize=64)
+def _branch_evaluator(dim: int, count: int) -> Callable:
+    """A factory make(c) of the evaluate function of any branch map with
+    `count` branches in `dim` dimensions, c its coefficients flattened
+    branch by branch and row by row, A[r][0], ..., A[r][dim-1], b[r].
+
+    The generated source holds only index arithmetic c[k] * x[j], so no
+    number is printed and re-parsed, and it depends only on the shape,
+    which is why factories are cached by shape: a map costs one call of
+    its factory. Compiling one costs time and memory in proportion to its
+    count * dim * (dim + 1) terms, and a row of a few thousand terms nests
+    deeper than the compiler allows (RecursionError)."""
+    outputs = []
+    for out in range(count * dim):
+        base = out * (dim + 1)
+        outputs.append("0.0 + " + "".join(f"c[{base + j}] * x[{j}] + " for j in range(dim)) + f"c[{base + dim}], ")
+    images = "".join("(" + "".join(outputs[i * dim : (i + 1) * dim]) + "), " for i in range(count))
+    source = f"def make(c):\n    def evaluate(x):\n        return ({images})\n    return evaluate\n"
+    namespace = {}
+    exec(source, namespace)
+    return namespace["make"]
 
 
 @dataclass(frozen=True)
@@ -109,14 +153,16 @@ def make_branch_map(space: BMetricSpace, branches) -> SetValuedMap:
 
 
 def image_of(space: BMetricSpace, tmap: SetValuedMap, x: Point) -> PointSet:
-    """The image set T(x). Branch outputs that coincide exactly are deduplicated."""
+    """The image set T(x): the outputs of tmap.evaluate(x), those that
+    coincide exactly deduplicated (the first is kept), so the bits do not
+    depend on the Python version. A point of the wrong length raises
+    ValueError."""
     if tmap.kind == "table":
         return tmap.table[x]
-    if len(x) != space.dim:  # map() would silently stop at the shorter of a row and x
+    if len(x) != space.dim:  # evaluate would ignore extra coordinates
         raise ValueError(f"expected a coordinate tuple of length {space.dim}, got {x!r}")
     outs = []
-    for a, b in tmap.branches:
-        y = tuple(sum(map(operator.mul, row, x)) + b[i] for i, row in enumerate(a))
+    for y in tmap.evaluate(x):
         if y not in outs:
             outs.append(y)
     return PointSet(tuple(outs))

@@ -562,39 +562,22 @@ class TestRunOrbitMatchesStepLoop:
 
 
 def test_audit_and_orbit_do_linear_work(monkeypatch):
-    """A long orbit must cost O(L) exact distances in the audit and one
-    image and one point-set scan per step in the orbit loop; the quadratic
-    scan would need L**2 / 2 distances here. The row screen, quadratic in
-    the rows it gets, must get only the rows the bounding boxes cannot
-    rule out."""
+    """A long orbit must cost O(L) exact distances in the audit, and in the
+    orbit loop one evaluation of the map and one scalar distance per image
+    element per step; the quadratic scan would need L**2 / 2 distances
+    here. The row screen, quadratic in the rows it gets, must get only the
+    rows the bounding boxes cannot rule out."""
     space = make_power_space(2, 2.0)
     rate, angle = 0.995, 0.1
     a = [[rate * math.cos(angle), -rate * math.sin(angle)], [rate * math.sin(angle), rate * math.cos(angle)]]
     tmap = make_branch_map(space, [(a, [0.0, 0.0]), (a, [8.0, -8.0])])
 
     images = [0]
-    real_image_of = orbit_mod.image_of
+    real_evaluate = tmap.evaluate
 
-    def counted_image_of(*args):
+    def counted_evaluate(x):
         images[0] += 1
-        return real_image_of(*args)
-
-    scans = [0]
-    real_dist_point_set = orbit_mod.dist_point_set
-
-    def counted_dist_point_set(*args):
-        scans[0] += 1
-        return real_dist_point_set(*args)
-
-    monkeypatch.setattr(orbit_mod, "image_of", counted_image_of)
-    monkeypatch.setattr(orbit_mod, "dist_point_set", counted_dist_point_set)
-    monkeypatch.setattr(qc_mod, "dist_point_set", counted_dist_point_set)
-    trace = run_orbit(space, tmap, 0.5, 0.3, 0.995, (1.0, 0.0), tol=1e-10, max_iter=5000)
-    monkeypatch.undo()
-    assert trace.status == "converged"
-    assert len(trace.steps) >= 1500
-    assert images[0] <= len(trace.steps) + 2
-    assert scans[0] <= len(trace.steps) + 2  # the screen settles each selection check
+        return real_evaluate(x)
 
     dists = [0]
     real_dist = BMetricSpace.dist
@@ -603,6 +586,16 @@ def test_audit_and_orbit_do_linear_work(monkeypatch):
         dists[0] += 1
         return real_dist(self, x, y)
 
+    object.__setattr__(tmap, "evaluate", counted_evaluate)  # the map is frozen
+    monkeypatch.setattr(BMetricSpace, "dist", counted_dist)
+    trace = run_orbit(space, tmap, 0.5, 0.3, 0.995, (1.0, 0.0), tol=1e-10, max_iter=5000)
+    monkeypatch.undo()
+    assert trace.status == "converged"
+    assert len(trace.steps) >= 1500
+    assert images[0] <= len(trace.steps) + 2
+    assert dists[0] <= 2 * (len(trace.steps) + 2)  # two branches; the screen settles each selection check
+
+    dists[0] = 0
     monkeypatch.setattr(BMetricSpace, "dist", counted_dist)
     audit = bound_audit(space, trace)
     monkeypatch.undo()

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bfixpoint.bspace import make_matrix_space, make_power_space
 from bfixpoint.quasicontraction import (
@@ -21,6 +23,39 @@ from bfixpoint.setops import dist_point_set, hausdorff
 QUAD = make_power_space(1, 2.0)
 SHRINK = make_branch_map(QUAD, [([[0.9]], [0.0])])  # x -> {0.9x}
 GRID = [( -1.0 + 0.1 * i,) for i in range(21)]
+
+
+def reference_image(branches, x):
+    """T(x) by an explicit loop, each coordinate accumulated left to right
+    from 0.0 as acc = acc + a * v and then offset; not sum(), which
+    compensates from Python 3.12 on. Coincident outputs keep the first."""
+    outs = []
+    for a, b in branches:
+        y = []
+        for row, b_r in zip(a, b):
+            acc = 0.0
+            for a_rj, v in zip(row, x):
+                acc = acc + a_rj * v
+            y.append(acc + b_r)
+        if tuple(y) not in outs:
+            outs.append(tuple(y))
+    return tuple(outs)
+
+
+@st.composite
+def branch_images(draw):
+    """A branch map of dimension 1-3 with 1-3 branches, any finite
+    coefficients (so products and sums may overflow), and a point whose
+    length is sometimes wrong."""
+    dim = draw(st.integers(1, 3))
+    coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308]), st.floats(allow_nan=False, allow_infinity=False))
+    vector = st.lists(coord, min_size=dim, max_size=dim)
+    branches = draw(st.lists(st.tuples(st.lists(vector, min_size=dim, max_size=dim), vector), min_size=1, max_size=3))
+    if draw(st.booleans()):  # a branch repeated, or agreeing with another where its extra term is 0
+        a, b = draw(st.sampled_from(branches))
+        branches.append(([[*row[:-1], row[-1] + 1.0] for row in a], b) if draw(st.booleans()) else (a, b))
+    x = tuple(draw(st.lists(coord, min_size=dim - 1, max_size=dim + 1)))
+    return dim, branches, x
 
 
 def line_space():
@@ -56,6 +91,24 @@ class TestMaps:
         tmap = make_branch_map(plane, [([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0])])
         with pytest.raises(ValueError, match="length 2"):
             image_of(plane, tmap, x)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(problem=branch_images())
+    @example(problem=(1, [([[-1.0]], [-0.0])], (0.0,)))  # 0.0 + (-0.0) + (-0.0) is 0.0
+    @example(problem=(2, [([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])], (1.0, 10.0)))  # not the transpose
+    @example(problem=(3, [([[1.0, 1e100, -1e100]] * 3, [0.0] * 3)], (1.0, 1.0, 1.0)))  # not right to left
+    @example(problem=(2, [([[1e308, 1e308]] * 2, [0.0, -1.0])], (10.0, 10.0)))  # overflow to inf
+    @example(problem=(1, [([[2.0]], [1.0]), ([[5.0]], [1.0])], (0.0,)))  # coincident outputs
+    def test_branch_image_is_the_left_to_right_loop(self, problem):
+        dim, branches, x = problem
+        space = make_power_space(dim, 2.0)
+        tmap = make_branch_map(space, branches)
+        if len(x) != dim:
+            with pytest.raises(ValueError, match=f"length {dim}"):
+                image_of(space, tmap, x)
+            return
+        # repr tells every float apart, -0.0 from 0.0 included
+        assert repr(image_of(space, tmap, x).elements) == repr(reference_image(tmap.branches, x))
 
     def test_branch_duplicates_collapse(self):
         tmap = make_branch_map(QUAD, [([[1.0]], [0.0]), ([[1.0]], [0.0])])
