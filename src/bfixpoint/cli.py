@@ -16,8 +16,11 @@ import re
 import sys
 import time
 from dataclasses import asdict, replace
-from itertools import chain, repeat
+from functools import cache
+from itertools import chain, product
 from pathlib import Path
+
+import numpy as np
 
 from .bspace import AxiomReport, verify_axioms
 from .jsonutil import dumps_canonical, format_float
@@ -84,41 +87,43 @@ def _axiom_obj(report: AxiomReport) -> dict:
 
 
 _TRACE_COLUMNS = ("n", "point", "d_n", "ratio", "gamma", "cauchy_bound_at_n")
-# one row of each trace format; field {i} is the cell of _TRACE_COLUMNS[i],
-# and json's keys come in the sorted order dumps_canonical writes
-_CSV_ROW = "{0},{1},{2},{3},{4},{5}\n"
+# one row of each trace format; json's keys in the sorted order dumps_canonical writes
+_CSV_ROW = "{n},{point},{d_n},{ratio},{gamma},{cauchy_bound_at_n}\n"
 _JSON_ROW = (
-    '    {{\n      "cauchy_bound_at_n": {5},\n      "d_n": {2},\n      "gamma": {4},\n'
-    '      "n": {0},\n      "point": {1},\n      "ratio": {3}\n    }}'
+    '    {{\n      "cauchy_bound_at_n": {cauchy_bound_at_n},\n      "d_n": {d_n},\n      "gamma": {gamma},\n'
+    '      "n": {n},\n      "point": {point},\n      "ratio": {ratio}\n    }}'
 )
 
 
-def _formatted(xs) -> list:
-    """format(x, ".17g") of each number of xs, which is format_float's
-    text; a non-finite number comes out as "inf", "-inf" or "nan"."""
-    return list(map(format, xs, repeat(".17g")))
+def _trace_rows(space, trace: OrbitTrace, row: str, sep: str, empty: str, point: str) -> str:
+    """The trace's rows joined by sep: one template, filled in by one % from
+    one flat tuple of the rows' numbers in text order.
 
-
-def _trace_cells(space, trace: OrbitTrace | None, empty: str) -> list:
-    """The trace's cells, column by column in _TRACE_COLUMNS order: n; each
-    point as the tuple of its coordinates' texts (an id's text for a matrix
-    space); the numbers as _formatted texts, `empty` for a missing cell,
-    the Cauchy bounds those of cauchy_bounds. gamma is formatted once. No
-    trace gives no rows."""
-    if trace is None:
-        return [()] * len(_TRACE_COLUMNS)
-    pts, steps, gamma = trace.points, trace.steps, trace.gamma
-    n = len(pts)
-    if space.kind == "matrix":
-        points = list(map(str, pts))
-    else:
-        points = list(zip(*[iter(_formatted(chain.from_iterable(pts)))] * space.dim))
-    ratio = [format(b / a, ".17g") if a else empty for a, b in zip(steps, steps[1:])]
-    bound = [empty] * n
-    if steps:
-        bound = _formatted(cauchy_bounds(cauchy_series(gamma, space.s, first_step=steps[0]), n))
-    d_n = _formatted(steps) + [empty]
-    return [range(n), points, d_n, [empty, *ratio, empty][:n], repeat(format(gamma, ".17g"), n), bound]
+    A row is `row` with %d for n, `point` (%d for a matrix id, else one
+    %.17g per coordinate), gamma's text, and %.17g for d_n, the ratio and
+    the Cauchy bound (cauchy_bounds), or `empty` and %.0s, which drops its
+    number, where the cell is empty: d_n in the last row, the ratio in the
+    first, the last and a row after a zero step, the bound without steps;
+    an empty cell holds 0. %.17g and format_float both call
+    PyOS_double_to_string, and numpy's division rounds as Python's does.
+    The text is scanned (_finite) only if a number or gamma is not finite.
+    """
+    pts, steps = trace.points, np.array(trace.steps, dtype=float)
+    n, k = len(pts), len(steps)  # n = k + 1
+    ratio, has_ratio = np.zeros(n), np.zeros(n, bool)
+    has_ratio[1:k] = steps[:-1] != 0.0
+    with np.errstate(all="ignore"):  # a ratio may overflow or underflow, as with /; an unwritten one stays 0
+        np.divide(steps[1:], steps[:-1], out=ratio[1:k], where=has_ratio[1:k])
+    bound = cauchy_bounds(cauchy_series(trace.gamma, space.s, trace.steps[0]), n) if k else [0.0] * n
+    cells = {"n": np.arange(n, dtype=float), "d_n": np.append(steps, 0.0), "ratio": ratio, "cauchy_bound_at_n": bound}
+    cells["point"] = np.fromiter(pts if space.kind == "matrix" else chain.from_iterable(pts), float).reshape(n, -1)
+    values = np.column_stack([cells[c] for c in re.findall(r"{(\w+)}", row) if c != "gamma"])
+    cell, gamma = {True: "%.17g", False: empty + "%.0s"}, format(trace.gamma, ".17g")
+    variants = [row.format(n="%d", point=point, gamma=gamma, d_n=cell[d], ratio=cell[r], cauchy_bound_at_n=cell[b])
+                for d, r, b in product((False, True), repeat=3)]
+    code = 4 * (np.arange(n) < k) + 2 * has_ratio + (k > 0)  # each row's variant
+    text = sep.join(map(variants.__getitem__, code.tolist())) % tuple(values.ravel().tolist())
+    return text if np.isfinite(values).all() and np.isfinite(trace.gamma) else _finite(text)
 
 
 def _finite(text: str) -> str:
@@ -130,19 +135,16 @@ def _finite(text: str) -> str:
 
 
 def _trace_csv(space, trace: OrbitTrace | None) -> str:
-    n, points, *rest = _trace_cells(space, trace, "")
-    if space.kind != "matrix":
-        points = map(";".join, points)
-    return _finite(",".join(_TRACE_COLUMNS) + "\n" + "".join(map(_CSV_ROW.format, n, points, *rest)))
+    point = "%d" if space.kind == "matrix" else ";".join(["%.17g"] * space.dim)
+    rows = "" if trace is None else _trace_rows(space, trace, _CSV_ROW, "", "", point)
+    return ",".join(_TRACE_COLUMNS) + "\n" + rows
 
 
 def _trace_json(space, trace: OrbitTrace | None) -> str:
-    n, points, *rest = _trace_cells(space, trace, "null")
-    if not n:
+    if trace is None:
         return dumps_canonical({"rows": []}) + "\n"
-    if space.kind != "matrix":
-        points = map("[\n        {}\n      ]".format, map(",\n        ".join, points))
-    return _finite('{\n  "rows": [\n' + ",\n".join(map(_JSON_ROW.format, n, points, *rest)) + "\n  ]\n}\n")
+    point = "%d" if space.kind == "matrix" else "[\n        " + ",\n        ".join(["%.17g"] * space.dim) + "\n      ]"
+    return '{\n  "rows": [\n' + _trace_rows(space, trace, _JSON_ROW, ",\n", "null", point) + "\n  ]\n}\n"
 
 
 def cmd_run(
@@ -237,19 +239,16 @@ def cmd_compare(scenario_arg: str, seed: int | None = None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@cache  # built on first use, not at import; parse_args reads nothing back from an earlier call
+def _parser() -> _Parser:
     parser = _Parser(
-        prog="bfixpoint",
-        description="Fixed-point engine for set-valued contractions in b-metric spaces.",
+        prog="bfixpoint", description="Fixed-point engine for set-valued contractions in b-metric spaces."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, with_run_flags: bool):
-        sp.add_argument(
-            "--scenario",
-            required=True,
-            help=f"scenario JSON path or builtin name ({', '.join(BUILTIN_NAMES)})",
-        )
+        names = ", ".join(BUILTIN_NAMES)
+        sp.add_argument("--scenario", required=True, help=f"scenario JSON path or builtin name ({names})")
         sp.add_argument("--seed", type=int, default=None, help="seed for generated builtins")
         if with_run_flags:
             sp.add_argument("--out", required=True, help="output directory for trace and report")
@@ -261,15 +260,17 @@ def main(argv=None) -> int:
     add_common(sub.add_parser("run", help="run an orbit, write trace and report"), True)
     add_common(sub.add_parser("verify", help="check axioms and contraction certificate"), False)
     add_common(sub.add_parser("compare", help="compare the two applicability conditions"), False)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run the command in argv (default sys.argv[1:]) and return its exit code. The parser
+    is built once per process (_parser); a usage error exits 3, --help 0."""
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(
-                args.scenario, args.out,
-                tol=args.tol, beta=args.beta, max_iter=args.max_iter,
-                fmt=args.format, seed=args.seed,
-            )
+            return cmd_run(args.scenario, args.out, tol=args.tol, beta=args.beta, max_iter=args.max_iter,
+                           fmt=args.format, seed=args.seed)
         if args.command == "verify":
             return cmd_verify(args.scenario, seed=args.seed)
         return cmd_compare(args.scenario, seed=args.seed)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import inf
 from sys import float_info
 from typing import NamedTuple
@@ -252,29 +252,27 @@ def chaining_bounds(steps, s: float):
 
     A finite step is m * 2**(e - 53), m a 53-bit integer and e its np.frexp
     exponent. Shifted to the smallest e (0 if every e is larger), the m add
-    up as Python ints to every prefix sum exactly, and int true division
-    rounds that correctly, in O(len(steps)); a sum beyond the float range
-    raises its OverflowError. A prefix that holds a non-finite step sums to
-    inf, or to nan if a step is nan. Each step is validated when its prefix
-    is reached, so a negative step raises after the bounds before it.
+    up as Python ints to every prefix sum exactly (accumulate of lshift),
+    and int true division rounds that correctly; a sum past the float range
+    raises OverflowError. From the first non-finite step on, a prefix sums
+    to inf, or nan after a nan. One lazy map yields the bounds, each (or
+    its error, s**ceil(log2 k) first) at its own prefix; a negative step
+    raises ValueError after the bounds before it.
     """
     a = np.asarray(steps, dtype=float)
     if a.size and not s >= 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
-    finite = np.isfinite(a)
-    mant, expo = np.frexp(np.where(finite, a, 0.0))  # no integer cast of a non-finite mantissa
+    negative, special = np.flatnonzero(a < 0), np.flatnonzero(~np.isfinite(a))
+    end = int(negative[0]) if negative.size else a.size
+    cut = min(end, int(special[0])) if special.size else end  # prefixes from cut on are inf or nan
+    mant, expo = np.frexp(a[:cut])
     low = int(expo.min(initial=0))
-    scale = 1 << (53 - low)  # acc / scale is the prefix sum
-    ints = (mant * 2.0**53).astype(np.int64).tolist()
-    acc = 0
-    special = 0.0  # the sum of the non-finite steps so far: 0, inf or nan
-    for k, (d, m, e, ok) in enumerate(zip(steps, ints, (expo - low).tolist(), finite.tolist()), 1):
-        if d < 0:
-            raise ValueError("step distances must be non-negative")
-        acc += m << e
-        if not ok:
-            special += d
-        yield (s ** (k - 1).bit_length()) * (acc / scale if special == 0.0 else special)
+    sums = accumulate(map(operator.lshift, (mant * 2.0**53).astype(np.int64).tolist(), (expo - low).tolist()))
+    tails = np.cumsum(np.where(np.isfinite(a[cut:end]), 0.0, a[cut:end])).tolist()
+    powers = map(pow, repeat(s), map(int.bit_length, range(end)))  # s**ceil(log2 k)
+    yield from map(operator.mul, powers, chain(map(operator.truediv, sums, repeat(1 << (53 - low))), tails))
+    if end < a.size:
+        raise ValueError("step distances must be non-negative")
 
 
 def cauchy_series(gamma: float, s: float, first_step: float | None = None) -> CauchyCertificate:
@@ -462,7 +460,8 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
         cert = cauchy_series(trace.gamma, space.s, first_step=steps[0])
         bounds = np.array(cauchy_bounds(cert, n - 1))  # row m's bound
         table = space.point_table(pts)
-        coords = None if space.kind == "matrix" else np.array(pts, dtype=float).T.copy()
+        coords = None if space.kind == "matrix" else (
+            np.fromiter(chain.from_iterable(pts), float, n * space.dim).reshape(n, -1).T.copy())
         tops = _ruled_out(space, table, coords, bounds)
         screened = np.flatnonzero(np.isnan(tops) & (bounds != 0.0))
         tops[screened] = _row_maxima(space, table, coords, screened + 1)

@@ -378,6 +378,9 @@ class TestChainingBounds:
     @example(steps=TOP_OF_RANGE, s=1.0)
     # the finite steps after an inf overflow on their own (math.fsum raises here)
     @example(steps=[math.inf, 1e308, 1e308], s=2.0)
+    # s**ceil(log2 k) overflows at k = 3, after two bounds, on a finite and an inf prefix
+    @example(steps=[1.0, 1.0, 1.0, 1.0], s=1e200)
+    @example(steps=[1.0, math.inf, 1.0], s=1e200)
     def test_every_prefix_bit_for_bit(self, steps, s):
         steps = tuple(steps)
         bounds = chaining_bounds(steps, s)
@@ -395,6 +398,29 @@ class TestChainingBounds:
         assert next(gen) == chaining_bound((1.0,), 2.0)
         with pytest.raises(ValueError, match="non-negative"):
             next(gen)
+
+    @pytest.mark.parametrize(
+        "steps, s, want, error",
+        [
+            # a negative step after an inf raises at its own prefix, after the inf bound
+            ((math.inf, -1.0), 2.0, [math.inf], (ValueError, "non-negative")),
+            ((1.0, math.inf, 1.0, -0.5, 1.0), 2.0, [1.0, math.inf, math.inf], (ValueError, "non-negative")),
+            # at k = 3 both s**2 and the sum overflow; the power is taken first
+            ((1e308, 1.0, 1e308), 1e200, [1e308, math.inf], (OverflowError, "out of range")),
+            ((1e308, 1e308), 1e200, [1e308], (OverflowError, "too large for a float")),
+            # s**2 would overflow at k = 3, past the last step
+            ((1.0, 1.0), 1e200, [1.0, 2e200], None),
+        ],
+    )
+    def test_each_error_comes_at_its_own_prefix(self, steps, s, want, error):
+        gen = chaining_bounds(steps, s)
+        assert [next(gen) for _ in want] == want
+        if error is None:
+            assert next(gen, "end") == "end"
+            assert chaining_bound(steps, s) == want[-1]
+        else:
+            with pytest.raises(error[0], match=error[1]):
+                next(gen)
 
 
 # -- run_orbit --------------------------------------------------------------

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+import operator
 import re
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bfixpoint.bspace import BMetricSpace, make_matrix_space, make_power_space
-from bfixpoint.cli import _trace_csv, _trace_json, main
+from bfixpoint.cli import _parser, _trace_csv, _trace_json, main
 from bfixpoint.jsonutil import dumps_canonical, format_float
 from bfixpoint.orbit import OrbitTrace, cauchy_series
 from bfixpoint.scenarios import paper_example, scenario_to_obj
@@ -255,6 +258,54 @@ def test_help_exits_0(capsys):
         main(["run", "--help"])
     assert exc.value.code == 0
     assert "--max-iter" in capsys.readouterr().out
+
+
+# one call of each kind; a run's --out is added by cli_outcome
+REUSE_CALLS = {
+    "run-overrides": ["run", "--scenario", "paper-example", "--tol", "1e-6", "--max-iter", "500", "--format", "json"],
+    "run": ["run", "--scenario", "paper-example"],
+    "verify": ["verify", "--scenario", "paper-example"],
+    "compare": ["compare", "--scenario", "paper-example"],
+    "usage-error": ["run", "--scenario", "paper-example", "--max-iter", "x"],
+    "help": ["run", "--help"],
+}
+
+
+def cli_outcome(argv, out, capsys):
+    """The exit code, stdout, stderr and output files (report.json without
+    timing_ms) of one main call."""
+    if argv[0] == "run":
+        argv = argv + ["--out", str(out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    files = {}
+    for path in sorted(out.glob("*")) if out.exists() else ():
+        files[path.name] = path.read_text()
+        if path.name == "report.json":
+            report = json.loads(files[path.name])
+            del report["timing_ms"]
+            files[path.name] = dumps_canonical(report)
+    return code, captured.out, captured.err, files
+
+
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
+    # each call's result from a freshly built parser, then every call twice
+    # more in a row on the one parser main keeps
+    first = {}
+    for name, argv in REUSE_CALLS.items():
+        _parser.cache_clear()
+        first[name] = cli_outcome(argv, tmp_path / name, capsys)
+    assert [first[name][0] for name in REUSE_CALLS] == [0, 0, 0, 0, 3, 0]
+    tol = [json.loads(first[name][3]["report.json"])["orbit"]["tol"] for name in ("run-overrides", "run")]
+    assert tol == [1e-6, 1e-10]
+    assert set(first["run-overrides"][3]) == {"report.json", "trace.json"}
+    assert set(first["run"][3]) == {"report.json", "trace.csv"}
+    for _ in range(2):
+        for name, argv in REUSE_CALLS.items():
+            assert cli_outcome(argv, tmp_path / name, capsys) == first[name], name
 
 
 def test_failed_run_leaves_no_outputs(tmp_path):
@@ -556,6 +607,70 @@ class TestTraceWriters:
         want = "nan" if fmt == "json" else "inf"
         with pytest.raises(ValueError, match=f"non-finite number in JSON output: {want}"):
             writer(space, trace)
+
+
+def writer_outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1e300, 1.7976931348623157e308])
+
+
+@st.composite
+def writer_cases(draw):
+    """A space and a geometric trace of 1-60 points of it, with up to three
+    zero steps, and special values (-0.0, subnormals, huge) at up to three
+    places; in about half the cases one step, coordinate or gamma is not
+    finite."""
+    kind = draw(st.sampled_from(["1-D", "2-D", "3-D", "matrix"]))
+    n = draw(st.integers(1, 60))
+    if kind == "matrix":
+        size = draw(st.integers(1, 5))
+        space = make_matrix_space(size, [[float(i != j) for j in range(size)] for i in range(size)], 2.0)
+        a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        points = [(a * k + b) % size for k in range(n)]
+    else:
+        space = make_power_space(int(kind[0]), draw(st.sampled_from([0.5, 1.0, 2.0])))
+        start = draw(st.tuples(*[st.floats(-1e3, 1e3)] * space.dim))
+        rate = draw(st.floats(-1.2, 1.2))
+        points = [[c * rate**k for c in start] for k in range(n)]
+    d0, q = draw(st.floats(0.0, 1e3)), draw(st.floats(0.0, 1.2))
+    steps = [d0 * q**k for k in range(n - 1)]
+    gamma = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([1e-12, 1e-300])))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        if i < n - 1:
+            steps[i] = draw(st.sampled_from([0.0, -0.0]))
+        if kind != "matrix":
+            points[i][draw(st.integers(0, space.dim - 1))] = draw(st.one_of(SPECIAL, SPECIAL.map(operator.neg)))
+        if i < n - 1 and draw(st.booleans()):
+            steps[i] = draw(SPECIAL)
+    where = draw(st.sampled_from(["none", "none", "none", "step", "point", "gamma"]))
+    bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    if where == "step" and steps:
+        steps[draw(st.integers(0, n - 2))] = bad
+    elif where == "point" and kind != "matrix":
+        points[draw(st.integers(0, n - 1))][draw(st.integers(0, space.dim - 1))] = bad
+    elif where == "gamma":
+        gamma = bad
+    points = [p if kind == "matrix" else tuple(p) for p in points]
+    return space, OrbitTrace(tuple(points), tuple(steps), 0.5, gamma, "max_iter", None, 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(writer_cases())
+@example((make_power_space(2, 2.0), OrbitTrace(((-0.0, 5e-324), (1e308, -0.0)), (5e-324,), 0.5, 1e-300, "max_iter", None, 0.0)))
+@example((make_power_space(1, 1.0), OrbitTrace(((1.0,), (2.0,), (2.0,)), (0.0, math.nan), 0.5, 0.5, "max_iter", None, 0.0)))
+def test_writers_match_the_references_on_arbitrary_traces(case):
+    # the references raise format_float's error at the first non-finite cell in text order
+    space, trace = case
+    want_csv = writer_outcome(lambda: reference_csv(reference_rows(space, trace)))
+    want_json = writer_outcome(lambda: dumps_canonical({"rows": reference_rows(space, trace)}) + "\n")
+    assert writer_outcome(_trace_csv, space, trace) == want_csv
+    assert writer_outcome(_trace_json, space, trace) == want_json
 
 
 # sha256 of trace.csv, trace.json and report.json without timing_ms: the
