@@ -1,4 +1,4 @@
-"""Deterministic JSON output: sorted keys, floats at 17 significant digits.
+"""Deterministic JSON output: sorted keys, two-space indent, 17-digit floats.
 
 17 digits round-trip 64-bit floats exactly, and a fixed key order makes
 repeated runs byte-identical, so reports can be diffed and hashed.
@@ -16,9 +16,9 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(obj, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _emit(obj, out: list, level: int) -> None:
+    pad = "  " * (level + 1)  # two spaces per nesting level
+    closing = "  " * level
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -39,7 +39,7 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
             out.append(pad + json.dumps(k, ensure_ascii=True) + ": ")
-            _emit(obj[k], out, indent, level + 1)
+            _emit(obj[k], out, level + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(closing + "}")
     elif isinstance(obj, (list, tuple)):
@@ -49,14 +49,14 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
 
-def dumps_canonical(obj, indent: int = 2) -> str:
+def dumps_canonical(obj) -> str:
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out)

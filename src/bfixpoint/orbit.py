@@ -32,10 +32,6 @@ from .quasicontraction import SetValuedMap, _check_coefficients, _n_from_parts, 
 from .setops import PointSet, dist_point_set
 
 
-class RatioViolation(RuntimeError):
-    """Raised when a selected step breaks the certified contraction bound."""
-
-
 @dataclass(frozen=True)
 class OrbitTrace:
     points: tuple
@@ -85,44 +81,6 @@ def gamma_of(beta: float, q: float, s: float) -> float:
     return max(beta, q * s * beta / (2.0 - q * s * beta))
 
 
-def select_next(
-    space: BMetricSpace,
-    tmap: SetValuedMap,
-    x_prev: Point,
-    x_cur: Point,
-    beta: float,
-    c: float,
-    q: float,
-) -> Point:
-    """The element of T(x_cur) closest to x_cur (smallest index on ties).
-
-    Enforces the selection inequality d(x_cur, next) < beta * N(x_prev, x_cur)
-    unless the step is zero; a violation means the contraction hypothesis
-    fails at this pair and raises RatioViolation. A beta outside
-    (0, beta_limit(q, s)) raises ValueError, as in gamma_of.
-
-    A step with d < beta*d(x_prev, x_cur) passes without N's cross terms: N
-    is a max whose first term is d(x_prev, x_cur), so N >= d(x_prev, x_cur)
-    unless that is NaN (which fails the screen), and rounded multiplication
-    by beta > 0 is monotone, so the screen implies d < beta*N in floats too.
-    run_orbit makes the same check inline.
-    """
-    _check_coefficients(c, q)
-    gamma_of(beta, q, space.s)
-    t_prev = image_of(space, tmap, x_prev)
-    t_cur = image_of(space, tmap, x_cur)
-    d_prev = space.dist(x_prev, x_cur)
-    r_prev = dist_point_set(space, x_prev, t_prev).value
-    d, idx = dist_point_set(space, x_cur, t_cur)
-    if d > 0.0 and not d < beta * d_prev:
-        bound = beta * _n_from_parts(space, c, q, x_prev, x_cur, d_prev, t_prev, t_cur, r_prev, d)
-        if not d < bound:
-            raise RatioViolation(
-                f"step {d} not below beta*N = {bound} at ({x_prev!r} -> {x_cur!r})"
-            )
-    return t_cur.elements[idx]
-
-
 def run_orbit(
     space: BMetricSpace,
     tmap: SetValuedMap,
@@ -141,8 +99,8 @@ def run_orbit(
     of the admissible interval (alpha, min(1, 1/(q*s))); x1 defaults to the
     closest element of T(x0). Every step is checked against the certified
     decay d_n <= gamma*d_{n-1} (slack 1e-12 relative) and the selection
-    inequality of select_next; a failed check ends the trace with status
-    "ratio_violation" and the offending step index.
+    inequality d(x_cur, x_next) < beta*N(x_prev, x_cur); a failed check ends
+    the trace with status "ratio_violation" and the offending step index.
 
     Stopping is by residual, not step size: a small step does not certify a
     fixed point, the residual is exactly what the fixed-point theorems bound.
@@ -154,8 +112,10 @@ def run_orbit(
     residual of each point are carried into the next step as T(x_prev) and
     d(x_prev, T(x_prev)), and d(x_prev, x_cur) is the previous step
     distance. N's cross terms d(x_prev, T(x_cur)) and d(x_cur, T(x_prev))
-    are computed, on PointSets, only when d >= beta*d_prev, since
-    N >= d_prev settles every other step (see select_next).
+    are computed, on PointSets, only when d >= beta*d_prev: N is a max whose
+    first term is d_prev, so N >= d_prev unless that is NaN (which fails the
+    screen), and rounded multiplication by beta > 0 is monotone, so
+    d < beta*d_prev implies d < beta*N in floats too.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0,1), got {alpha}")
@@ -202,13 +162,11 @@ def run_orbit(
             if d < residual:
                 residual, nxt = d, y
         if residual <= tol:
-            return OrbitTrace(
-                tuple(points), tuple(steps), beta, gamma, "converged", x_cur, residual
-            )
+            status = "converged"
+            break
         if len(steps) >= max_iter:
-            return OrbitTrace(
-                tuple(points), tuple(steps), beta, gamma, "max_iter", None, residual
-            )
+            status = "max_iter"
+            break
 
         # the attained min is the next step distance; residual > tol > 0 here.
         # N's cross terms are minima over the images, which repeated
@@ -220,19 +178,16 @@ def run_orbit(
                 space, c, q, x_prev, x_cur, d_prev, PointSet(t_prev), PointSet(t_cur), r_prev, residual
             )
         ):
-            return OrbitTrace(
-                tuple(points),
-                tuple(steps),
-                beta,
-                gamma,
-                "ratio_violation",
-                None,
-                residual,
-                violation_step=len(steps),
-            )
+            status = "ratio_violation"
+            break
         points.append(nxt)
         steps.append(residual)
         x_prev, x_cur, t_prev, r_prev = x_cur, nxt, t_cur, residual
+
+    return OrbitTrace(
+        tuple(points), tuple(steps), beta, gamma, status, x_cur if status == "converged" else None, residual,
+        violation_step=len(steps) if status == "ratio_violation" else None,
+    )
 
 
 def chaining_bound(steps, s: float) -> float:

@@ -27,7 +27,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from itertools import repeat
-from math import cos, dist as _euclid, floor, pi, sin
+from math import cos, dist as _euclid, floor, inf, pi, sin
 from sys import float_info
 
 import numpy as np
@@ -66,9 +66,9 @@ class PointsSample:
 class Scenario:
     """A problem instance: the built space and map, the run parameters and
     the certification sample. Construction is the one place that checks a
-    scenario: tol > 0, max_iter >= 1, beta in (alpha, beta_limit(q, s)), and
-    x0, x1 and every sample point against the space. Two scenarios are
-    equal when their canonical JSON objects are."""
+    scenario: 0 < tol < inf, max_iter >= 1, beta in (alpha, beta_limit(q,
+    s)), and x0, x1 and every sample point against the space. Two scenarios
+    are equal when their canonical JSON objects are."""
 
     space: BMetricSpace
     map: SetValuedMap
@@ -81,8 +81,8 @@ class Scenario:
     sample: GridSample | PointsSample
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ScenarioFormatError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < inf:  # JSON output (the digest, the report) has no inf
+            raise ScenarioFormatError(f"tol must be positive and finite, got {self.tol}")
         if not self.max_iter >= 1:
             raise ScenarioFormatError(f"max_iter must be >= 1, got {self.max_iter}")
         p, hi = self.params, beta_limit(self.params.q, self.space.s)

@@ -20,7 +20,6 @@ from bfixpoint.bspace import BMetricSpace, make_matrix_space, make_power_space
 from bfixpoint.cli import bound_audit
 from bfixpoint.orbit import (
     OrbitTrace,
-    RatioViolation,
     _ruled_out,
     cauchy_bound,
     cauchy_series,
@@ -426,6 +425,10 @@ class TestChainingBounds:
 # -- run_orbit --------------------------------------------------------------
 
 
+class _Violation(Exception):
+    """A failed decay or selection check inside reference_run_orbit."""
+
+
 def reference_run_orbit(space, tmap, c, q, alpha, x0, x1=None, beta=None, tol=1e-9, max_iter=1000):
     """The orbit loop step by step, re-evaluating every image and
     N(x_prev, x_cur) from scratch with the public n_functional."""
@@ -452,13 +455,13 @@ def reference_run_orbit(space, tmap, c, q, alpha, x0, x1=None, beta=None, tol=1e
         d_prev = steps[-1]
         try:
             if residual > gamma * d_prev + 1e-12 * d_prev:
-                raise RatioViolation("decay")
+                raise _Violation("decay")
             img = image_of(space, tmap, x_cur)
             d, idx = dist_point_set(space, x_cur, img)
             if d > 0.0 and not d < beta * n_functional(space, tmap, c, q, x_prev, x_cur):
-                raise RatioViolation("selection")
+                raise _Violation("selection")
             nxt = img.elements[idx]
-        except RatioViolation:
+        except _Violation:
             return OrbitTrace(
                 tuple(points), tuple(steps), beta, gamma, "ratio_violation", None, residual,
                 violation_step=len(steps),

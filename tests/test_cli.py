@@ -217,7 +217,18 @@ def test_beta_beyond_its_limit_is_invalid_input(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: params.beta 0.6 outside (alpha, min(1, 1/(q*s))) = (0.3, 0.5)")
 
 
-@pytest.mark.parametrize("override", [["--tol", "0"], ["--tol", "-1"], ["--max-iter", "0"]])
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+def test_infinite_tol_is_invalid_input(tmp_path, capsys, command):
+    # JSON output has no inf, so every command rejects the scenario as it loads
+    obj = dict(paper_scenario(), tol=math.inf)
+    assert main(command_argv(command, write_json(tmp_path / "sc.json", obj), tmp_path)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: tol must be positive and finite, got inf\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override", [["--tol", "0"], ["--tol", "-1"], ["--max-iter", "0"], ["--tol", "inf"]])
 def test_bad_override_is_invalid_input(tmp_path, capsys, override):
     out = tmp_path / "o"
     assert main(["run", "--scenario", "paper-example", "--out", str(out)] + override) == 3

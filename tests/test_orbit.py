@@ -1,18 +1,15 @@
 import math
 
-import numpy as np
 import pytest
 
-from bfixpoint.bspace import BMetricSpace, make_matrix_space, make_power_space
+from bfixpoint.bspace import make_matrix_space, make_power_space
 from bfixpoint.orbit import (
-    RatioViolation,
     beta_limit,
     cauchy_bound,
     cauchy_series,
     chaining_bound,
     gamma_of,
     run_orbit,
-    select_next,
     verify_fixed_point,
 )
 from bfixpoint.quasicontraction import make_branch_map, make_table_map
@@ -79,30 +76,6 @@ class TestGammaOf:
             hi = 1.0 if q == 0.0 else min(1.0, 1.0 / (q * s))
             beta = rng.uniform(1e-6, hi * (1 - 1e-9))
             assert 0.0 < gamma_of(beta, q, s) < 1.0
-
-
-class TestSelectNext:
-    def test_singleton_image(self):
-        assert select_next(QUAD, SHRINK, (1.0,), (0.9,), 0.9, 0.0, 0.0) == (0.81,)
-
-    def test_strict_bound_holds_on_contractive_step(self):
-        nxt = select_next(QUAD, SHRINK, (1.0,), (0.9,), 0.9, 0.0, 0.0)
-        assert QUAD.dist((0.9,), nxt) < 0.9 * QUAD.dist((1.0,), (0.9,))
-
-    def test_expanding_image_raises(self):
-        space, tmap = expanding_line()
-        with pytest.raises(RatioViolation):
-            select_next(space, tmap, 0, 1, 0.9, 0.0, 0.0)
-
-    def test_beta_outside_its_interval_raises_value_error(self):
-        # at beta = -0.5 the step would pass beta*d_prev = 0.5 > d = 0.25 and
-        # fail beta*N = 0, a RatioViolation; the beta check comes first
-        matrix = np.array([[0.0, -1.0, 3.0], [-1.0, 0.0, 0.25], [3.0, 0.25, 0.0]])
-        space = BMetricSpace("matrix", 1.0, matrix=matrix)  # no axiom checks
-        tmap = make_table_map(space, {0: [1], 1: [2], 2: [2]})
-        for beta in (-0.5, 0.0, math.nan, beta_limit(0.0, 1.0)):
-            with pytest.raises(ValueError, match="^beta must lie in"):
-                select_next(space, tmap, 0, 1, beta, 0.0, 0.0)
 
 
 class TestRunOrbit:
@@ -174,9 +147,10 @@ class TestRunOrbit:
         assert trace.status == "converged"
         assert len(trace.steps) == 483
 
-    def test_bad_beta_rejected(self):
-        with pytest.raises(ValueError, match="beta"):
-            run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), beta=0.85, tol=1e-9)
+    @pytest.mark.parametrize("beta", [0.85, -0.5, 0.0, math.nan, beta_limit(0.0, QUAD.s)])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="^beta must lie in"):
+            run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), beta=beta, tol=1e-9)
 
 
 class TestChainingBound:

@@ -1,10 +1,13 @@
 """The README's library quick start runs against the current API, and its
-module map names only what the modules define."""
+module map names only what the modules define and every name the package
+exports."""
 
 import importlib
 import inspect
 import re
 from pathlib import Path
+
+import bfixpoint
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,5 +39,11 @@ def test_module_map_names_exist():
         classes = [v for v in vars(module).values() if inspect.isclass(v) and v.__module__ == module_name]
         for name in names:
             if not name.isidentifier():
-                continue  # a code phrase such as `import numpy`, not a name
+                continue  # a code phrase such as `bfixpoint run / verify / compare`, not a name
             assert any(hasattr(owner, name) for owner in (module, *classes)), f"{module_name} has no {name}"
+
+
+def test_module_map_names_every_export():
+    mapped = {name for names in module_map().values() for name in names}
+    missing = [name for name in bfixpoint.__all__ if name not in mapped]
+    assert not missing, f"README module map lacks {missing}"

@@ -52,7 +52,7 @@ class TestInvariants:
 
     def test_tol_and_max_iter(self):
         sc = paper_example()
-        for bad in (0.0, -1.0, float("nan")):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ScenarioFormatError, match="tol must be positive"):
                 replace(sc, tol=bad)
         with pytest.raises(ScenarioFormatError, match="max_iter must be >= 1"):
