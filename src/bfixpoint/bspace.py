@@ -167,13 +167,24 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
 
 
 def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
-    # both d(x,y) and d(y,x), since symmetry is one of the axioms checked,
-    # row by row in one dists call. A distance that overflows names its pair
-    # (the first in index order) here, before any check or reduction does
-    # arithmetic on it.
+    """The n x n table d(sample[i], sample[j]), each entry equal to dist
+    bit for bit. A power space evaluates the n(n-1)/2 pairs i < j in one
+    dists call and mirrors them, leaving the diagonal at 0: fl(a - b) is
+    -fl(b - a), so its distance is exactly symmetric, and 0.0**p is 0. A
+    matrix space gathers all n**2 entries, both orders, since a hand-built
+    matrix can be asymmetric and symmetry is one of the axioms checked.
+
+    A distance that overflows names its pair (the first in index order,
+    which on a symmetric table has i < j) here, before any check or
+    reduction does arithmetic on it."""
     n = len(sample)
     table = space.point_table(sample)
-    dmat = space.dists(np.repeat(table, n), np.tile(table, n)).reshape(n, n)
+    if space.kind == "matrix":
+        dmat = space.dists(np.repeat(table, n), np.tile(table, n)).reshape(n, n)
+    else:
+        upper = np.triu_indices(n, 1)
+        dmat = np.zeros((n, n))
+        dmat[upper] = dmat.T[upper] = space.dists(table[upper[0]], table[upper[1]])
     if not np.isfinite(dmat).all():
         i, j = map(int, np.argwhere(~np.isfinite(dmat))[0])
         raise ValueError(f"sample pair ({sample[i]!r}, {sample[j]!r}) has non-finite distance {dmat[i, j]}")
@@ -181,20 +192,34 @@ def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
 
 
 # The via-point reduction sums d(x,z) + d(z,y) for a block of rows x at a
-# time: as many rows as fit in this many sums, and at least one row, so the
-# buffer does not grow as n**3.
+# time: as many rows as fit in this many sums over the block's columns y,
+# and at least one row, so the buffer does not grow as n**3.
 _BLOCK_SUMS = 1 << 16
 
 
 def _via_minimum(dmat: np.ndarray) -> np.ndarray:
     """min over k of dmat[i,k] + dmat[k,j] for every (i, j); a sum that
-    overflows is inf (callers scope the overflow warning)."""
+    overflows is inf (callers scope the overflow warning).
+
+    A symmetric table (dmat == dmat.T, as every power-space table and every
+    matrix make_matrix_space accepts) reduces only the columns j >= lo of a
+    block of rows lo..hi and mirrors them, about n**3/2 sums: float addition
+    commutes, so the minimum for (i, j) is that for (j, i), up to the sign
+    of a zero. Any other table reduces every column."""
     n = len(dmat)
-    cols = dmat.T.copy()  # row j is column j, so each sum runs along a contiguous axis
+    symmetric = bool((dmat == dmat.T).all())
+    # row j of cols is column j of dmat, so each sum runs along a contiguous axis
+    cols = dmat if symmetric else dmat.T.copy()
     best = np.empty_like(dmat)
-    rows = max(1, _BLOCK_SUMS // (n * n))
-    for lo in range(0, n, rows):
-        best[lo : lo + rows] = np.fmin.reduce(dmat[lo : lo + rows, None, :] + cols[None, :, :], axis=2)
+    lo = 0
+    while lo < n:
+        first = lo if symmetric else 0
+        hi = min(n, lo + max(1, _BLOCK_SUMS // ((n - first) * n)))
+        block = np.fmin.reduce(dmat[lo:hi, None, :] + cols[None, first:, :], axis=2)
+        best[lo:hi, first:] = block
+        if symmetric:
+            best[lo:, lo:hi] = block.T
+        lo = hi
     return best
 
 
@@ -226,17 +251,21 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
     relaxed-triangle: d(x,y) <= s*(d(x,z) + d(z,y)) + tol.
 
     tol is relative: each check reads it as tol times the largest sample
-    distance (tol = 0 is exact).
+    distance (tol = 0 is exact). It must be finite and >= 0.
 
     Violations are data, not errors; each carries its witnesses and both
     sides of the failed inequality, ordered by smallest index tuple first.
     A sample distance that is not finite (finite coordinates can overflow)
     is an error: ValueError names the first such pair.
+
+    On n points this evaluates n(n-1)/2 dists entries in a power space and
+    n**2 in a matrix space (see _distance_table), and about n**3/2
+    via-point sums on a symmetric table, n**3 otherwise (see _via_minimum).
     """
     if not sample:
         raise ValueError("sample must be nonempty")
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not 0.0 <= tol < math.inf:  # a nan tol would pass every check
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     for x in sample:
         space.check_point(x)
 

@@ -101,7 +101,9 @@ class Scenario:
 
 
 BUILTIN_NAMES = ("paper-example", "random-finite")
-MAX_GRID_POINTS = 100_000  # certify is quadratic in the sample; the largest one in use has 201 points
+# caps the grid's size, not its work: certify is quadratic in the sample and
+# verify's axiom check cubic; the largest grid in use has 201 points
+MAX_GRID_POINTS = 100_000
 
 
 def paper_example() -> Scenario:

@@ -72,6 +72,15 @@ class TestMakePowerSpace:
 BAD_ARGUMENTS = {
     "n-points-of-power-space": (lambda: make_power_space(1, 2.0).n_points, "continuous space has no finite point list"),
     "negative-tol": (lambda: verify_axioms(make_power_space(1, 2.0), grid1(0, 1), tol=-1.0), "tol must be >= 0"),
+    # nan would pass every check, and inf would call every distance zero
+    "nan-tol": (
+        lambda: verify_axioms(make_power_space(1, 2.0), grid1(0, 1), tol=math.nan),
+        "^tol must be >= 0 and finite, got nan$",
+    ),
+    "inf-tol": (
+        lambda: verify_axioms(make_power_space(1, 2.0), grid1(0, 1), tol=math.inf),
+        "^tol must be >= 0 and finite, got inf$",
+    ),
 }
 
 
@@ -500,6 +509,105 @@ class TestDistsMatchesDist:
         assert got.shape == (0,) and got.dtype == np.float64
 
 
+# -- the distance table and the via-point reduction ---------------------------
+
+
+@st.composite
+def power_samples(draw):
+    dim = draw(st.integers(1, 3))
+    space = make_power_space(dim, draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])))
+    # -0.0 next to 0.0, near-duplicates a few ulps or COORD_TOL apart, and
+    # +-1e308, whose distance is inf even where the power does not overflow
+    coord = st.one_of(st.sampled_from([0.0, -0.0, 1e-13, 1e-7, 1.0, 1.0 + 2**-52, 1e308, -1e308]), COORDS)
+    pool = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4))
+    sample = draw(st.lists(st.one_of(st.sampled_from(pool), st.tuples(*[coord] * dim)), min_size=1, max_size=10))
+    return space, sample
+
+
+def table_or_error(evaluate):
+    """The hex form of each entry, or the type and message of the error raised."""
+    try:
+        return [[float(d).hex() for d in row] for row in evaluate()]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_table(space, sample):
+    """_distance_table by its definition: every ordered pair, one at a time,
+    and the first non-finite one in index order named."""
+    d = [[space.dist(x, y) for y in sample] for x in sample]
+    for (i, x), (j, y) in itertools.product(enumerate(sample), repeat=2):
+        if not math.isfinite(d[i][j]):
+            raise ValueError(f"sample pair ({x!r}, {y!r}) has non-finite distance {d[i][j]}")
+    return d
+
+
+@st.composite
+def hand_built_tables(draw):
+    """Tables with -0.0 and 0.0, negative entries and sums that overflow:
+    asymmetric, symmetric, or equal to their transpose only up to the sign
+    of a zero."""
+    n = draw(st.integers(1, 9))
+    entry = st.sampled_from([-0.0, 0.0, -1.0, 0.2, 1.0, 1.0 + 1e-12, 3.0, 1e308])
+    m = np.array([[draw(entry) for _ in range(n)] for _ in range(n)])
+    form = draw(st.sampled_from(["asymmetric", "symmetric", "zero-signs"]))
+    if form != "asymmetric":
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        m = np.where(upper, m, m.T)
+        if form == "zero-signs":
+            m = np.where(~upper & (m == 0.0), -m, m)
+    return m
+
+
+class TestDistanceTableMatchesDist:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(power_samples())
+    def test_power_spaces_entry_by_entry(self, case):
+        space, sample = case
+        got = table_or_error(lambda: bspace._distance_table(space, sample))
+        assert got == table_or_error(lambda: reference_table(space, sample))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_first_non_finite_pair_is_named(self, dim, p):
+        # d(0, +-1e308) is finite at these p; d(1e308, -1e308) is inf, and
+        # its pair comes first in index order as (1, 2), not (2, 1)
+        space = make_power_space(dim, p)
+        sample = [(0.0,) * dim, (1e308,) * dim, (-1e308,) * dim, (0.0,) * dim]
+        got = table_or_error(lambda: bspace._distance_table(space, sample))
+        assert got == table_or_error(lambda: reference_table(space, sample))
+        assert got[0] is ValueError and f"({sample[1]!r}, {sample[2]!r})" in got[1]
+
+
+class TestViaMinimumMatchesTripleLoop:
+    # == on floats, since a mirrored minimum may be 0.0 where the loop gives -0.0
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(m=hand_built_tables(), budget=st.sampled_from([1, 40, bspace._BLOCK_SUMS]))
+    def test_hand_built_tables(self, m, budget):
+        n = len(m)
+        d = m.tolist()
+        want = [[min(d[i][k] + d[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+            mp.setattr(bspace, "_BLOCK_SUMS", budget)
+            assert bspace._via_minimum(m).tolist() == want
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(), m=hand_built_tables(), tol=TOLS, budget=st.sampled_from([1, 40, bspace._BLOCK_SUMS])
+    )
+    def test_axioms_and_min_s_on_hand_built_tables(self, data, m, tol, budget):
+        space = BMetricSpace(kind="matrix", s=data.draw(st.sampled_from([1.0, 1.2, 2.0])), matrix=m)
+        sample = data.draw(st.lists(st.integers(0, len(m) - 1), min_size=1, max_size=10))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bspace, "_BLOCK_SUMS", budget)
+            assert verify_axioms(space, sample, tol) == reference_axioms(space, sample, tol)
+            if not any(m[x, y] > 0.0 for x in sample for y in sample):
+                with pytest.raises(ValueError, match="distinct"):
+                    estimate_min_s(space, sample)
+            else:
+                assert estimate_min_s(space, sample) == reference_min_s(space, sample)
+
+
 def test_bulk_layers_make_no_scalar_distance_calls(monkeypatch):
     """verify_axioms and bound_audit take every distance through dists."""
     calls = [0]
@@ -589,7 +697,8 @@ def test_certify_work_per_point_and_pair(monkeypatch):
 
 def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
     """bfixpoint verify on n points evaluates certify's n(n-1)/2 * (1 + w)**2
-    dists entries and the n**2 of verify_axioms' table, nothing more. A
+    dists entries and those of verify_axioms' table, nothing more: the
+    n(n-1)/2 pairs i < j in a power space, all n**2 in a matrix space. A
     builtin is resolved uncounted: random-finite's generation runs certify
     rounds of its own."""
     plane = make_power_space(2, 1.5)
@@ -632,4 +741,5 @@ def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
             m.setattr(BMetricSpace, "dists", counted_dists)
             cli.main(["verify", *argv])
         capsys.readouterr()
-        assert entries[0] == n * (n - 1) // 2 * (1 + w) ** 2 + n * n
+        table = n * n if sc.space.kind == "matrix" else n * (n - 1) // 2
+        assert entries[0] == n * (n - 1) // 2 * (1 + w) ** 2 + table
