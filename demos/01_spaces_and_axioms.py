@@ -26,11 +26,11 @@ print("2. the squared line 0, 1, 2 packed into an explicit matrix")
 print("=" * 68)
 squared = [[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]]
 sp2 = make_matrix_space(3, squared, s=2.0)
-print(f"  declared s = 2: passed = {verify_axioms(sp2, sp2.points(), tol=0.0).passed}")
+print(f"  declared s = 2: passed = {verify_axioms(sp2, range(sp2.n_points), tol=0.0).passed}")
 
 # understate the coefficient and the middle point becomes a witness
 sp19 = make_matrix_space(3, squared, s=1.9)
-report = verify_axioms(sp19, sp19.points(), tol=0.0)
+report = verify_axioms(sp19, range(sp19.n_points), tol=0.0)
 print(f"  declared s = 1.9: passed = {report.passed}")
 v = report.violations[0]
 print(f"    first violation: {v.axiom}, witness (x,y,z) = {v.witness},")

@@ -26,7 +26,7 @@ sc, cert = random_finite(seed=42, n_points=8, p=2.0, alpha_cap=0.6)
 space, tmap = instantiate(sc)
 print(f"  points: {space.n_points}, s = {space.s}, c = {sc.params.c:.4f}, q = {sc.params.q:.4f}")
 print(f"  exhaustive alpha_min = {cert.alpha_min:.6f} (cap was 0.6), coverage = {cert.coverage}")
-print(f"  images: {[list(image_of(space, tmap, i).elements) for i in space.points()]}")
+print(f"  images: {[list(image_of(space, tmap, i).elements) for i in range(space.n_points)]}")
 again, _ = random_finite(seed=42, n_points=8, p=2.0, alpha_cap=0.6)
 print(f"  same seed reproduces the instance exactly: {again == sc}")
 
@@ -39,7 +39,7 @@ print("2. weakly-Picard sweep: every start, every admissible first hop")
 print("=" * 68)
 params = sc.params
 orbits = 0
-for x in space.points():
+for x in range(space.n_points):
     for y in image_of(space, tmap, x).elements:
         trace = run_orbit(space, tmap, params.c, params.q, params.alpha, x, x1=y, tol=1e-9)
         residual, ok = verify_fixed_point(space, tmap, trace.fixed_point, 1e-9)

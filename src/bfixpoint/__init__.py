@@ -19,10 +19,9 @@ from .orbit import (
     CauchyCertificate,
     FixedPointCheck,
     OrbitTrace,
-    cauchy_bound,
     cauchy_bounds,
     cauchy_series,
-    chaining_bound,
+    chaining_bounds,
     gamma_of,
     run_orbit,
     verify_fixed_point,
@@ -75,13 +74,12 @@ __all__ = [
     "SetDistance",
     "SetValuedMap",
     "builtin",
-    "cauchy_bound",
     "cauchy_bounds",
     "cauchy_series",
     "certifies",
     "certify",
     "certify_scenario",
-    "chaining_bound",
+    "chaining_bounds",
     "check_hypotheses",
     "dist_point_set",
     "enumerate_fixed_points",

@@ -16,6 +16,7 @@ spaces.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Union
@@ -25,6 +26,13 @@ import numpy as np
 Point = Union[tuple, int]
 
 COORD_TOL = 1e-12  # coordinate tolerance for treating continuous points as equal
+
+
+def _check_int(name: str, value) -> None:
+    """Reject a count or seed that is not an integer: int() would
+    truncate a float and accept a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +50,6 @@ class BMetricSpace:
             raise ValueError("continuous space has no finite point list")
         return self.matrix.shape[0]
 
-    def points(self) -> list[int]:
-        return list(range(self.n_points))
-
     def dist(self, x: Point, y: Point) -> float:
         if self.kind == "matrix":
             return float(self.matrix[x, y])
@@ -56,37 +61,29 @@ class BMetricSpace:
         """The points as a one-dimensional array, in the form dists
         evaluates from: the ids (intp) of a matrix space, the coordinates
         (float64) of a one-dimensional power space, the point tuples (an
-        object array) in higher dimensions. Bulk callers build one table
-        and pass gathers of it, dists(table[ix], table[iy]). An array
-        already in that form is returned as it is."""
-        dtype = np.intp if self.kind == "matrix" else float if self.dim == 1 else object
-        if isinstance(points, np.ndarray) and points.dtype == dtype and points.ndim == 1:
-            return points
-        if dtype is float:
+        object array) in higher dimensions."""
+        if self.kind == "power" and self.dim == 1:
             return np.fromiter((x for (x,) in points), float)
-        return np.fromiter(points, dtype)
+        return np.fromiter(points, np.intp if self.kind == "matrix" else object)
 
     def dists(self, xs, ys) -> np.ndarray:
-        """d(x, y) for each pair of zip(xs, ys), as a float64 array whose
-        entries equal dist(x, y) bit for bit. xs and ys are any iterables
-        of points, or gathers from point_table. Matrix spaces gather. A
-        one-dimensional power space takes numpy's |x - y|, which is what
+        """d(xs[i], ys[i]) for each i, as a float64 array whose entries
+        equal dist bit for bit. xs and ys are gathers of equal length from
+        one point_table, dists(table[ix], table[iy]). Matrix spaces gather.
+        A one-dimensional power space takes numpy's |x - y|, which is what
         math.dist returns for one coordinate, then Python's float power per
         entry unless p = 1 (x ** 1.0 is x). Higher dimensions take
         math.dist and builtin pow. The float power is that of ** with the
         same OverflowError; numpy's float power and norms round
         differently."""
         if self.kind == "matrix":
-            return self.matrix[self.point_table(xs), self.point_table(ys)]
+            return self.matrix[xs, ys]
         if self.dim == 1:
-            a, b = self.point_table(xs), self.point_table(ys)
-            n = min(len(a), len(b))
             with np.errstate(over="ignore", invalid="ignore"):
-                d = np.abs(a[:n] - b[:n])
+                d = np.abs(xs - ys)
             # an object array's power is the builtin float power, entry by entry
             return d if self.p == 1.0 else np.power(d.astype(object), self.p).astype(float)
-        xs, ys = (v.tolist() if isinstance(v, np.ndarray) else v for v in (xs, ys))
-        return np.fromiter(map(pow, map(math.dist, xs, ys), repeat(self.p)), float)
+        return np.fromiter(map(pow, map(math.dist, xs.tolist(), ys.tolist()), repeat(self.p)), float)
 
     def check_point(self, x: Point) -> None:
         """Reject points outside the domain (bad ids, wrong arity, non-finite coords)."""
@@ -123,6 +120,7 @@ def make_power_space(dimension: int, p: float) -> BMetricSpace:
     For p >= 1 the relaxed triangle inequality holds with s = 2**(p-1); for
     p in (0,1) the p-th power of a metric is again a metric, so s = 1.
     """
+    _check_int("dimension", dimension)
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     if not 0.0 < p < 1025.0:  # from p = 1025 on, s = 2**(p-1) overflows
@@ -137,6 +135,7 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
     off-diagonal entries (so distance zero is equivalent to identity).
     The b-metric axioms are NOT assumed; run verify_axioms for that.
     """
+    _check_int("n", n)
     m = np.array(matrix, dtype=float)  # a copy: the caller's array stays writable
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")

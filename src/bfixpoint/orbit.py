@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bspace import BMetricSpace, Point
+from .bspace import BMetricSpace, Point, _check_int
 from .quasicontraction import SetValuedMap, _check_coefficients, _n_from_parts, image_of
 from .setops import PointSet, dist_point_set
 
@@ -49,7 +49,7 @@ class CauchyCertificate:
     gamma: float
     s: float
     series_sum: float
-    first_step: float | None  # d(x_0, x_1); required by cauchy_bound
+    first_step: float | None  # d(x_0, x_1); required by cauchy_bounds
     terms_used: int
 
 
@@ -125,6 +125,7 @@ def run_orbit(
         raise ValueError(f"need alpha*q*s < 1, got {alpha * q * s}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    _check_int("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
@@ -188,17 +189,6 @@ def run_orbit(
         tuple(points), tuple(steps), beta, gamma, status, x_cur if status == "converged" else None, residual,
         violation_step=len(steps) if status == "ratio_violation" else None,
     )
-
-
-def chaining_bound(steps, s: float) -> float:
-    """Dyadic upper bound on d(x_0, x_k) from the k step distances:
-    s**ceil(log2 k) * sum(steps), the tightest admissible exponent; the
-    last value of chaining_bounds."""
-    steps = list(steps)
-    if not steps:
-        raise ValueError("steps must be nonempty")
-    *_, last = chaining_bounds(steps, s)
-    return last
 
 
 def chaining_bounds(steps, s: float):
@@ -265,15 +255,6 @@ def cauchy_bounds(cert: CauchyCertificate, n: int) -> list:
         raise ValueError("certificate has no first_step; rebuild with cauchy_series(gamma, s, d01)")
     first = cert.first_step * cert.series_sum / (1.0 - cert.gamma)
     return list(islice(accumulate(repeat(cert.gamma), operator.mul, initial=first), n))
-
-
-def cauchy_bound(m: int, cert: CauchyCertificate) -> float:
-    """Tail bound at m, cauchy_bounds(cert, m + 1)[m] (O(m) time and
-    memory): it bounds d(x_{m+1}, x_{m+k}) for every k and is monotone
-    non-increasing in m."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    return cauchy_bounds(cert, m + 1)[m]
 
 
 _BLOCK_ENTRIES = 1 << 14  # approximate values per row block of _row_maxima

@@ -32,7 +32,7 @@ from sys import float_info
 
 import numpy as np
 
-from .bspace import BMetricSpace, _distance_table, make_matrix_space, make_power_space
+from .bspace import BMetricSpace, _check_int, _distance_table, make_matrix_space, make_power_space
 from .jsonutil import dumps_canonical
 from .orbit import beta_limit
 from .quasicontraction import (
@@ -179,6 +179,8 @@ def random_finite(
     function of the arguments. The accepted scenario's alpha is tightened to
     the certified minimum.
     """
+    _check_int("seed", seed)
+    _check_int("n_points", n_points)
     if n_points < 3:
         raise ValueError(f"n_points must be >= 3, got {n_points}")
     if not p >= 1.0:

@@ -21,9 +21,8 @@ from bfixpoint.cli import bound_audit
 from bfixpoint.orbit import (
     OrbitTrace,
     _ruled_out,
-    cauchy_bound,
+    cauchy_bounds,
     cauchy_series,
-    chaining_bound,
     chaining_bounds,
     gamma_of,
     run_orbit,
@@ -294,7 +293,7 @@ class TestBoundAuditMatchesPairwise:
         space = make_power_space(2, 2.0)
         pts = [(0.95**k * math.cos(k), 0.95**k * math.sin(k)) for k in range(40)]
         trace = trace_of(space, pts, 0.99)
-        bounds = [cauchy_bound(m, cauchy_series(0.99, space.s, first_step=trace.steps[0])) for m in range(39)]
+        bounds = cauchy_bounds(cauchy_series(0.99, space.s, first_step=trace.steps[0]), 39)
         lower = [space.dist(pts[m + 1], pts[-1]) / bounds[m] for m in range(39)]
         top = [max(space.dist(pts[m + 1], y) for y in pts[m + 1 :]) / bounds[m] for m in range(39)]
         assert lower.index(max(lower)) == 3 and top.index(max(top)) == 0
@@ -311,7 +310,7 @@ class TestBoundAuditMatchesPairwise:
         pts = [(-1.0, 0.3), (0.0, 0.0), (a, b), (0.006921355562776953, 0.012633935116497897)]
         trace = trace_of(space, pts, 0.8999999999999991)
         cert = cauchy_series(trace.gamma, space.s, first_step=trace.steps[0])
-        b0, b1 = cauchy_bound(0, cert), cauchy_bound(1, cert)
+        b0, b1 = cauchy_bounds(cert, 2)
         lower = max(space.dist(pts[1], pts[3]) / b0, space.dist(pts[2], pts[3]) / b1)
         unwidened = float((np.float64(a) * a + np.float64(b) * b) ** 4.0) / b0
         assert unwidened < lower < space.dist(pts[1], pts[2]) / b0
@@ -336,7 +335,7 @@ class TestBoundAuditMatchesPairwise:
         trace = trace_of(space, pts, 0.95)
         table = space.point_table(pts)
         coords = np.array(pts).T.copy()
-        bounds = np.array([cauchy_bound(m, cauchy_series(0.95, space.s, first_step=trace.steps[0])) for m in range(29)])
+        bounds = np.array(cauchy_bounds(cauchy_series(0.95, space.s, first_step=trace.steps[0]), 29))
         ruled = ~np.isnan(_ruled_out(space, table, coords, bounds))
         assert not ruled[:25].any()  # rows m <= 24 hold x_25
         assert ruled[25:].any()
@@ -394,7 +393,7 @@ class TestChainingBounds:
         with pytest.raises(ValueError, match="s must be"):
             next(chaining_bounds((1.0,), 0.5))
         gen = chaining_bounds((1.0, -1.0), 2.0)
-        assert next(gen) == chaining_bound((1.0,), 2.0)
+        assert next(gen) == 1.0  # the chaining bound of the first step
         with pytest.raises(ValueError, match="non-negative"):
             next(gen)
 
@@ -416,7 +415,7 @@ class TestChainingBounds:
         assert [next(gen) for _ in want] == want
         if error is None:
             assert next(gen, "end") == "end"
-            assert chaining_bound(steps, s) == want[-1]
+            assert list(chaining_bounds(steps, s)) == want
         else:
             with pytest.raises(error[0], match=error[1]):
                 next(gen)

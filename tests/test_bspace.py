@@ -81,6 +81,10 @@ BAD_ARGUMENTS = {
         lambda: verify_axioms(make_power_space(1, 2.0), grid1(0, 1), tol=math.inf),
         "^tol must be >= 0 and finite, got inf$",
     ),
+    # counts are not coerced: int(2.7) would build a plane, and True a line
+    "float-dimension": (lambda: make_power_space(2.7, 2.0), "^dimension must be an integer, got 2.7$"),
+    "bool-dimension": (lambda: make_power_space(True, 2.0), "^dimension must be an integer, got True$"),
+    "float-matrix-size": (lambda: make_matrix_space(2.0, [[0.0, 1.0], [1.0, 0.0]], 1.0), "^n must be an integer"),
 }
 
 
@@ -99,7 +103,7 @@ class TestMakeMatrixSpace:
 
     def test_squared_collinear_points(self):
         sp = make_matrix_space(3, SQUARED_LINE, 2.0)
-        assert verify_axioms(sp, sp.points(), tol=0.0).passed  # 4 <= 2*(1+1)
+        assert verify_axioms(sp, range(sp.n_points), tol=0.0).passed  # 4 <= 2*(1+1)
 
     def test_asymmetry_names_offending_pair(self):
         with pytest.raises(ValueError, match=r"asymmetry at \(0,1\)"):
@@ -146,7 +150,7 @@ class TestVerifyAxioms:
     def test_understated_s_reports_witness(self):
         # same squared distances but s declared below the true coefficient
         sp = make_matrix_space(3, SQUARED_LINE, 1.9)
-        report = verify_axioms(sp, sp.points(), tol=0.0)
+        report = verify_axioms(sp, range(sp.n_points), tol=0.0)
         assert not report.passed
         v = report.violations[0]
         assert v.axiom == "relaxed-triangle"
@@ -478,15 +482,12 @@ class TestDistsMatchesDist:
     @given(st.one_of(power_pairs(), matrix_pairs()))
     def test_entry_by_entry(self, case):
         space, xs, ys = case
-        got = bits_or_error(lambda: space.dists(xs, ys))
-        assert got == bits_or_error(lambda: [space.dist(x, y) for x, y in zip(xs, ys)])
-        assert got == bits_or_error(lambda: space.dists(iter(xs), iter(ys)))
-        # the form bulk callers use: gathers from one point table by index
         table = space.point_table(xs + ys)
         ix, iy = np.arange(len(xs)), np.arange(len(xs), len(xs) + len(ys))
-        assert got == bits_or_error(lambda: space.dists(table[ix], table[iy]))
+        got = bits_or_error(lambda: space.dists(table[ix], table[iy]))
+        assert got == bits_or_error(lambda: [space.dist(x, y) for x, y in zip(xs, ys)])
         if not isinstance(got, type):
-            assert space.dists(xs, ys).dtype == np.float64
+            assert space.dists(table[ix], table[iy]).dtype == np.float64
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize(
@@ -494,18 +495,18 @@ class TestDistsMatchesDist:
     )
     def test_extreme_differences_in_one_dimension(self, p, x, y):
         # a subnormal |x - y| is kept, not flushed to 0, and one that
-        # overflows is inf, with no warning, in every input form
+        # overflows is inf, with no warning
         space = make_power_space(1, p)
         table = space.point_table([x, y])
         want = bits_or_error(lambda: [space.dist(a, b) for a, b in ((x, y), (y, x), (x, x))])
         assert bits_or_error(lambda: space.dists(table[[0, 1, 0]], table[[1, 0, 0]])) == want
-        assert bits_or_error(lambda: space.dists([x, y, x], [y, x, x])) == want
 
     @pytest.mark.parametrize(
         "space", [make_power_space(1, 1.5), make_power_space(2, 1.5), make_matrix_space(3, SQUARED_LINE, 2.0)]
     )
     def test_empty_input(self, space):
-        got = space.dists([], [])
+        table = space.point_table([])
+        got = space.dists(table, table)
         assert got.shape == (0,) and got.dtype == np.float64
 
 

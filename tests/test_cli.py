@@ -129,6 +129,17 @@ def plane_grid_scenario():
     return obj
 
 
+def wide_branch_scenario():
+    # one dimension above MAX_BRANCH_DIM (32), the identity map
+    dim = 33
+    obj = non_finite_plane_scenario()
+    obj["space"]["dim"] = dim
+    obj["map"]["branches"] = [{"A": [[float(i == j) for j in range(dim)] for i in range(dim)], "b": [0.0] * dim}]
+    obj["x0"] = [0.0] * dim
+    obj["sample"] = {"kind": "points", "pts": [[0.0] * dim, [1.0] * dim]}
+    return obj
+
+
 def command_argv(command, path, tmp_path):
     argv = [command, "--scenario", path]
     if command == "run":
@@ -153,6 +164,7 @@ def command_argv(command, path, tmp_path):
         (aliased_image_key_scenario, r"map\.images keys '0' and '00' both name point 0"),
         (infinite_s_scenario, r"relaxation coefficient s must be finite and >= 1, got inf\n"),
         (plane_grid_scenario, r"sample.kind 'grid' needs a 1-dimensional power space\n"),
+        (wide_branch_scenario, r"branch maps take at most 32 dimensions \(MAX_BRANCH_DIM\), got 33\n"),
     ],
     ids=[
         "non-finite-images",
@@ -164,6 +176,7 @@ def command_argv(command, path, tmp_path):
         "aliased-image-key",
         "infinite-s",
         "grid-on-plane",
+        "branch-dim-over-limit",
     ],
 )
 def test_uncertifiable_scenario_is_invalid_input(tmp_path, capsys, command, scenario, message):

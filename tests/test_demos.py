@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the current library."""
+"""Every demo script runs to completion against the current library, under
+the suite's warning policy (pyproject.toml turns RuntimeWarning into an
+error), so a numpy floating-point warning inside a demo fails it too."""
 
 import os
 import subprocess
@@ -19,5 +21,7 @@ def test_demos_found():
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr

@@ -5,9 +5,9 @@ import pytest
 from bfixpoint.bspace import make_matrix_space, make_power_space
 from bfixpoint.orbit import (
     beta_limit,
-    cauchy_bound,
+    cauchy_bounds,
     cauchy_series,
-    chaining_bound,
+    chaining_bounds,
     gamma_of,
     run_orbit,
     verify_fixed_point,
@@ -38,10 +38,16 @@ BAD_ARGUMENTS = {
     "run_orbit-alpha": (lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 1.0, (1.0,)), "alpha must be in"),
     "run_orbit-tol": (lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), tol=0.0), "tol must be positive"),
     "run_orbit-max_iter": (lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), max_iter=0), "max_iter must be >= 1"),
-    "chaining_bound-s": (lambda: chaining_bound([1.0], 0.5), "s must be >= 1"),
-    "chaining_bound-negative-step": (lambda: chaining_bound([1.0, -1.0], 2.0), "non-negative"),
+    # 2.5 used to run 3 steps
+    "run_orbit-float-max_iter": (
+        lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), max_iter=2.5), "^max_iter must be an integer, got 2.5$"
+    ),
+    "run_orbit-bool-max_iter": (
+        lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), max_iter=True), "^max_iter must be an integer, got True$"
+    ),
+    "chaining_bound-s": (lambda: list(chaining_bounds([1.0], 0.5)), "s must be >= 1"),
+    "chaining_bound-negative-step": (lambda: list(chaining_bounds([1.0, -1.0], 2.0)), "non-negative"),
     "cauchy_series-s": (lambda: cauchy_series(0.5, 0.5), "s must be >= 1"),
-    "cauchy_bound-m": (lambda: cauchy_bound(-1, cauchy_series(0.5, 2.0, first_step=1.0)), "m must be >= 0"),
 }
 
 
@@ -155,17 +161,13 @@ class TestRunOrbit:
 
 class TestChainingBound:
     def test_single_step_uses_exponent_zero(self):
-        assert chaining_bound([5.0], 2.0) == 5.0
+        assert list(chaining_bounds([5.0], 2.0)) == [5.0]
 
     def test_two_steps_is_the_relaxed_triangle(self):
-        assert chaining_bound([1.0, 1.0], 2.0) == 4.0
+        assert list(chaining_bounds([1.0, 1.0], 2.0)) == [1.0, 4.0]
 
     def test_three_steps_round_up_to_exponent_two(self):
-        assert chaining_bound([1.0, 1.0, 1.0], 2.0) == 12.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            chaining_bound([], 2.0)
+        assert list(chaining_bounds([1.0, 1.0, 1.0], 2.0)) == [1.0, 4.0, 12.0]
 
     def test_dominates_actual_distances(self):
         rng = SplitMix64(606)
@@ -182,9 +184,8 @@ class TestChainingBound:
             space = make_matrix_space(8, d, max(1.0, 2.0 ** (p - 1.0)))
             walk = [rng.randrange(8) for _ in range(2 + rng.randrange(30))]
             steps = [space.dist(a, b) for a, b in zip(walk, walk[1:])]
-            for k in range(1, len(steps) + 1):
-                actual = space.dist(walk[0], walk[k])
-                assert actual <= chaining_bound(steps[:k], space.s) * (1.0 + 1e-12)
+            for k, bound in enumerate(chaining_bounds(steps, space.s), start=1):
+                assert space.dist(walk[0], walk[k]) <= bound * (1.0 + 1e-12)
 
 
 class TestCauchySeries:
@@ -213,35 +214,31 @@ class TestCauchySeries:
 class TestCauchyBound:
     def test_frozen_initial_bound(self):
         cert = cauchy_series(0.81, 2.0, first_step=0.01)
-        assert cauchy_bound(0, cert) == pytest.approx(BOUND0_081_2_D01, rel=1e-12)
+        assert cauchy_bounds(cert, 1)[0] == pytest.approx(BOUND0_081_2_D01, rel=1e-12)
 
     def test_step_recurrence_exact(self):
         cert = cauchy_series(0.81, 2.0, first_step=0.01)
-        for m in range(0, 40, 7):
-            assert cauchy_bound(m + 1, cert) == cert.gamma * cauchy_bound(m, cert)
+        bounds = cauchy_bounds(cert, 41)
+        for m in range(40):
+            assert bounds[m + 1] == cert.gamma * bounds[m]
 
     def test_underflow_reaches_zero(self):
         cert = cauchy_series(0.5, 2.0, first_step=1.0)
-        assert cauchy_bound(10_000, cert) == 0.0
+        assert cauchy_bounds(cert, 10_001)[10_000] == 0.0
 
     def test_monotone_nonincreasing(self):
-        cert = cauchy_series(0.93, 2.0, first_step=0.4)
-        prev = cauchy_bound(0, cert)
-        for m in range(1, 60):
-            cur = cauchy_bound(m, cert)
-            assert cur <= prev
-            prev = cur
+        bounds = cauchy_bounds(cauchy_series(0.93, 2.0, first_step=0.4), 60)
+        assert all(cur <= prev for prev, cur in zip(bounds, bounds[1:]))
 
     def test_missing_first_step_rejected(self):
         with pytest.raises(ValueError, match="first_step"):
-            cauchy_bound(0, cauchy_series(0.5, 2.0))
+            cauchy_bounds(cauchy_series(0.5, 2.0), 1)
 
     def test_dominates_trace_distances(self):
         trace = run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), tol=1e-9, max_iter=1000)
         cert = cauchy_series(trace.gamma, QUAD.s, first_step=trace.steps[0])
         pts = trace.points
-        for m in range(len(pts) - 1):
-            bound = cauchy_bound(m, cert)
+        for m, bound in enumerate(cauchy_bounds(cert, len(pts) - 1)):
             for k in range(1, len(pts) - m):
                 assert QUAD.dist(pts[m + 1], pts[m + k]) <= bound * (1.0 + 1e-9)
 
@@ -261,8 +258,7 @@ class TestCauchyBound:
                 d = d * gamma * rng.uniform(0.7, 1.0)
             cert = cauchy_series(gamma, 2.0, first_step=QUAD.dist(pts[0], pts[1]))
             assert cert.gamma * QUAD.s >= 1.0
-            for m in range(len(pts) - 1):
-                bound = cauchy_bound(m, cert)
+            for m, bound in enumerate(cauchy_bounds(cert, len(pts) - 1)):
                 for k in range(1, len(pts) - m):
                     assert QUAD.dist(pts[m + 1], pts[m + k]) <= bound * (1.0 + 1e-9)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bfixpoint.bspace import make_matrix_space, make_power_space
 from bfixpoint.quasicontraction import (
+    MAX_BRANCH_DIM,
     certifies,
     certify,
     check_hypotheses,
@@ -70,6 +71,11 @@ BAD_ARGUMENTS = {
     "fixed-points-of-power-space": (lambda: enumerate_fixed_points(QUAD, SHRINK), "needs a finite"),
     "check-hypotheses-alpha": (lambda: check_hypotheses(certify(QUAD, SHRINK, GRID, 0.0, 0.0), 1.0), "alpha must be in"),
     "randrange-empty": (lambda: SplitMix64(1).randrange(0), "randrange needs n >= 1"),
+    # checked before the branches are read or any code is generated
+    "branch-map-over-dimension-limit": (
+        lambda: make_branch_map(make_power_space(MAX_BRANCH_DIM + 1, 2.0), []),
+        f"^branch maps take at most {MAX_BRANCH_DIM} dimensions",
+    ),
 }
 
 
@@ -84,6 +90,13 @@ class TestMaps:
     def test_branch_image(self):
         img = image_of(QUAD, SHRINK, (2.0,))
         assert img.elements == ((1.8,),)
+
+    def test_branch_map_at_dimension_limit(self):
+        dim = MAX_BRANCH_DIM
+        plane = make_power_space(dim, 2.0)
+        a = [[0.5 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+        tmap = make_branch_map(plane, [(a, [1.0] * dim)])
+        assert image_of(plane, tmap, (2.0,) * dim).elements == ((2.0,) * dim,)
 
     @pytest.mark.parametrize("x", [(1.0,), (1.0, 2.0, 3.0)])
     def test_branch_image_rejects_wrong_arity(self, x):
@@ -201,7 +214,7 @@ class TestCertify:
     def test_constant_map_certifies_at_zero(self):
         sp = line_space()
         tmap = make_table_map(sp, {0: [1], 1: [1], 2: [1]})
-        cert = certify(sp, tmap, sp.points(), 0.0, 0.0)
+        cert = certify(sp, tmap, range(sp.n_points), 0.0, 0.0)
         assert cert.alpha_min == 0.0
         assert cert.coverage == "exhaustive"
 
@@ -240,7 +253,7 @@ class TestCertify:
     def test_finite_space_assumptions_hold(self):
         sp = line_space()
         tmap = make_table_map(sp, {0: [0], 1: [0], 2: [1]})
-        cert = certify(sp, tmap, sp.points(), 0.5, 0.5)
+        cert = certify(sp, tmap, range(sp.n_points), 0.5, 0.5)
         assert cert.assumptions["map_continuity"] == "holds (finite space)"
         assert cert.coverage == "exhaustive"
 
@@ -258,7 +271,7 @@ class TestCheckHypotheses:
     def test_metric_space_with_unit_coefficients(self):
         sp = line_space()
         tmap = make_table_map(sp, {0: [0], 1: [0], 2: [1]})
-        cert = certify(sp, tmap, sp.points(), 1.0, 1.0)
+        cert = certify(sp, tmap, range(sp.n_points), 1.0, 1.0)
         assert cert.alpha_min == pytest.approx(0.5, rel=1e-15)
         hyp = check_hypotheses(cert, 0.6)
         assert hyp["contraction_holds"]

@@ -142,7 +142,7 @@ class TestRandomFinite:
         for seed in (3, 14, 15):
             sc, _ = random_finite(seed, 7, 2.0, 0.6)
             space, _ = instantiate(sc)
-            assert verify_axioms(space, space.points(), tol=1e-12).passed
+            assert verify_axioms(space, range(space.n_points), tol=1e-12).passed
 
     def test_fixed_point_exists_by_enumeration(self):
         sc, _ = random_finite(42, 5, 2.0, 0.5)
@@ -162,6 +162,21 @@ class TestRandomFinite:
             random_finite(1, 5, 0.5, 0.5)
         with pytest.raises(ValueError):
             random_finite(1, 5, 2.0, 1.5)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # 8.0 failed deep inside placement with a TypeError, 3.5 only
+            # after placing points, at the matrix shape check
+            ((5, 8.0, 2.0, 0.6), "n_points must be an integer, got 8.0"),
+            ((5, 3.5, 2.0, 0.6), "n_points must be an integer, got 3.5"),
+            ((5, True, 2.0, 0.6), "n_points must be an integer, got True"),
+            ((5.0, 8, 2.0, 0.6), "seed must be an integer, got 5.0"),
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_finite(*args)
 
 
 class TestLoadValidation:
