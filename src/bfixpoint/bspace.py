@@ -6,8 +6,12 @@ carriers are supported:
 
 * power spaces: R^k with d(x,y) = (euclidean distance)**p, declared
   s = max(1, 2**(p-1));
-* matrix spaces: a finite point list with distances read from an explicit
-  symmetric matrix (axioms are the caller's claim, checkable exhaustively).
+* matrix spaces: a finite point list with distances read from a matrix.
+
+Every space checks itself when built (BMetricSpace): its distance is
+symmetric and zero exactly between equal points, and 1 <= s < inf. Only the
+relaxed triangle with that s is the caller's claim, which verify_axioms
+checks on a sample.
 
 Points are coordinate tuples in power spaces and integer ids in matrix
 spaces.
@@ -42,6 +46,41 @@ class BMetricSpace:
     dim: int | None = None
     p: float | None = None
     matrix: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind == "matrix":
+            m = np.array(self.matrix, dtype=float)  # a copy: the caller's array stays writable
+            n = len(m) if m.ndim else 0
+            if m.shape != (n, n):
+                raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+            # the first entry in row-major order that fails the first failing
+            # check; -0.0 passes as a zero, since no check reads the sign of a zero
+            for bad, message in (
+                (~np.isfinite(m), "non-finite entry at ({i},{j})"),
+                (m < 0.0, "negative entry at ({i},{j}): {v}"),
+                (m != m.T, "asymmetry at ({i},{j}): {v} != {w}"),
+                (np.diag(np.diag(m) != 0.0), "nonzero diagonal at ({i},{j}): {v}"),
+                (m + np.eye(n) == 0.0,  # the diagonal masked
+                 "zero off-diagonal entry at ({i},{j}): distinct points must have positive distance"),
+            ):
+                if bad.any():
+                    i, j = map(int, np.argwhere(bad)[0])
+                    raise ValueError(message.format(i=i, j=j, v=m[i, j], w=m[j, i]))
+            m.setflags(write=False)
+            object.__setattr__(self, "matrix", m)
+        elif self.kind == "power":
+            _check_int("dimension", self.dim)
+            if self.dim < 1:
+                raise ValueError(f"dimension must be >= 1, got {self.dim}")
+            if not 0.0 < self.p < 1025.0:  # from p = 1025 on, s = 2**(p-1) overflows
+                raise ValueError(f"exponent p must lie in (0, 1025), got {self.p}")
+            object.__setattr__(self, "dim", int(self.dim))
+            object.__setattr__(self, "p", float(self.p))
+        else:
+            raise ValueError(f"space kind must be 'power' or 'matrix', got {self.kind!r}")
+        if not 1.0 <= self.s < math.inf:
+            raise ValueError(f"relaxation coefficient s must be finite and >= 1, got {self.s}")
+        object.__setattr__(self, "s", float(self.s))
 
     @property
     def n_points(self) -> int:
@@ -102,7 +141,7 @@ class BMetricSpace:
 
 @dataclass(frozen=True)
 class AxiomViolation:
-    axiom: str  # "identity" | "symmetry" | "relaxed-triangle"
+    axiom: str  # "identity" | "relaxed-triangle"
     witness: tuple  # offending points, (x, y) or (x, y, z) with z the via point
     lhs: float
     rhs: float
@@ -120,70 +159,39 @@ def make_power_space(dimension: int, p: float) -> BMetricSpace:
     For p >= 1 the relaxed triangle inequality holds with s = 2**(p-1); for
     p in (0,1) the p-th power of a metric is again a metric, so s = 1.
     """
-    _check_int("dimension", dimension)
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if not 0.0 < p < 1025.0:  # from p = 1025 on, s = 2**(p-1) overflows
-        raise ValueError(f"exponent p must lie in (0, 1025), got {p}")
-    return BMetricSpace(kind="power", s=max(1.0, 2.0 ** (p - 1.0)), dim=int(dimension), p=float(p))
+    # 2**(p-1) overflows from p = 1025 on, where BMetricSpace rejects p
+    s = max(1.0, 2.0 ** (p - 1.0)) if p < 1025.0 else math.inf
+    return BMetricSpace(kind="power", s=s, dim=dimension, p=p)
 
 
 def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
-    """Finite space whose distances are read from an explicit n x n matrix.
-
-    Requires exact symmetry, a zero diagonal, and strictly positive
-    off-diagonal entries (so distance zero is equivalent to identity).
-    The b-metric axioms are NOT assumed; run verify_axioms for that.
+    """Finite space whose distances are read from an explicit n x n matrix,
+    checked as every matrix space is (BMetricSpace): exactly symmetric, a
+    zero diagonal, and strictly positive off-diagonal entries (so distance
+    zero is equivalent to identity). The relaxed triangle with coefficient
+    s is NOT assumed; run verify_axioms for that.
     """
     _check_int("n", n)
-    m = np.array(matrix, dtype=float)  # a copy: the caller's array stays writable
+    m = np.asarray(matrix, dtype=float)
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        i, j = map(int, np.argwhere(~np.isfinite(m))[0])
-        raise ValueError(f"non-finite entry at ({i},{j})")
-    neg = np.argwhere(m < 0)
-    if len(neg):
-        i, j = map(int, neg[0])
-        raise ValueError(f"negative entry at ({i},{j}): {m[i, j]}")
-    asym = np.argwhere(m != m.T)
-    if len(asym):
-        i, j = map(int, asym[0])
-        raise ValueError(f"asymmetry at ({i},{j}): {m[i, j]} != {m[j, i]}")
-    bad_diag = np.argwhere(np.diag(m) != 0.0)
-    if len(bad_diag):
-        i = int(bad_diag[0][0])
-        raise ValueError(f"nonzero diagonal at ({i},{i}): {m[i, i]}")
-    off = m + np.eye(n)  # mask the diagonal before the positivity scan
-    zero_off = np.argwhere(off == 0.0)
-    if len(zero_off):
-        i, j = map(int, zero_off[0])
-        raise ValueError(f"zero off-diagonal entry at ({i},{j}): distinct points must have positive distance")
-    if not 1.0 <= s < math.inf:
-        raise ValueError(f"relaxation coefficient s must be finite and >= 1, got {s}")
-    m.setflags(write=False)
-    return BMetricSpace(kind="matrix", s=float(s), matrix=m)
+    return BMetricSpace(kind="matrix", s=s, matrix=m)
 
 
 def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     """The n x n table d(sample[i], sample[j]), each entry equal to dist
-    bit for bit. A power space evaluates the n(n-1)/2 pairs i < j in one
-    dists call and mirrors them, leaving the diagonal at 0: fl(a - b) is
-    -fl(b - a), so its distance is exactly symmetric, and 0.0**p is 0. A
-    matrix space gathers all n**2 entries, both orders, since a hand-built
-    matrix can be asymmetric and symmetry is one of the axioms checked.
+    bit for bit up to the sign of a zero: the n(n-1)/2 pairs i < j are
+    evaluated in one dists call and mirrored, and the diagonal is 0.0. Every
+    space is symmetric (a power space exactly: fl(a - b) is -fl(b - a)), and
+    d(x, x) is 0: 0.0**p is 0, and a matrix diagonal is 0.0 or -0.0.
 
     A distance that overflows names its pair (the first in index order,
-    which on a symmetric table has i < j) here, before any check or
-    reduction does arithmetic on it."""
+    with i < j) here, before any check or reduction does arithmetic on it."""
     n = len(sample)
     table = space.point_table(sample)
-    if space.kind == "matrix":
-        dmat = space.dists(np.repeat(table, n), np.tile(table, n)).reshape(n, n)
-    else:
-        upper = np.triu_indices(n, 1)
-        dmat = np.zeros((n, n))
-        dmat[upper] = dmat.T[upper] = space.dists(table[upper[0]], table[upper[1]])
+    upper = np.triu_indices(n, 1)
+    dmat = np.zeros((n, n))
+    dmat[upper] = dmat.T[upper] = space.dists(table[upper[0]], table[upper[1]])
     if not np.isfinite(dmat).all():
         i, j = map(int, np.argwhere(~np.isfinite(dmat))[0])
         raise ValueError(f"sample pair ({sample[i]!r}, {sample[j]!r}) has non-finite distance {dmat[i, j]}")
@@ -197,56 +205,46 @@ _BLOCK_SUMS = 1 << 16
 
 
 def _via_minimum(dmat: np.ndarray) -> np.ndarray:
-    """min over k of dmat[i,k] + dmat[k,j] for every (i, j); a sum that
-    overflows is inf (callers scope the overflow warning).
+    """min over k of dmat[i,k] + dmat[k,j] for every (i, j) of a symmetric
+    table (a _distance_table); a sum that overflows is inf (callers scope
+    the overflow warning).
 
-    A symmetric table (dmat == dmat.T, as every power-space table and every
-    matrix make_matrix_space accepts) reduces only the columns j >= lo of a
-    block of rows lo..hi and mirrors them, about n**3/2 sums: float addition
-    commutes, so the minimum for (i, j) is that for (j, i), up to the sign
-    of a zero. Any other table reduces every column."""
+    A block of rows lo..hi is reduced over the columns j >= lo only and
+    mirrored, about n**3/2 sums: float addition commutes, so the minimum for
+    (i, j) is that for (j, i), up to the sign of a zero. Row j of dmat is
+    its column j, so each sum runs along a contiguous axis."""
     n = len(dmat)
-    symmetric = bool((dmat == dmat.T).all())
-    # row j of cols is column j of dmat, so each sum runs along a contiguous axis
-    cols = dmat if symmetric else dmat.T.copy()
     best = np.empty_like(dmat)
     lo = 0
     while lo < n:
-        first = lo if symmetric else 0
-        hi = min(n, lo + max(1, _BLOCK_SUMS // ((n - first) * n)))
-        block = np.fmin.reduce(dmat[lo:hi, None, :] + cols[None, first:, :], axis=2)
-        best[lo:hi, first:] = block
-        if symmetric:
-            best[lo:, lo:hi] = block.T
+        hi = min(n, lo + max(1, _BLOCK_SUMS // ((n - lo) * n)))
+        block = np.fmin.reduce(dmat[lo:hi, None, :] + dmat[None, lo:, :], axis=2)
+        best[lo:hi, lo:] = block
+        best[lo:, lo:hi] = block.T
         lo = hi
     return best
 
 
-def _coincide(space: BMetricSpace, sample: list) -> tuple[np.ndarray, np.ndarray]:
-    """Two n x n masks over the sample: the points are equal (as Python
-    values), and they coincide (equal ids, or every coordinate within
-    COORD_TOL)."""
+def _coincide(space: BMetricSpace, sample: list) -> np.ndarray:
+    """The n x n mask of sample points that coincide: equal ids, or every
+    coordinate within COORD_TOL."""
     if space.kind == "matrix":
         ids = np.asarray(sample)
-        same = ids[:, None] == ids[None, :]
-        return same, same
-    coords = np.array(sample, dtype=float).T
-    same = np.ones((len(sample), len(sample)), dtype=bool)
-    close = same.copy()
+        return ids[:, None] == ids[None, :]
+    close = np.ones((len(sample), len(sample)), dtype=bool)
     with np.errstate(all="ignore"):
-        for xs in coords:
-            same &= xs[:, None] == xs[None, :]
+        for xs in np.array(sample, dtype=float).T:
             close &= np.abs(xs[:, None] - xs[None, :]) <= COORD_TOL
-    return same, close
+    return close
 
 
 def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomReport:
-    """Check the b-metric axioms on every ordered pair/triple of the sample.
+    """Check the b-metric axioms on every ordered pair/triple of the sample
+    (symmetry holds in every space by construction):
 
     identity:         d(x,y) = 0 exactly when the points coincide (zero is
                       read up to tol on formula-backed spaces, and point
                       coincidence up to coordinate tolerance 1e-12);
-    symmetry:         |d(x,y) - d(y,x)| <= tol;
     relaxed-triangle: d(x,y) <= s*(d(x,z) + d(z,y)) + tol.
 
     tol is relative: each check reads it as tol times the largest sample
@@ -257,9 +255,8 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
     A sample distance that is not finite (finite coordinates can overflow)
     is an error: ValueError names the first such pair.
 
-    On n points this evaluates n(n-1)/2 dists entries in a power space and
-    n**2 in a matrix space (see _distance_table), and about n**3/2
-    via-point sums on a symmetric table, n**3 otherwise (see _via_minimum).
+    On n points this evaluates n(n-1)/2 dists entries (see _distance_table)
+    and about n**3/2 via-point sums (see _via_minimum).
     """
     if not sample:
         raise ValueError("sample must be nonempty")
@@ -272,18 +269,12 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
     dmat = _distance_table(space, sample)
     tol = tol * float(dmat.max())
 
-    # identity and symmetry for every ordered pair (i, j), in index order
-    # and identity first
-    same, close = _coincide(space, sample)
+    # identity for every ordered pair (i, j), in index order: equal points
+    # are at distance 0 in every space (0.0**p is 0, and a matrix diagonal is
+    # checked zero), so only a zero between points that do not coincide fails
     zero_d = (dmat == 0.0) if space.kind == "matrix" else (dmat <= tol)
-    identity = (same & (dmat != 0.0)) | (zero_d & ~close)
-    symmetry = np.abs(dmat - dmat.T) > tol
-    for i, j, sym in np.argwhere(np.stack([identity, symmetry], axis=-1)).tolist():
-        lhs = float(dmat[i, j])
-        if sym:
-            violations.append(AxiomViolation("symmetry", (sample[i], sample[j]), lhs, float(dmat[j, i])))
-        else:
-            violations.append(AxiomViolation("identity", (sample[i], sample[j]), lhs, 0.0))
+    for i, j in np.argwhere(zero_d & ~_coincide(space, sample)).tolist():
+        violations.append(AxiomViolation("identity", (sample[i], sample[j]), float(dmat[i, j]), 0.0))
 
     # Relaxed triangle: the right-hand side s*(a + b) + tol never falls as
     # the sum a + b grows, rounding included, so some via-point k violates
@@ -295,12 +286,10 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
     with np.errstate(over="ignore"):
         for i, j in np.argwhere(dmat > s * _via_minimum(dmat) + tol).tolist():
             rhs = s * (dmat[i] + dmat[:, j]) + tol
-            for k in np.flatnonzero(dmat[i, j] > rhs).tolist():
-                violations.append(
-                    AxiomViolation(
-                        "relaxed-triangle", (sample[i], sample[j], sample[k]), float(dmat[i, j]), float(rhs[k])
-                    )
-                )
+            violations += (
+                AxiomViolation("relaxed-triangle", (sample[i], sample[j], sample[k]), float(dmat[i, j]), float(rhs[k]))
+                for k in np.flatnonzero(dmat[i, j] > rhs).tolist()
+            )
 
     return AxiomReport(passed=not violations, violations=tuple(violations))
 
@@ -309,10 +298,10 @@ def estimate_min_s(space: BMetricSpace, sample: list) -> float:
     """Tightest relaxation coefficient on the sample: the largest ratio
     d(x,y) / (d(x,z) + d(z,y)) over triples with x != y, clamped below at 1.
 
-    Denominators that are not positive are skipped (zero ones need
-    d(x,z) = d(z,y) = 0, which distances that underflow can give even where
-    d(x,y) > 0; negative ones only a hand-built table). Requires at least two
-    points at positive distance, and finite distances, as verify_axioms.
+    Zero denominators are skipped (they need d(x,z) = d(z,y) = 0, which
+    distances that underflow can give even where d(x,y) > 0). Requires at
+    least two points at positive distance, and finite distances, as
+    verify_axioms.
     """
     for x in sample:
         space.check_point(x)
@@ -323,11 +312,10 @@ def estimate_min_s(space: BMetricSpace, sample: list) -> float:
 
     # d / x never grows as x does, so each pair's largest ratio is its
     # distance over its smallest positive via-point sum. The few pairs whose
-    # minimum is not positive (a zero sum, or a negative entry in a
-    # hand-built table) are reduced again over their positive sums only.
+    # minimum is a zero sum are reduced again over their positive sums only.
     with np.errstate(over="ignore"):
         low = _via_minimum(dmat)
-        for i, j in np.argwhere(positive & (low <= 0.0)).tolist():
+        for i, j in np.argwhere(positive & (low == 0.0)).tolist():
             den = dmat[i] + dmat[:, j]
             low[i, j] = den[den > 0.0].min(initial=math.inf)
         return max(1.0, float((dmat[positive] / low[positive]).max()))

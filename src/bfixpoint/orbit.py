@@ -123,8 +123,8 @@ def run_orbit(
     s = space.s
     if not alpha * q * s < 1.0:
         raise ValueError(f"need alpha*q*s < 1, got {alpha * q * s}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < inf:  # inf would stop at x0 whatever its residual
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     _check_int("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -246,13 +246,16 @@ def cauchy_series(gamma: float, s: float, first_step: float | None = None) -> Ca
 
 def cauchy_bounds(cert: CauchyCertificate, n: int) -> list:
     """The tail bounds gamma**m * first_step * series_sum / (1 - gamma) on
-    d(x_{m+1}, x_{m+k}) for m = 0 .. n-1.
+    d(x_{m+1}, x_{m+k}) for m = 0 .. n-1, n an integer >= 0.
 
     The power is accumulated multiplicatively, so consecutive bounds satisfy
     bound(m+1) = gamma * bound(m) exactly (and underflow cleanly to 0).
     """
     if cert.first_step is None:
         raise ValueError("certificate has no first_step; rebuild with cauchy_series(gamma, s, d01)")
+    _check_int("n", n)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     first = cert.first_step * cert.series_sum / (1.0 - cert.gamma)
     return list(islice(accumulate(repeat(cert.gamma), operator.mul, initial=first), n))
 
@@ -422,7 +425,9 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
 
 
 def verify_fixed_point(space: BMetricSpace, tmap: SetValuedMap, u: Point, tol: float) -> FixedPointCheck:
-    """Residual d(u, T(u)) and whether it clears tol."""
+    """Residual d(u, T(u)) and whether it clears tol (finite, >= 0)."""
+    if not 0.0 <= tol < inf:  # nan would fail every point, inf pass every point
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     space.check_point(u)
     residual = dist_point_set(space, u, image_of(space, tmap, u)).value
     return FixedPointCheck(residual, residual <= tol)

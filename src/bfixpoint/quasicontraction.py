@@ -70,7 +70,7 @@ def _branch_evaluator(dim: int, count: int) -> Callable:
     its factory. Compiling one costs time and memory in proportion to its
     count * dim * (dim + 1) terms, and a row of a few thousand terms nests
     deeper than the compiler allows (RecursionError), so make_branch_map
-    takes at most MAX_BRANCH_DIM dimensions."""
+    takes at most MAX_BRANCH_TERMS terms (a row then has at most 56)."""
     outputs = []
     for out in range(count * dim):
         base = out * (dim + 1)
@@ -130,10 +130,10 @@ def make_table_map(space: BMetricSpace, images: dict) -> SetValuedMap:
     return SetValuedMap(kind="table", table=table)
 
 
-# The largest dimension of a branch map. Its evaluator is generated code of
-# count * dim * (dim + 1) terms (_branch_evaluator): compiling one with three
-# branches took 27 ms and an 8 MiB peak at dim 32, 105 ms and 32 MiB at 64.
-MAX_BRANCH_DIM = 32
+# The most terms, count * dim * (dim + 1), of a branch map's evaluator
+# (_branch_evaluator). On CPython 3.11, three branches at dim 32 compiled in 31 ms
+# with an 8.1 MiB peak, 3000 at dim 2 (18,000 terms) in 193 ms with 51 MiB.
+MAX_BRANCH_TERMS = 3 * 32 * 33
 
 
 def make_branch_map(space: BMetricSpace, branches) -> SetValuedMap:
@@ -141,8 +141,6 @@ def make_branch_map(space: BMetricSpace, branches) -> SetValuedMap:
     if space.kind == "matrix":
         raise ValueError("branch maps need a continuous (power) space")
     k = space.dim
-    if k > MAX_BRANCH_DIM:
-        raise ValueError(f"branch maps take at most {MAX_BRANCH_DIM} dimensions (MAX_BRANCH_DIM), got {k}")
     normd = []
     for idx, (a, b) in enumerate(branches):
         a = tuple(tuple(float(v) for v in row) for row in a)
@@ -158,6 +156,8 @@ def make_branch_map(space: BMetricSpace, branches) -> SetValuedMap:
         normd.append((a, b))
     if not normd:
         raise ValueError("at least one branch required")
+    if (terms := len(normd) * k * (k + 1)) > MAX_BRANCH_TERMS:
+        raise ValueError(f"branch map has {terms} evaluator terms, over the limit MAX_BRANCH_TERMS = {MAX_BRANCH_TERMS}")
     return SetValuedMap(kind="branches", branches=tuple(normd))
 
 
@@ -293,9 +293,10 @@ def _block_ratios(space, table, rows, dxt, xi, yi, c, q) -> tuple:
     the table indices of u and T(u), padded to the widest image by
     repeating the last element. One space.dists call on gathers of the
     table evaluates each pair's distances from x, T(x) to y, T(y); a padded
-    entry repeats a distance, which changes no min or max. Row 0 holds d(x,y) and d(x,T(y)), column 0 d(y,T(x)),
-    the rest the distances of h. fmin/fmax skip NaN as the `<`/`>` loops
-    do, from the same inf / 0."""
+    entry repeats a distance, which changes no min or max. Row 0 holds
+    d(x,y) and d(x,T(y)), column 0 d(T(x),y), read exactly as d(y,T(x)) as
+    every space is symmetric, the rest the distances of h. fmin/fmax skip
+    NaN as the `<`/`>` loops do, from the same inf / 0."""
     shape = (len(xi), rows.shape[1], rows.shape[1])
     xs = np.broadcast_to(table[rows[xi]][:, :, None], shape)
     ys = np.broadcast_to(table[rows[yi]][:, None, :], shape)

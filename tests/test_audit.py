@@ -270,14 +270,6 @@ class TestBoundAuditMatchesPairwise:
         trace = trace_of(space, [(k * 1e-105,) for k in (5, 0, 3, -2, 1)], 0.5)
         assert bound_audit(space, trace) == reference_audit(space, trace)
 
-    def test_nonzero_diagonal_counts(self):
-        # a matrix space built without make_matrix_space's checks: d(x, x)
-        # is part of the row and leads it
-        m = np.array([[0.0, 1.0, 2.0], [1.0, 5.0, 1.0], [2.0, 1.0, 0.0]])
-        space = BMetricSpace(kind="matrix", s=1.0, matrix=m)
-        trace = trace_of(space, [0, 1, 2], 0.9)
-        assert bound_audit(space, trace) == reference_audit(space, trace)
-
     def test_overflow_raises_like_pairwise(self):
         space = make_power_space(1, 3.0)
         pts = [(0.0,), (1e103,), (-1e103,)]  # d(x_1, x_2) = (2e103)**3 is out of range

@@ -85,6 +85,13 @@ BAD_ARGUMENTS = {
     "float-dimension": (lambda: make_power_space(2.7, 2.0), "^dimension must be an integer, got 2.7$"),
     "bool-dimension": (lambda: make_power_space(True, 2.0), "^dimension must be an integer, got True$"),
     "float-matrix-size": (lambda: make_matrix_space(2.0, [[0.0, 1.0], [1.0, 0.0]], 1.0), "^n must be an integer"),
+    # a space built directly is checked as the factories' spaces are
+    "power-space-s-below-one": (
+        lambda: BMetricSpace(kind="power", s=0.5, dim=1, p=2.0), "^relaxation coefficient s must be finite and >= 1"
+    ),
+    "unknown-space-kind": (
+        lambda: BMetricSpace(kind="grid", s=1.0, dim=1, p=1.0), "^space kind must be 'power' or 'matrix', got 'grid'$"
+    ),
 }
 
 
@@ -140,6 +147,34 @@ class TestMakeMatrixSpace:
         assert sp.matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         with pytest.raises(ValueError, match="read-only"):
             sp.matrix[0, 1] = 3.0
+
+
+# matrices and coefficients no space accepts: (matrix, s, message)
+INVALID_MATRIX_SPACES = {
+    "asymmetric": (
+        [[0.0, 1.0, 2.0, 3.0], [5.0, 0.0, 1.0, 2.0], [1.0, 4.0, 0.0, 1.0], [2.0, 1.0, 6.0, 0.0]],
+        2.0,
+        r"^asymmetry at \(0,1\): 1\.0 != 5\.0$",
+    ),
+    "nonzero-diagonal": ([[0.0, 1.0], [1.0, 0.5]], 1.0, r"^nonzero diagonal at \(1,1\): 0\.5$"),
+    "negative-entry": ([[0.0, -1.0], [-1.0, 0.0]], 1.0, r"^negative entry at \(0,1\): -1\.0$"),
+    "zero-off-diagonal": ([[0.0, 0.0], [0.0, 0.0]], 1.0, r"^zero off-diagonal entry at \(0,1\)"),
+    "non-square": ([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]], 1.0, r"^expected a 2x2 matrix, got shape \(2, 3\)$"),
+    "non-finite": ([[0.0, math.inf], [math.inf, 0.0]], 1.0, r"^non-finite entry at \(0,1\)$"),
+    "s-below-one": ([[0.0, 1.0], [1.0, 0.0]], 0.5, r"^relaxation coefficient s must be finite and >= 1, got 0\.5$"),
+    "infinite-s": ([[0.0, 1.0], [1.0, 0.0]], math.inf, r"^relaxation coefficient s must be finite and >= 1, got inf$"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_MATRIX_SPACES)
+def test_matrix_space_checks_itself(case):
+    # the constructor raises make_matrix_space's message: no table that is
+    # asymmetric, negative or zero in the wrong place can be built
+    m, s, message = INVALID_MATRIX_SPACES[case]
+    with pytest.raises(ValueError, match=message):
+        make_matrix_space(len(m), m, s)
+    with pytest.raises(ValueError, match=message):
+        BMetricSpace(kind="matrix", s=s, matrix=np.array(m))
 
 
 class TestVerifyAxioms:
@@ -216,20 +251,22 @@ def reference_axioms(space, sample, tol):
 TOLS = st.sampled_from([0.0, 1e-9, 0.3])
 
 
+@st.composite
+def symmetric_matrices(draw, entries, max_n):
+    """A matrix every space accepts: positive entries drawn for i < j and
+    mirrored, and a diagonal of 0.0 or -0.0 (no check reads the sign of a
+    zero)."""
+    n = draw(st.integers(1, max_n))
+    m = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        m[i, j] = m[j, i] = draw(st.sampled_from(entries))
+    for i in range(n):
+        m[i, i] = draw(st.sampled_from([0.0, -0.0]))
+    return m
+
+
 class TestVerifyAxiomsMatchesPairLoop:
     """Same violations, in the same order, as the scalar scan."""
-
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), tol=TOLS)
-    def test_unchecked_matrices(self, data, tol):
-        # built without make_matrix_space's checks: asymmetric entries,
-        # nonzero diagonals, zero off-diagonal entries, repeated ids
-        n = data.draw(st.integers(1, 5))
-        entry = st.sampled_from([0.0, 0.2, 1.0, 1.0 + 1e-12, 3.0])
-        m = np.array([[data.draw(entry) for _ in range(n)] for _ in range(n)])
-        space = BMetricSpace(kind="matrix", s=data.draw(st.sampled_from([1.0, 2.0])), matrix=m)
-        sample = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
-        assert verify_axioms(space, sample, tol) == reference_axioms(space, sample, tol)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), tol=TOLS)
@@ -247,11 +284,9 @@ class TestVerifyAxiomsRelativeTol:
     def test_scaling_the_table_by_a_power_of_two_keeps_the_violations(self, data):
         # tol is relative to the largest distance, so a table scaled by 2**40
         # (exactly) has the same violations at tol = 0.3, each side scaled
-        n = data.draw(st.integers(1, 5))
-        entry = st.sampled_from([0.0, 0.2, 1.0, 1.0 + 1e-12, 3.0])
-        m = np.array([[data.draw(entry) for _ in range(n)] for _ in range(n)])
+        m = data.draw(symmetric_matrices([0.2, 1.0, 1.0 + 1e-12, 3.0], 5))
         s = data.draw(st.sampled_from([1.0, 1.2, 2.0]))
-        sample = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+        sample = data.draw(st.lists(st.integers(0, len(m) - 1), min_size=1, max_size=6))
         scale = 2.0**40
         small = verify_axioms(BMetricSpace(kind="matrix", s=s, matrix=m), sample, 0.3)
         big = verify_axioms(BMetricSpace(kind="matrix", s=s, matrix=m * scale), sample, 0.3)
@@ -267,13 +302,9 @@ class TestVerifyAxiomsAcrossBlocks:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), tol=TOLS, budget=st.sampled_from([1, 40, 300]))
     def test_matrices_with_understated_s(self, data, tol, budget):
-        n = data.draw(st.integers(1, 8))
-        entry = st.sampled_from([0.0, 0.2, 1.0, 1.0 + 1e-12, 3.0, 9.0])
-        m = np.array([[data.draw(entry) for _ in range(n)] for _ in range(n)])
-        if data.draw(st.booleans()):  # symmetric, the form make_matrix_space accepts
-            m = np.triu(m, 1) + np.triu(m, 1).T
+        m = data.draw(symmetric_matrices([0.2, 1.0, 1.0 + 1e-12, 3.0, 9.0], 8))
         space = BMetricSpace(kind="matrix", s=data.draw(st.sampled_from([1.0, 1.2, 2.0])), matrix=m)
-        sample = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+        sample = data.draw(st.lists(st.integers(0, len(m) - 1), min_size=1, max_size=12))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bspace, "_BLOCK_SUMS", budget)
             got = verify_axioms(space, sample, tol)
@@ -385,30 +416,6 @@ class TestEstimateMinSMatchesTripleLoop:
                     estimate_min_s(space, sample)
             else:
                 assert estimate_min_s(space, sample) == reference_min_s(space, sample)
-
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_unchecked_matrices_with_zero_sums(self, data):
-        # zero off-diagonal entries make d(x,z) + d(z,y) = 0 with d(x,y) > 0,
-        # and negative ones make it negative: both sums are skipped
-        n = data.draw(st.integers(2, 6))
-        entry = st.sampled_from([-1.0, 0.0, 0.1, 0.2, 0.5, 1.0, 3.0])
-        m = np.array([[data.draw(entry) for _ in range(n)] for _ in range(n)])
-        space = BMetricSpace(kind="matrix", s=1.0, matrix=m)
-        sample = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=8))
-        if not any(m[x, y] > 0.0 for x in sample for y in sample):
-            with pytest.raises(ValueError, match="distinct"):
-                estimate_min_s(space, sample)
-        else:
-            assert estimate_min_s(space, sample) == reference_min_s(space, sample)
-
-    def test_negative_via_sums_are_skipped(self):
-        # d(0,1) = 1, and its smallest via-point sum is d(0,2) + d(2,1) = -1:
-        # the ratio is over the smallest positive sum, d(0,3) + d(3,1) = 0.1
-        m = np.zeros((4, 4))
-        m[0, 1], m[0, 2], m[0, 3] = 1.0, -1.0, 0.1
-        space = BMetricSpace(kind="matrix", s=1.0, matrix=m)
-        assert estimate_min_s(space, [0, 1, 2, 3]) == reference_min_s(space, [0, 1, 2, 3]) == 1.0 / 0.1
 
     def test_underflowing_via_sums_are_skipped(self):
         # p = 20: d(0, 4e-17) and d(4e-17, 8e-17) underflow to 0 but
@@ -543,21 +550,10 @@ def reference_table(space, sample):
     return d
 
 
-@st.composite
-def hand_built_tables(draw):
-    """Tables with -0.0 and 0.0, negative entries and sums that overflow:
-    asymmetric, symmetric, or equal to their transpose only up to the sign
-    of a zero."""
-    n = draw(st.integers(1, 9))
-    entry = st.sampled_from([-0.0, 0.0, -1.0, 0.2, 1.0, 1.0 + 1e-12, 3.0, 1e308])
-    m = np.array([[draw(entry) for _ in range(n)] for _ in range(n)])
-    form = draw(st.sampled_from(["asymmetric", "symmetric", "zero-signs"]))
-    if form != "asymmetric":
-        upper = np.triu(np.ones((n, n), dtype=bool))
-        m = np.where(upper, m, m.T)
-        if form == "zero-signs":
-            m = np.where(~upper & (m == 0.0), -m, m)
-    return m
+def hand_built_tables():
+    """Symmetric tables with 0.0 and -0.0 on the diagonal and 1e308
+    entries, whose sums overflow."""
+    return symmetric_matrices([0.2, 1.0, 1.0 + 1e-12, 3.0, 1e308], 9)
 
 
 class TestDistanceTableMatchesDist:
@@ -699,7 +695,7 @@ def test_certify_work_per_point_and_pair(monkeypatch):
 def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
     """bfixpoint verify on n points evaluates certify's n(n-1)/2 * (1 + w)**2
     dists entries and those of verify_axioms' table, nothing more: the
-    n(n-1)/2 pairs i < j in a power space, all n**2 in a matrix space. A
+    n(n-1)/2 pairs i < j, in a power space and a matrix space alike. A
     builtin is resolved uncounted: random-finite's generation runs certify
     rounds of its own."""
     plane = make_power_space(2, 1.5)
@@ -742,5 +738,4 @@ def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
             m.setattr(BMetricSpace, "dists", counted_dists)
             cli.main(["verify", *argv])
         capsys.readouterr()
-        table = n * n if sc.space.kind == "matrix" else n * (n - 1) // 2
-        assert entries[0] == n * (n - 1) // 2 * (1 + w) ** 2 + table
+        assert entries[0] == n * (n - 1) // 2 * (1 + w) ** 2 + n * (n - 1) // 2

@@ -130,8 +130,9 @@ def plane_grid_scenario():
 
 
 def wide_branch_scenario():
-    # one dimension above MAX_BRANCH_DIM (32), the identity map
-    dim = 33
+    # the identity map at dim 56, whose one branch has 56 * 57 = 3192 evaluator
+    # terms, over MAX_BRANCH_TERMS (3168)
+    dim = 56
     obj = non_finite_plane_scenario()
     obj["space"]["dim"] = dim
     obj["map"]["branches"] = [{"A": [[float(i == j) for j in range(dim)] for i in range(dim)], "b": [0.0] * dim}]
@@ -164,7 +165,7 @@ def command_argv(command, path, tmp_path):
         (aliased_image_key_scenario, r"map\.images keys '0' and '00' both name point 0"),
         (infinite_s_scenario, r"relaxation coefficient s must be finite and >= 1, got inf\n"),
         (plane_grid_scenario, r"sample.kind 'grid' needs a 1-dimensional power space\n"),
-        (wide_branch_scenario, r"branch maps take at most 32 dimensions \(MAX_BRANCH_DIM\), got 33\n"),
+        (wide_branch_scenario, r"branch map has 3192 evaluator terms, over the limit MAX_BRANCH_TERMS = 3168\n"),
     ],
     ids=[
         "non-finite-images",

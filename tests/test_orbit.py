@@ -17,6 +17,7 @@ from bfixpoint.rng import SplitMix64
 
 QUAD = make_power_space(1, 2.0)
 SHRINK = make_branch_map(QUAD, [([[0.9]], [0.0])])
+AFFINE = make_branch_map(QUAD, [([[0.9]], [5.0])])  # x -> 0.9x + 5 fixes 50 exactly
 
 # frozen against a 50-digit mpmath summation of s**(2n) * gamma**(2**(n-1))
 SERIES_SUM_09_1 = 3.0173864756323395
@@ -37,6 +38,10 @@ BAD_ARGUMENTS = {
     "gamma_of-s": (lambda: gamma_of(0.5, 0.5, 0.5), "s must be >= 1"),
     "run_orbit-alpha": (lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 1.0, (1.0,)), "alpha must be in"),
     "run_orbit-tol": (lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), tol=0.0), "tol must be positive"),
+    # an infinite tol used to stop at once: "converged" at x0 = 1 with residual 24.01
+    "run_orbit-inf-tol": (
+        lambda: run_orbit(QUAD, AFFINE, 0.0, 0.0, 0.9, (1.0,), tol=math.inf), "^tol must be positive and finite, got inf$"
+    ),
     "run_orbit-max_iter": (lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), max_iter=0), "max_iter must be >= 1"),
     # 2.5 used to run 3 steps
     "run_orbit-float-max_iter": (
@@ -48,6 +53,23 @@ BAD_ARGUMENTS = {
     "chaining_bound-s": (lambda: list(chaining_bounds([1.0], 0.5)), "s must be >= 1"),
     "chaining_bound-negative-step": (lambda: list(chaining_bounds([1.0, -1.0], 2.0)), "non-negative"),
     "cauchy_series-s": (lambda: cauchy_series(0.5, 0.5), "s must be >= 1"),
+    # True used to give one bound, and 2.5 and -1 islice's error, which does not name n
+    "cauchy_bounds-bool-n": (
+        lambda: cauchy_bounds(cauchy_series(0.5, 2.0, first_step=1.0), True), "^n must be an integer, got True$"
+    ),
+    "cauchy_bounds-float-n": (
+        lambda: cauchy_bounds(cauchy_series(0.5, 2.0, first_step=1.0), 2.5), "^n must be an integer, got 2.5$"
+    ),
+    "cauchy_bounds-negative-n": (
+        lambda: cauchy_bounds(cauchy_series(0.5, 2.0, first_step=1.0), -1), "^n must be >= 0, got -1$"
+    ),
+    # an infinite tol used to pass x = 1 (residual 24.01), and nan to fail the exact fixed point 50
+    "verify_fixed_point-inf-tol": (
+        lambda: verify_fixed_point(QUAD, AFFINE, (1.0,), math.inf), "^tol must be >= 0 and finite, got inf$"
+    ),
+    "verify_fixed_point-nan-tol": (
+        lambda: verify_fixed_point(QUAD, AFFINE, (50.0,), math.nan), "^tol must be >= 0 and finite, got nan$"
+    ),
 }
 
 
@@ -230,6 +252,9 @@ class TestCauchyBound:
         bounds = cauchy_bounds(cauchy_series(0.93, 2.0, first_step=0.4), 60)
         assert all(cur <= prev for prev, cur in zip(bounds, bounds[1:]))
 
+    def test_no_bounds(self):
+        assert cauchy_bounds(cauchy_series(0.81, 2.0, first_step=0.01), 0) == []
+
     def test_missing_first_step_rejected(self):
         with pytest.raises(ValueError, match="first_step"):
             cauchy_bounds(cauchy_series(0.5, 2.0), 1)
@@ -273,6 +298,9 @@ class TestVerifyFixedPoint:
         residual, ok = verify_fixed_point(QUAD, SHRINK, (1.0,), 1e-9)
         assert residual == pytest.approx(0.01, rel=1e-12)
         assert not ok
+
+    def test_exact_fixed_point_at_zero_tol(self):
+        assert verify_fixed_point(QUAD, AFFINE, (50.0,), 0.0) == (0.0, True)
 
     def test_table_membership(self):
         space, _ = expanding_line()

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bfixpoint import quasicontraction as qc
 from bfixpoint.bspace import make_matrix_space, make_power_space
 from bfixpoint.quasicontraction import (
-    MAX_BRANCH_DIM,
+    MAX_BRANCH_TERMS,
     certifies,
     certify,
     check_hypotheses,
@@ -59,6 +60,11 @@ def branch_images(draw):
     return dim, branches, x
 
 
+def scaling(dim, factor, offset):
+    """The branch x -> factor * x + offset in dim dimensions."""
+    return [[factor if i == j else 0.0 for j in range(dim)] for i in range(dim)], [offset] * dim
+
+
 def line_space():
     # three points on a line at 0, 1, 3 under the plain metric
     return make_matrix_space(3, [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]], 1.0)
@@ -71,10 +77,10 @@ BAD_ARGUMENTS = {
     "fixed-points-of-power-space": (lambda: enumerate_fixed_points(QUAD, SHRINK), "needs a finite"),
     "check-hypotheses-alpha": (lambda: check_hypotheses(certify(QUAD, SHRINK, GRID, 0.0, 0.0), 1.0), "alpha must be in"),
     "randrange-empty": (lambda: SplitMix64(1).randrange(0), "randrange needs n >= 1"),
-    # checked before the branches are read or any code is generated
+    # one branch at dim 56 has 56 * 57 = 3192 evaluator terms, over the limit of 3168
     "branch-map-over-dimension-limit": (
-        lambda: make_branch_map(make_power_space(MAX_BRANCH_DIM + 1, 2.0), []),
-        f"^branch maps take at most {MAX_BRANCH_DIM} dimensions",
+        lambda: make_branch_map(make_power_space(56, 2.0), [scaling(56, 1.0, 0.0)]),
+        f"^branch map has 3192 evaluator terms, over the limit MAX_BRANCH_TERMS = {MAX_BRANCH_TERMS}$",
     ),
 }
 
@@ -92,11 +98,24 @@ class TestMaps:
         assert img.elements == ((1.8,),)
 
     def test_branch_map_at_dimension_limit(self):
-        dim = MAX_BRANCH_DIM
+        # the largest dimension a one-branch map takes: 55 * 56 = 3080 terms
+        dim = 55
         plane = make_power_space(dim, 2.0)
-        a = [[0.5 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
-        tmap = make_branch_map(plane, [(a, [1.0] * dim)])
+        tmap = make_branch_map(plane, [scaling(dim, 0.5, 1.0)])
         assert image_of(plane, tmap, (2.0,) * dim).elements == ((2.0,) * dim,)
+
+    def test_branch_map_at_term_limit(self, monkeypatch):
+        # three branches at dim 32 are exactly MAX_BRANCH_TERMS terms
+        dim = 32
+        plane = make_power_space(dim, 2.0)
+        branches = [scaling(dim, 0.5, 1.0), scaling(dim, 0.25, 1.5), scaling(dim, 1.0, 0.0)]
+        assert len(branches) * dim * (dim + 1) == MAX_BRANCH_TERMS
+        tmap = make_branch_map(plane, branches)
+        assert image_of(plane, tmap, (2.0,) * dim).elements == ((2.0,) * dim,)
+        # a fourth branch is over the limit, rejected before any code is generated
+        monkeypatch.setattr(qc, "_branch_evaluator", lambda dim, count: pytest.fail("code was generated"))
+        with pytest.raises(ValueError, match="^branch map has 4224 evaluator terms, over the limit"):
+            make_branch_map(plane, [*branches, scaling(dim, 0.5, 0.0)])
 
     @pytest.mark.parametrize("x", [(1.0,), (1.0, 2.0, 3.0)])
     def test_branch_image_rejects_wrong_arity(self, x):
