@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from typing import Union
 
@@ -178,6 +179,16 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
     return BMetricSpace(kind="matrix", s=s, matrix=m)
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(n: int) -> tuple:
+    """np.triu_indices(n, 1), read-only, built once per n; for n <= 32 only,
+    where they cost as much to build as the gather they index."""
+    upper = np.triu_indices(n, 1)
+    for a in upper:
+        a.setflags(write=False)
+    return upper
+
+
 def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     """The n x n table d(sample[i], sample[j]), each entry equal to dist
     bit for bit up to the sign of a zero: the n(n-1)/2 pairs i < j are
@@ -189,7 +200,7 @@ def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     with i < j) here, before any check or reduction does arithmetic on it."""
     n = len(sample)
     table = space.point_table(sample)
-    upper = np.triu_indices(n, 1)
+    upper = _upper_indices(n) if n <= 32 else np.triu_indices(n, 1)
     dmat = np.zeros((n, n))
     dmat[upper] = dmat.T[upper] = space.dists(table[upper[0]], table[upper[1]])
     if not np.isfinite(dmat).all():

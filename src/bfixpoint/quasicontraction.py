@@ -22,6 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, combinations
+from sys import float_info
 from typing import NamedTuple
 
 import numpy as np
@@ -240,9 +241,9 @@ def enumerate_fixed_points(space: BMetricSpace, tmap: SetValuedMap) -> list[int]
     return out
 
 
-# Pairs are reduced in blocks of at most this many distances, so the
-# buffers stay small however many pairs there are.
-_BLOCK_DISTANCES = 1 << 12
+# Pairs are reduced in blocks of at most this many distances (screened or
+# not), so the buffers stay small however many pairs there are.
+_BLOCK_DISTANCES = 1 << 13
 # What a point outside the domain or an overflowing distance raises. The
 # block reduction leaves such failures to the pair-by-pair reference, which
 # raises the same error at the same pair.
@@ -284,34 +285,63 @@ def _pair_indices(n: int, lo: int, hi: int) -> tuple:
     return i, k - ends[i] + n
 
 
-def _block_ratios(space, table, rows, dxt, xi, yi, c, q) -> tuple:
+def _screen(v: np.ndarray, p: float) -> tuple:
+    """(keep, (lead_rows, lead_cols)) for a block of squared distances v:
+    the entries that can decide a term, and the rows T(x) and columns T(y)
+    of h whose minimum can be the largest (a non-leading row may read more
+    than its minimum from the kept entries). As in orbit._row_maxima, d
+    rises with v up to a few ulps, far inside the window 1e-9 (1e-9/p for
+    p < 1), for normal floats: None, to evaluate in full, if a v is not one
+    or a distance could leave their range (an overflow must raise)."""
+    vmin, vmax = v.min(), v.max()
+    if not (vmin >= float_info.min and vmin ** (0.5 * p) >= 2.0 * float_info.min
+            and vmax ** (0.5 * p) <= 0.5 * float_info.max):
+        return None
+    rel = 1e-9 * max(1.0, 1.0 / p)
+    lo, hi = 1.0 + rel, 1.0 - rel
+    keep = np.empty(v.shape, dtype=bool)
+    keep[0, 0] = True
+    keep[0, 1:] = v[0, 1:] <= v[0, 1:].min(axis=0) * lo
+    keep[1:, 0] = v[1:, 0] <= v[1:, 0].min(axis=0) * lo
+    img = v[1:, 1:]
+    rmin, cmin = img.min(axis=1), img.min(axis=0)
+    lead_rows, lead_cols = rmin >= rmin.max(axis=0) * hi, cmin >= cmin.max(axis=0) * hi
+    keep[1:, 1:] = (lead_rows[:, None] & (img <= rmin[:, None] * lo)) | (lead_cols[None] & (img <= cmin[None] * lo))
+    return keep, (lead_rows, lead_cols)
+
+
+def _block_ratios(space, table, coords, rows, dxt, xi, yi, c, q) -> tuple:
     """Both ratio arrays for the pairs (x, y) = (points[xi[b]], points[yi[b]]),
     or None when a pair needs _pair_ratios (not distinct, a non-finite term).
 
     table holds each sample point u followed by its image T(u) (a
-    BMetricSpace.point_table), and dxt[u] = d(u, T(u)). Row u of rows holds
-    the table indices of u and T(u), padded to the widest image by
-    repeating the last element. One space.dists call on gathers of the
-    table evaluates each pair's distances from x, T(x) to y, T(y); a padded
-    entry repeats a distance, which changes no min or max. Row 0 holds
-    d(x,y) and d(x,T(y)), column 0 d(T(x),y), read exactly as d(y,T(x)) as
-    every space is symmetric, the rest the distances of h. fmin/fmax skip
-    NaN as the `<`/`>` loops do, from the same inf / 0."""
-    shape = (len(xi), rows.shape[1], rows.shape[1])
-    xs = np.broadcast_to(table[rows[xi]][:, :, None], shape)
-    ys = np.broadcast_to(table[rows[yi]][:, None, :], shape)
-    m = space.dists(xs.ravel(), ys.ravel()).reshape(shape)
-
-    # each min and max runs over image elements, a short axis, so it is
-    # folded one element at a time: numpy's reduce along a short axis costs
-    # about as much per output as a whole binary pass
+    BMetricSpace.point_table), and dxt[u] = d(u, T(u)). Column u of rows
+    holds the table indices of u and T(u), padded to the widest image by
+    repeating the last element. One space.dists call evaluates m[a, e, b],
+    the distances from x, T(x) to y, T(y) of pair b (given coords, the
+    table's coordinates by dimension, only those _screen keeps; the rest
+    read inf); a padded entry repeats a distance, which changes no min or
+    max. Row 0 holds d(x,y) and d(x,T(y)), column 0 d(T(x),y), read exactly
+    as d(y,T(x)) as every space is symmetric, the rest the distances of h.
+    fmin/fmax skip NaN as the `<`/`>` loops do, from the same inf / 0."""
+    ix, iy = rows.take(xi, axis=1), rows.take(yi, axis=1)  # C-contiguous, unlike rows[:, xi]
+    shape = (len(ix), len(ix), len(xi))
+    gx, gy = np.broadcast_to(ix[:, None], shape), np.broadcast_to(iy[None], shape)
+    screen = None if coords is None else _screen(sum((xs[ix][:, None] - xs[iy][None]) ** 2 for xs in coords), space.p)
+    if screen is None:
+        lead = (True, True)
+        m = space.dists(table[gx.ravel()], table[gy.ravel()]).reshape(shape)
+    else:
+        keep, lead = screen
+        m = np.full(shape, np.inf)
+        m[keep] = space.dists(table[gx[keep]], table[gy[keep]])
     fmin, fmax, inf = np.fmin, np.fmax, np.inf
-    d_xy = m[:, 0, 0]
-    d_x_ty = reduce(fmin, m[:, 0, 1:].T, inf)
-    d_y_tx = reduce(fmin, m[:, 1:, 0].T, inf)
-    img = m[:, 1:, 1:]
-    h = fmax(reduce(fmax, reduce(fmin, img.transpose(2, 1, 0), inf), 0.0),
-             reduce(fmax, reduce(fmin, img.transpose(1, 2, 0), inf), 0.0))
+    d_xy = m[0, 0]
+    d_x_ty = fmin.reduce(m[0, 1:], axis=0, initial=inf)
+    d_y_tx = fmin.reduce(m[1:, 0], axis=0, initial=inf)
+    img = m[1:, 1:]
+    h = fmax(fmax.reduce(np.where(lead[0], fmin.reduce(img, axis=1, initial=inf), np.nan), axis=0, initial=0.0),
+             fmax.reduce(np.where(lead[1], fmin.reduce(img, axis=0, initial=inf), np.nan), axis=0, initial=0.0))
     d_x_tx, d_y_ty = dxt[xi], dxt[yi]
     # the terms in the order of _n_from_parts and five_term_max; a NaN d_xy
     # (which Python's max would keep) fails the d_xy > 0 test instead
@@ -328,27 +358,32 @@ def _ratio_blocks(space, tmap, c, q, points):
     (points[xi[b]], points[yi[b]]), in combinations order.
 
     T(x) and d(x, T(x)) are computed once for each sample point, and the
-    points and their images go into one point table. Any failure is left to
-    _reference_ratios, which raises the error of the first failing pair:
-    from the first pair when a point's own terms or the table fail, or from
-    the start of the block that failed."""
+    points and their images go into one point table. Blocks are screened off
+    the p = 1 line (whose entries cost no power) in power spaces with some
+    image of two elements. Any failure is left to _reference_ratios, which
+    raises the error of the first failing pair: from the first pair when a
+    point's own terms or the table fail, or from the start of the block
+    that failed."""
     n, total = len(points), len(points) * (len(points) - 1) // 2
     try:
         images = [image_of(space, tmap, x) for x in points]
         dxt = np.array([dist_point_set(space, x, t).value for x, t in zip(points, images)])
         table = space.point_table(chain.from_iterable((x, *t.elements) for x, t in zip(points, images)))
+        width = np.array([1 + len(t.elements) for t in images])
+        w = int(width.max())
+        coords = None
+        if space.kind == "power" and w >= 3 and (space.dim, space.p) != (1, 1.0):
+            coords = table[None] if space.dim == 1 else np.array(table.tolist(), dtype=float).T
     except _PAIR_ERRORS:
         yield (*_pair_indices(n, 0, total), *_reference_ratios(space, tmap, c, q, combinations(points, 2)))
         return
-    width = np.array([1 + len(t.elements) for t in images])
-    w = int(width.max())
-    rows = (np.cumsum(width) - width)[:, None] + np.minimum(np.arange(w), width[:, None] - 1)
+    rows = (np.cumsum(width) - width) + np.minimum(np.arange(w)[:, None], width - 1)
     step = max(1, _BLOCK_DISTANCES // w**2)
     for lo in range(0, total, step):
         xi, yi = _pair_indices(n, lo, min(lo + step, total))
         try:
             with np.errstate(all="ignore"):
-                got = _block_ratios(space, table, rows, dxt, xi, yi, c, q)
+                got = _block_ratios(space, table, coords, rows, dxt, xi, yi, c, q)
         except _PAIR_ERRORS:
             got = None
         if got is None:
@@ -372,12 +407,13 @@ def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float)
     certificate is exhaustive; otherwise it only speaks for the sample and
     is labeled empirical. Theorem verdicts come from `verdicts`.
 
-    Cost: one image_of and one d(x, T(x)) per sample point, then
+    Cost: one image_of and one d(x, T(x)) per sample point, then at most
     (1 + w)**2 space.dists entries per pair, w the widest image (narrower
-    ones are padded), walked by index and reduced in numpy block by block.
-    The result equals the pair-by-pair loop over hausdorff, n_functional
-    and five_term_max, worst pairs (the first to attain each maximum) and
-    errors included.
+    ones are padded), walked by index and reduced in numpy block by block:
+    power spaces off the p = 1 line evaluate only those a squared-distance
+    screen keeps (_screen). The result equals the pair-by-pair loop over
+    hausdorff, n_functional and five_term_max, worst pairs (the first to
+    attain each maximum) and errors included.
     """
     points = list(points)
     n = len(points)

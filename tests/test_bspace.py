@@ -639,10 +639,21 @@ def test_bulk_layers_make_no_scalar_distance_calls(monkeypatch):
 
 def test_certify_work_per_point_and_pair(monkeypatch):
     """certify on n points makes n image_of calls, the scalar dist calls of
-    the residuals d(x, T(x)) and nothing else, and exactly (1 + w)**2 dists
-    entries for each pair, w the widest image in the sample: narrower
-    images are padded by repeating an element, and the padded entries are
-    evaluated like the others."""
+    the residuals d(x, T(x)) and nothing else. Matrix spaces, the p = 1 line
+    and one-element images evaluate exactly (1 + w)**2 dists entries for
+    each pair, w the widest image in the sample: narrower images are padded
+    by repeating an element, and the padded entries are evaluated like the
+    others. Other power spaces evaluate only the entries the squared-distance
+    screen keeps: at least d(x, y), one entry for each of d(x, T(y)) and
+    d(y, T(x)) and one for h, and fewer than (1 + w)**2 per pair.
+
+    Worked by hand: on the squared line under x -> 0.5x and x -> 0.25x, the
+    pair x = 1, y = 3 has T(x) = {0.5, 0.25} and T(y) = {1.5, 0.75}. Kept are
+    d(x, y) = 4; d(x, 0.75) = 0.0625, the smaller of d(x, T(y)); d(0.5, y) =
+    6.25, the smaller of d(T(x), y); and of h's distances [[1, 0.0625],
+    [1.5625, 0.25]] (rows T(x), columns T(y)) only the minimum of the row
+    whose minimum leads (0.25 over 0.0625), d(0.25, 0.75), and that of the
+    column whose minimum leads (1 over 0.0625), d(0.5, 1.5): 5 of 9."""
     paper = builtin("paper-example")
     finite = builtin("random-finite", 7)
     plane = make_power_space(2, 1.5)
@@ -652,22 +663,30 @@ def test_certify_work_per_point_and_pair(monkeypatch):
     ragged = make_branch_map(plane, [shear, (lift[0], [0.0, 0.0])])
     line = make_matrix_space(3, SQUARED_LINE, 2.0)
     table = qc.make_table_map(line, {0: [0, 2], 1: [0], 2: [1, 0, 2]})
-    # x -> 0.5x and x -> -0.5x meet only at 0, the one point with a single image
-    real_line = make_power_space(1, 1.5)
-    fold = make_branch_map(real_line, [([[0.5]], [0.0]), ([[-0.5]], [0.0])])
+    # x -> 0.5x and x -> -0.5x meet only at 0, the one point with a single image;
+    # no sample point lies in another's image (a zero squared distance, which
+    # sends the whole block to full evaluation)
+    real_line, unit_line, squared_line = make_power_space(1, 1.5), make_power_space(1, 1.0), make_power_space(1, 2.0)
+    fold = [([[0.5]], [0.0]), ([[-0.5]], [0.0])]
+    halves = make_branch_map(squared_line, [([[0.5]], [0.0]), ([[0.25]], [0.0])])
+    line_pts = [(-0.75,), (0.0,), (0.25,), (1.0,), (-3.0,)]
     cases = [
-        (paper.space, paper.map, sample_points(paper), False),
-        (finite.space, finite.map, sample_points(finite), False),
-        (plane, make_branch_map(plane, [shear, lift]), sample, False),
-        (plane, ragged, [(0.0, 0.0)] + sample, True),
-        (line, table, [2, 0, 1], True),
-        (real_line, fold, [(-0.75,), (0.0,), (0.25,), (1.0,), (-2.0,)], True),
+        # space, map, sample, ragged images, dists entries ("full", "screened" or the count)
+        (paper.space, paper.map, sample_points(paper), False, "full"),
+        (finite.space, finite.map, sample_points(finite), False, "full"),
+        (plane, make_branch_map(plane, [shear, lift]), sample, False, "screened"),
+        (plane, ragged, [(0.0, 0.0)] + sample, True, "screened"),
+        (line, table, [2, 0, 1], True, "full"),
+        (real_line, make_branch_map(real_line, fold), line_pts, True, "screened"),
+        (unit_line, make_branch_map(unit_line, fold), line_pts, True, "full"),
+        (squared_line, halves, [(1.0,), (3.0,)], False, 5),
     ]
     real_image_of, real_dist, real_dists = qc.image_of, BMetricSpace.dist, BMetricSpace.dists
-    for space, tmap, pts, is_ragged in cases:
+    for space, tmap, pts, is_ragged, want in cases:
         sizes = [len(real_image_of(space, tmap, x).elements) for x in pts]
         assert (len(set(sizes)) > 1) == is_ragged
-        want_entries = len(pts) * (len(pts) - 1) // 2 * (1 + max(sizes)) ** 2
+        pairs = len(pts) * (len(pts) - 1) // 2
+        full = pairs * (1 + max(sizes)) ** 2
         counts = {"image_of": 0, "dist": 0, "entries": 0}
 
         def counted_image_of(*args):
@@ -680,7 +699,7 @@ def test_certify_work_per_point_and_pair(monkeypatch):
 
         def counted_dists(self, xs, ys):
             out = real_dists(self, xs, ys)
-            counts["entries"] += len(out)
+            counts["entries"] += out.size
             return out
 
         with monkeypatch.context() as m:
@@ -688,16 +707,25 @@ def test_certify_work_per_point_and_pair(monkeypatch):
             m.setattr(BMetricSpace, "dist", counted_dist)
             m.setattr(BMetricSpace, "dists", counted_dists)
             cert = certify(space, tmap, pts, 0.5, 0.5)
-        assert cert.n_pairs == len(pts) * (len(pts) - 1) // 2
-        assert counts == {"image_of": len(pts), "dist": sum(sizes), "entries": want_entries}
+        assert cert.n_pairs == pairs
+        entries = counts.pop("entries")
+        assert counts == {"image_of": len(pts), "dist": sum(sizes)}
+        if want == "full":
+            assert entries == full
+        elif want == "screened":
+            assert 4 * pairs <= entries < full
+        else:
+            assert entries == want < full
 
 
 def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
-    """bfixpoint verify on n points evaluates certify's n(n-1)/2 * (1 + w)**2
-    dists entries and those of verify_axioms' table, nothing more: the
-    n(n-1)/2 pairs i < j, in a power space and a matrix space alike. A
-    builtin is resolved uncounted: random-finite's generation runs certify
-    rounds of its own."""
+    """bfixpoint verify on n points evaluates the dists entries of certify on
+    its sample and those of verify_axioms' table, nothing more: the
+    n(n-1)/2 pairs i < j, in a power space and a matrix space alike. certify
+    evaluates n(n-1)/2 * (1 + w)**2 entries on a matrix space or with
+    one-element images, and fewer where its screen applies (the 2-D
+    sample). A builtin is resolved uncounted: random-finite's generation
+    runs certify rounds of its own."""
     plane = make_power_space(2, 1.5)
     # both branches fix the origin, the one sample point with a single image
     shear, lift = ([[0.5, 0.1], [0.0, 0.5]], [0.0, 0.0]), ([[0.5, 0.0], [0.2, 0.5]], [0.0, 0.0])
@@ -722,7 +750,7 @@ def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
 
     def counted_dists(self, xs, ys):
         out = real_dists(self, xs, ys)
-        entries[0] += len(out) if counting[0] else 0
+        entries[0] += out.size if counting[0] else 0
         return out
 
     for argv, sc in (
@@ -732,10 +760,17 @@ def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
     ):
         sample = sample_points(sc)
         n, w = len(sample), max(len(image_of(sc.space, sc.map, x).elements) for x in sample)
+        full = n * (n - 1) // 2 * (1 + w) ** 2
+        entries[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(BMetricSpace, "dists", counted_dists)
+            certify(sc.space, sc.map, sample, sc.params.c, sc.params.q)
+        certified = entries[0]
+        assert certified == full if sc.space.kind == "matrix" or w == 1 else certified < full
         entries[0] = 0
         with monkeypatch.context() as m:
             m.setattr(cli, "builtin", uncounted_builtin)
             m.setattr(BMetricSpace, "dists", counted_dists)
             cli.main(["verify", *argv])
         capsys.readouterr()
-        assert entries[0] == n * (n - 1) // 2 * (1 + w) ** 2 + n * (n - 1) // 2
+        assert entries[0] == certified + n * (n - 1) // 2

@@ -5,7 +5,9 @@ sample by index and reduces them in numpy blocks. Here it is checked
 against the certificate by its definition: every pair of combinations(points, 2)
 in turn, from the public hausdorff, n_functional and five_term_max, keeping
 the first pair that attains each maximum. The two must agree on the
-certificate, or raise the same exception with the same message. The index
+certificate, or raise the same exception with the same message. The edges
+of certify's squared-distance screen (ties, near ties, distances that
+overflow or underflow, p far from 1) are checked the same way. The index
 arithmetic is checked against itertools.combinations, and a work guard
 keeps certify at one image per sample point.
 """
@@ -15,6 +17,7 @@ from itertools import combinations
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -240,6 +243,138 @@ class TestCertifyMatchesPairLoop:
             cert = certify(space, tmap, order, 0.5, 0.5)
             assert (cert.alpha_min, cert.alpha41_min) == (0.0, 0.0)
             assert cert.worst_pair == cert.worst_pair41 == (order[0], order[1])
+
+
+@st.composite
+def screened_problems(draw):
+    """Power spaces whose blocks certify screens: dim 1-3, p in {0.05, 0.5,
+    1.5, 2, 3, 30} and 2-3 branches, so some image has two elements or more.
+    A branch x -> A x + b may come with its mirror x -> -A x + b: at b = 0,
+    on a sample symmetric about 0, their distances tie exactly, and at the
+    origin the two meet, so images differ in size. Points are scaled by 1
+    or 1e+-160, where squares overflow or go subnormal, and may have a
+    neighbour one ulp away."""
+    dim = draw(st.integers(1, 3))
+    space = make_power_space(dim, draw(st.sampled_from([0.05, 0.5, 1.5, 2.0, 3.0, 30.0])))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-160, 1e160]))
+    coef = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5, 0.7])
+    branches = []
+    while len(branches) < 2:
+        a = [[draw(coef) if i == j or draw(st.booleans()) else 0.0 for j in range(dim)] for i in range(dim)]
+        b = [draw(st.sampled_from([0.0, 0.0, 0.5, -1.0])) * scale for _ in range(dim)]
+        branches.append((a, b))
+        if len(branches) < 3 and draw(st.booleans()):
+            branches.append(([[-v for v in row] for row in a], b))
+    coord = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), st.floats(-3.0, 3.0))
+    base = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4, unique=True))
+    pts = [tuple(v * scale for v in x) for x in base]
+    if draw(st.booleans()):
+        pts += [tuple(-v for v in x) for x in pts]
+    if draw(st.booleans()):
+        pts.append(tuple(math.nextafter(v, math.inf) for v in pts[0]))
+    pts = list(dict.fromkeys(pts))
+    if len(pts) < 2:
+        pts.append(tuple(v + scale for v in pts[0]))
+    return space, make_branch_map(space, branches), draw(point_samples(pts))
+
+
+def shifts(space, y, targets):
+    """The map whose branches x -> x + (t - y) send y to each target t (exactly,
+    where t - y is exact)."""
+    eye = [[float(i == j) for j in range(space.dim)] for i in range(space.dim)]
+    return make_branch_map(space, [(eye, [u - v for u, v in zip(t, y)]) for t in targets])
+
+
+class TestScreenEdges:
+    """certify evaluates only the entries of a block that can decide a
+    pair's terms (quasicontraction._screen); these cases sit where that
+    choice is delicate."""
+
+    @SETTINGS
+    @given(problem=screened_problems(), c=COEFFS, q=COEFFS, block=BLOCKS)
+    def test_screened_maps(self, problem, c, q, block):
+        assert_same_certificate(*problem, c, q, block)
+
+    def test_an_overflow_no_minimum_needs_still_raises(self):
+        # d(0, 6.1e102) = 6.1e102**3 overflows, though neither minimum it
+        # enters takes it: its block is evaluated in full and raises
+        space = make_power_space(1, 3.0)
+        tmap = make_branch_map(space, [([[0.5]], [0.0]), ([[1.0]], [3.1e102])])
+        for block in (1, 9, 40, qc._BLOCK_DISTANCES):
+            got = assert_same_certificate(space, tmap, [(0.0,), (3e102,)], 0.5, 0.5, block)
+            assert got == (OverflowError, "(34, 'Numerical result out of range')")
+
+    @pytest.mark.parametrize("p", [0.05, 3.0, 30.0])
+    def test_mirrored_branches_tie_exactly(self, p):
+        space = make_power_space(1, p)
+        tmap = make_branch_map(space, [([[0.5]], [0.0]), ([[-0.5]], [0.0])])
+        points = [(-2.0,), (-1.0,), (1.0,), (2.0,), (3.0,)]
+        for block in (1, 9, 40, qc._BLOCK_DISTANCES):
+            assert assert_same_certificate(space, tmap, points, 0.5, 0.5, block)[0] == "ok"
+
+    def test_near_tie_where_squares_and_distances_disagree(self):
+        # d(x, P) < d(x, Q) by one ulp, but the squared distances in numpy
+        # order them the other way, so the window must keep both. T(y) is
+        # {P, Q} exactly (P - y and Q - y are exact), and d(x, T(y)) is the
+        # largest of the five terms, so it sets alpha41_min.
+        space = make_power_space(2, 1.5)
+        x, y = (0.164267667994632, -0.7045580711868606), (-0.14, -0.5)
+        p_, q_ = (-0.07516619734383778, -0.2739576192971769), (-0.2663327838950517, -0.9439919365253305)
+        assert space.dist(x, p_) < space.dist(x, q_)
+        assert sum((u - v) ** 2 for u, v in zip(x, p_)) > sum((u - v) ** 2 for u, v in zip(x, q_))
+        tmap = shifts(space, y, [p_, q_])
+        assert image_of(space, tmap, y).elements == (p_, q_)
+        assert five_term_max(space, tmap, x, y) == space.dist(x, p_)
+        for block in (1, 9, qc._BLOCK_DISTANCES):
+            assert assert_same_certificate(space, tmap, [x, y], 0.0, 1.0, block)[0] == "ok"
+
+    def test_subnormal_squares_are_not_screened(self):
+        # x - P = (-2.8e-162, 0) and x - Q = (-1.5e-162, -2.7e-162): d(x, P) <
+        # d(x, Q), but their squares round to 2 and 1 units of the smallest
+        # subnormal, an error no window covers, so the block is evaluated in full
+        space = make_power_space(2, 1.5)
+        u = 1e-162
+        x, y = (-0.5 * u, -2.0 * u), (1.5 * u, 3.5 * u)
+        p_, q_ = (x[0] + 2.8 * u, x[1]), (x[0] + 1.5 * u, x[1] + 2.7 * u)
+        assert space.dist(x, p_) < space.dist(x, q_)
+        assert (x[0] - p_[0]) ** 2 + (x[1] - p_[1]) ** 2 > (x[0] - q_[0]) ** 2 + (x[1] - q_[1]) ** 2
+        tmap = shifts(space, y, [p_, q_])
+        for block in (1, 9, qc._BLOCK_DISTANCES):
+            assert assert_same_certificate(space, tmap, [x, y], 1.0, 1.0, block)[0] == "ok"
+
+    def test_rows_that_nearly_tie_both_lead(self):
+        # T((1, 1)) = {P, Q} and T(0) = {0}: h = max(d(P, 0), d(Q, 0)) =
+        # d(P, 0), though the squared norms order P and Q the other way
+        space = make_power_space(2, 1.5)
+        p_, q_ = (0.8723298693936565, 0.9602130708689294), (-0.9602130708689293, 0.8723298693936566)
+        assert space.dist(p_, (0.0, 0.0)) > space.dist(q_, (0.0, 0.0))
+        assert p_[0] ** 2 + p_[1] ** 2 < q_[0] ** 2 + q_[1] ** 2
+        diag = [([[u[0], 0.0], [0.0, u[1]]], [0.0, 0.0]) for u in (p_, q_)]  # (1, 1) -> u
+        tmap = make_branch_map(space, diag)
+        assert image_of(space, tmap, (1.0, 1.0)).elements == (p_, q_)
+        for block in (1, 9, qc._BLOCK_DISTANCES):
+            assert assert_same_certificate(space, tmap, [(1.0, 1.0), (0.0, 0.0)], 0.0, 0.0, block)[0] == "ok"
+
+    def test_non_leading_rows_stay_out_of_h(self):
+        # h's distances on the squared plane, rows T(x) = {a1, a2}, columns
+        # T(y) = {b1, b2}: [[1, 1 + 2e-12], [1 + 2e-12, 4e-6]], so h = 1.
+        # Only row a1 and column b1 lead. Row a2 keeps only d(a2, b1), for
+        # column b1, and column b2 only d(a1, b2), for row a1: both exceed h
+        space = make_power_space(2, 2.0)
+        x, y = (3.0, 4.0), (7.0, 9.0)
+        height = math.sqrt((1 + 1e-12) ** 2 - 0.499**2)
+        a1, a2, b1, b2 = (-1.0, 0.0), (-0.499, height), (0.0, 0.0), (-0.501, height)
+
+        def branch(u, v):  # the diagonal map with x -> u and y -> v
+            a = [(v[r] - u[r]) / (y[r] - x[r]) for r in range(2)]
+            return [[a[0], 0.0], [0.0, a[1]]], [u[r] - a[r] * x[r] for r in range(2)]
+
+        tmap = make_branch_map(space, [branch(a1, b1), branch(a2, b2)])
+        assert image_of(space, tmap, x).elements == (a1, a2)
+        assert image_of(space, tmap, y).elements == (b1, b2)
+        for block in (1, 9, qc._BLOCK_DISTANCES):
+            got = assert_same_certificate(space, tmap, [x, y], 0.0, 0.0, block)
+            assert got[0] == "ok" and got[1][0] == 1.0 / space.dist(x, y)
 
 
 def test_pair_indices_follow_combinations():
