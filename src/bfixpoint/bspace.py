@@ -236,12 +236,9 @@ def _via_minimum(dmat: np.ndarray) -> np.ndarray:
     return best
 
 
-def _coincide(space: BMetricSpace, sample: list) -> np.ndarray:
-    """The n x n mask of sample points that coincide: equal ids, or every
+def _coincide(sample: list) -> np.ndarray:
+    """The n x n mask of power-space sample points that coincide: every
     coordinate within COORD_TOL."""
-    if space.kind == "matrix":
-        ids = np.asarray(sample)
-        return ids[:, None] == ids[None, :]
     close = np.ones((len(sample), len(sample)), dtype=bool)
     with np.errstate(all="ignore"):
         for xs in np.array(sample, dtype=float).T:
@@ -251,11 +248,12 @@ def _coincide(space: BMetricSpace, sample: list) -> np.ndarray:
 
 def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomReport:
     """Check the b-metric axioms on every ordered pair/triple of the sample
-    (symmetry holds in every space by construction):
+    (symmetry holds in every space by construction, and identity in a
+    matrix space):
 
     identity:         d(x,y) = 0 exactly when the points coincide (zero is
-                      read up to tol on formula-backed spaces, and point
-                      coincidence up to coordinate tolerance 1e-12);
+                      read up to tol, and point coincidence up to
+                      coordinate tolerance 1e-12);
     relaxed-triangle: d(x,y) <= s*(d(x,z) + d(z,y)) + tol.
 
     tol is relative: each check reads it as tol times the largest sample
@@ -281,11 +279,12 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
     tol = tol * float(dmat.max())
 
     # identity for every ordered pair (i, j), in index order: equal points
-    # are at distance 0 in every space (0.0**p is 0, and a matrix diagonal is
-    # checked zero), so only a zero between points that do not coincide fails
-    zero_d = (dmat == 0.0) if space.kind == "matrix" else (dmat <= tol)
-    for i, j in np.argwhere(zero_d & ~_coincide(space, sample)).tolist():
-        violations.append(AxiomViolation("identity", (sample[i], sample[j]), float(dmat[i, j]), 0.0))
+    # are at distance 0 (0.0**p is 0), so only a zero between points that do
+    # not coincide fails; a matrix space has none, its off-diagonal entries
+    # are checked positive
+    if space.kind == "power":
+        for i, j in np.argwhere((dmat <= tol) & ~_coincide(sample)).tolist():
+            violations.append(AxiomViolation("identity", (sample[i], sample[j]), float(dmat[i, j]), 0.0))
 
     # Relaxed triangle: the right-hand side s*(a + b) + tol never falls as
     # the sum a + b grows, rounding included, so some via-point k violates

@@ -96,16 +96,19 @@ def run_orbit(
     """Iterate x_{n+1} in T(x_n) until the residual d(x_n, T(x_n)) drops to tol.
 
     Requires alpha in [0,1) with alpha*q*s < 1. beta defaults to the midpoint
-    of the admissible interval (alpha, min(1, 1/(q*s))); x1 defaults to the
-    closest element of T(x0). Every step is checked against the certified
-    decay d_n <= gamma*d_{n-1} (slack 1e-12 relative) and the selection
-    inequality d(x_cur, x_next) < beta*N(x_prev, x_cur); a failed check ends
-    the trace with status "ratio_violation" and the offending step index.
+    of the admissible interval (alpha, min(1, 1/(q*s))). The first step, out
+    of x0, goes through the loop as every other: x1 defaults to the closest
+    element of T(x0), and a given x1 is read only once x0 has failed to
+    converge, and must be an element of T(x0). Every later step is checked
+    against the certified decay d_n <= gamma*d_{n-1} (slack 1e-12 relative)
+    and the selection inequality d(x_cur, x_next) < beta*N(x_prev, x_cur); a
+    failed check ends the trace with status "ratio_violation" and the
+    offending step index.
 
     Stopping is by residual, not step size: a small step does not certify a
     fixed point, the residual is exactly what the fixed-point theorems bound.
 
-    A step costs one tmap.evaluate call and one scalar space.dist per image
+    A point costs one tmap.evaluate call and one scalar space.dist per image
     element: each image is a plain tuple, scanned inline for its closest
     element as dist_point_set scans (strict < from inf, so the first of
     equal elements wins and deduplication changes nothing). The image and
@@ -137,23 +140,9 @@ def run_orbit(
     gamma = gamma_of(beta, q, s)
 
     space.check_point(x0)
-    t0 = image_of(space, tmap, x0)
-    r_prev, idx = dist_point_set(space, x0, t0)
-    if r_prev <= tol:
-        return OrbitTrace((x0,), (), beta, gamma, "converged", x0, r_prev)
-
-    if x1 is None:
-        x1 = t0.elements[idx]
-    else:
-        x1 = tuple(x1) if isinstance(x1, (list, tuple)) else x1
-        space.check_point(x1)
-        if all(space.dist(x1, w) != 0.0 for w in t0.elements):
-            raise ValueError(f"x1 {x1!r} is not an element of T(x0)")
-
     image, dist = tmap.evaluate, space.dist
-    points = [x0, x1]
-    steps = [space.dist(x0, x1)]
-    x_prev, x_cur, t_prev = x0, x1, t0.elements
+    points, steps = [x0], []
+    x_cur = x0
 
     while True:
         t_cur = image(x_cur)
@@ -169,11 +158,20 @@ def run_orbit(
             status = "max_iter"
             break
 
-        # the attained min is the next step distance; residual > tol > 0 here.
-        # N's cross terms are minima over the images, which repeated
-        # branch outputs leave unchanged
-        d_prev = steps[-1]
-        if residual > gamma * d_prev + 1e-12 * d_prev or not (
+        # the attained min is the next step distance, residual > tol > 0
+        # here; the first step has no previous one to check against. N's
+        # cross terms are minima over the images, which repeated branch
+        # outputs leave unchanged
+        step = residual
+        if not steps:
+            if x1 is not None:
+                nxt = tuple(x1) if isinstance(x1, (list, tuple)) else x1
+                space.check_point(nxt)
+                if all(dist(nxt, w) != 0.0 for w in t_cur):
+                    raise ValueError(f"x1 {nxt!r} is not an element of T(x0)")
+            if x1 is not None or residual == inf:  # inf: no d(x0, y) below it, and d(x0, x1) may be NaN
+                step = dist(x0, nxt)
+        elif residual > gamma * d_prev + 1e-12 * d_prev or not (
             residual < beta * d_prev
             or residual < beta * _n_from_parts(
                 space, c, q, x_prev, x_cur, d_prev, PointSet(t_prev), PointSet(t_cur), r_prev, residual
@@ -182,8 +180,8 @@ def run_orbit(
             status = "ratio_violation"
             break
         points.append(nxt)
-        steps.append(residual)
-        x_prev, x_cur, t_prev, r_prev = x_cur, nxt, t_cur, residual
+        steps.append(step)
+        x_prev, x_cur, t_prev, r_prev, d_prev = x_cur, nxt, t_cur, residual, step
 
     return OrbitTrace(
         tuple(points), tuple(steps), beta, gamma, status, x_cur if status == "converged" else None, residual,

@@ -234,11 +234,7 @@ def enumerate_fixed_points(space: BMetricSpace, tmap: SetValuedMap) -> list[int]
     """Brute force over a finite domain: every u whose image contains u exactly."""
     if space.kind != "matrix":
         raise ValueError("fixed-point enumeration needs a finite (matrix) space")
-    out = []
-    for u in range(space.n_points):
-        if dist_point_set(space, u, image_of(space, tmap, u)).value == 0.0:
-            out.append(u)
-    return out
+    return [u for u in range(space.n_points) if u in image_of(space, tmap, u).elements]
 
 
 # Pairs are reduced in blocks of at most this many distances (screened or

@@ -583,8 +583,8 @@ class TestRunOrbitMatchesStepLoop:
 
 def test_audit_and_orbit_do_linear_work(monkeypatch):
     """A long orbit must cost O(L) exact distances in the audit, and in the
-    orbit loop one evaluation of the map and one scalar distance per image
-    element per step; the quadratic scan would need L**2 / 2 distances
+    orbit loop exactly one evaluation of the map and one scalar distance
+    per image element per orbit point, x0 included; the quadratic scan would need L**2 / 2 distances
     here. The row screen, quadratic in the rows it gets, must get only the
     rows the bounding boxes cannot rule out."""
     space = make_power_space(2, 2.0)
@@ -612,8 +612,8 @@ def test_audit_and_orbit_do_linear_work(monkeypatch):
     monkeypatch.undo()
     assert trace.status == "converged"
     assert len(trace.steps) >= 1500
-    assert images[0] <= len(trace.steps) + 2
-    assert dists[0] <= 2 * (len(trace.steps) + 2)  # two branches; the screen settles each selection check
+    assert images[0] == len(trace.points)
+    assert dists[0] == 2 * len(trace.points)  # two branches; the screen settles each selection check
 
     dists[0] = 0
     monkeypatch.setattr(BMetricSpace, "dist", counted_dist)

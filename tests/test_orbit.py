@@ -134,6 +134,25 @@ class TestRunOrbit:
         assert trace.residual == 0.0
         assert trace.fixed_point == 0
 
+    @pytest.mark.parametrize("x1", [2, 7, (0.5,)])
+    def test_x1_not_read_at_a_converged_x0(self, x1):
+        # T(0) = {0}: x0 converges before x1 is read, so neither an x1
+        # outside T(x0) (2) nor an invalid one (7, a tuple) is checked; on
+        # an x0 that does not converge, test_explicit_x1_must_be_in_image
+        space, _ = expanding_line()
+        tmap = make_table_map(space, {0: [0], 1: [0], 2: [1]})
+        trace = run_orbit(space, tmap, 0.0, 0.0, 0.5, 0, x1=x1, tol=1e-9)
+        assert (trace.status, trace.points, trace.steps) == ("converged", (0,), ())
+
+    def test_first_step_is_d_x0_x1_on_a_nan_image(self):
+        # 1e300*1e10 - 1e300*1e10 is inf - inf, so T(x0) = {(nan, 0)}: no
+        # image element is below inf, and the residual inf is not d(x0, x1)
+        plane = make_power_space(2, 1.0)
+        tmap = make_branch_map(plane, [([[1e300, -1e300], [0.0, 0.0]], [0.0, 0.0])])
+        trace = run_orbit(plane, tmap, 0.0, 0.0, 0.0, (1e10, 1e10), max_iter=1)
+        assert trace.status == "max_iter"
+        assert math.isnan(trace.steps[0])
+
     def test_constant_map_converges_quickly(self):
         tmap = make_branch_map(QUAD, [([[0.0]], [2.0])])
         trace = run_orbit(QUAD, tmap, 0.0, 0.0, 0.5, (7.0,), tol=1e-12)
@@ -160,6 +179,22 @@ class TestRunOrbit:
     def test_explicit_x1_accepted(self):
         trace = run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), x1=(0.9,), tol=1e-9)
         assert trace.status == "converged"
+
+    @pytest.mark.parametrize(
+        "e, want",
+        [
+            (0.5 + 1e-12, ("converged", (1.0, 0.500000000001), None)),
+            (math.nextafter(0.5 + 1e-12, 1.0), ("ratio_violation", (1.0,), 1)),
+        ],
+    )
+    def test_decay_slack_at_its_edge(self, e, want):
+        # gamma = beta = 0.5 and d_0 = 1: the decay check passes d_1 = e up
+        # to gamma*d_0 + 1e-12*d_0 = 0.5 + 1e-12 and fails one ulp above;
+        # N(0, 1) = (0.4/2)*(6 + 0) = 1.2 passes the selection either way
+        space = make_matrix_space(3, [[0.0, 1.0, 6.0], [1.0, 0.0, e], [6.0, e, 0.0]], 2.0)
+        tmap = make_table_map(space, {0: [1], 1: [2], 2: [2]})
+        trace = run_orbit(space, tmap, 0.0, 0.4, 0.4, 0, beta=0.5, tol=1e-9)
+        assert (trace.status, trace.steps, trace.violation_step) == want
 
     def test_infeasible_alpha_q_s_rejected(self):
         with pytest.raises(ValueError, match="alpha\\*q\\*s"):
