@@ -16,14 +16,13 @@ from bfixpoint import (
     certify,
     certifies,
     check_hypotheses,
-    instantiate,
     n_functional,
     paper_example,
     sample_points,
 )
 
 sc = paper_example()
-space, tmap = instantiate(sc)
+space, tmap = sc.space, sc.map
 grid = sample_points(sc)
 
 print("=" * 68)

@@ -16,14 +16,13 @@ from bfixpoint import (
     cauchy_bounds,
     cauchy_series,
     chaining_bounds,
-    instantiate,
     paper_example,
     run_orbit,
     verify_fixed_point,
 )
 
 sc = paper_example()
-space, tmap = instantiate(sc)
+space, tmap = sc.space, sc.map
 p = sc.params
 
 print("=" * 68)

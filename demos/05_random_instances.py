@@ -13,7 +13,6 @@ and its limit is one of the brute-force fixed points u with u in T(u).
 from bfixpoint import (
     enumerate_fixed_points,
     image_of,
-    instantiate,
     random_finite,
     run_orbit,
     verify_fixed_point,
@@ -23,7 +22,7 @@ print("=" * 68)
 print("1. a reproducible instance (seed 42)")
 print("=" * 68)
 sc, cert = random_finite(seed=42, n_points=8, p=2.0, alpha_cap=0.6)
-space, tmap = instantiate(sc)
+space, tmap = sc.space, sc.map
 print(f"  points: {space.n_points}, s = {space.s}, c = {sc.params.c:.4f}, q = {sc.params.q:.4f}")
 print(f"  exhaustive alpha_min = {cert.alpha_min:.6f} (cap was 0.6), coverage = {cert.coverage}")
 print(f"  images: {[list(image_of(space, tmap, i).elements) for i in range(space.n_points)]}")
@@ -55,6 +54,6 @@ print("3. a batch across seeds")
 print("=" * 68)
 for seed in range(1, 6):
     sc, cert = random_finite(seed=seed, n_points=6 + seed % 3, p=[1.0, 2.0, 3.0][seed % 3], alpha_cap=0.6)
-    space, tmap = instantiate(sc)
+    space, tmap = sc.space, sc.map
     print(f"  seed {seed}: n = {space.n_points}, s = {space.s}, "
           f"alpha_min = {cert.alpha_min:.4f}, fixed points = {enumerate_fixed_points(space, tmap)}")

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -140,18 +140,16 @@ class BMetricSpace:
                 raise ValueError(f"non-finite coordinate in point {x!r}")
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: str  # "identity" | "relaxed-triangle"
     witness: tuple  # offending points, (x, y) or (x, y, z) with z the via point
     lhs: float
     rhs: float
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     passed: bool
-    violations: tuple[AxiomViolation, ...] = field(default_factory=tuple)
+    violations: tuple[AxiomViolation, ...] = ()
 
 
 def make_power_space(dimension: int, p: float) -> BMetricSpace:

@@ -15,7 +15,7 @@ import argparse
 import re
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from functools import cache
 from itertools import chain, product
 from pathlib import Path
@@ -82,7 +82,7 @@ def _axiom_obj(report: AxiomReport) -> dict:
     return {
         "passed": report.passed,
         "violations_total": len(report.violations),
-        "violations": [asdict(v) for v in shown],
+        "violations": [v._asdict() for v in shown],
     }
 
 

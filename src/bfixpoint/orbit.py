@@ -19,7 +19,6 @@ arbitrary finite stretches of any sequence.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from math import inf
 from sys import float_info
@@ -32,8 +31,7 @@ from .quasicontraction import SetValuedMap, _check_coefficients, _n_from_parts, 
 from .setops import PointSet, dist_point_set
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
+class OrbitTrace(NamedTuple):
     points: tuple
     steps: tuple  # steps[n] = d(points[n], points[n+1])
     beta: float
@@ -44,8 +42,7 @@ class OrbitTrace:
     violation_step: int | None = None
 
 
-@dataclass(frozen=True)
-class CauchyCertificate:
+class CauchyCertificate(NamedTuple):
     gamma: float
     s: float
     series_sum: float
@@ -99,7 +96,10 @@ def run_orbit(
     of the admissible interval (alpha, min(1, 1/(q*s))). The first step, out
     of x0, goes through the loop as every other: x1 defaults to the closest
     element of T(x0), and a given x1 is read only once x0 has failed to
-    converge, and must be an element of T(x0). Every later step is checked
+    converge, and must be an element of T(x0). When no element of T(x0) is
+    at a finite distance from x0 (an image coordinate that overflowed or is
+    NaN), OverflowError names both, before x1 is read; at a later point an
+    infinite residual fails the decay check. Every later step is checked
     against the certified decay d_n <= gamma*d_{n-1} (slack 1e-12 relative)
     and the selection inequality d(x_cur, x_next) < beta*N(x_prev, x_cur); a
     failed check ends the trace with status "ratio_violation" and the
@@ -164,12 +164,13 @@ def run_orbit(
         # outputs leave unchanged
         step = residual
         if not steps:
+            if residual == inf:  # no d(x0, y) below inf: T(x0) has no point at a finite distance
+                raise OverflowError(f"no element of T(x0) is at a finite distance from x0 = {x0!r}: T(x0) = {t_cur!r}")
             if x1 is not None:
                 nxt = tuple(x1) if isinstance(x1, (list, tuple)) else x1
                 space.check_point(nxt)
                 if all(dist(nxt, w) != 0.0 for w in t_cur):
                     raise ValueError(f"x1 {nxt!r} is not an element of T(x0)")
-            if x1 is not None or residual == inf:  # inf: no d(x0, y) below it, and d(x0, x1) may be NaN
                 step = dist(x0, nxt)
         elif residual > gamma * d_prev + 1e-12 * d_prev or not (
             residual < beta * d_prev

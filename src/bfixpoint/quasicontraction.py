@@ -83,21 +83,17 @@ def _branch_evaluator(dim: int, count: int) -> Callable:
     return namespace["make"]
 
 
-@dataclass(frozen=True)
-class QuasiParams:
+class QuasiParams(NamedTuple):
+    """A scenario's coefficients c, q in [0, 1], its alpha in [0, 1) and
+    optional beta; Scenario checks them when it is built."""
+
     c: float
     q: float
     alpha: float
-    beta: float | None = None  # its interval needs s, so Scenario checks it
-
-    def __post_init__(self):
-        _check_coefficients(self.c, self.q)
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0,1), got {self.alpha}")
+    beta: float | None = None
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
+class ContractionCertificate(NamedTuple):
     alpha_min: float
     alpha41_min: float
     worst_pair: tuple  # pair attaining alpha_min, smallest index on ties

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from math import cos, dist as _euclid, floor, inf, pi, sin
 from sys import float_info
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,15 +51,13 @@ class ScenarioFormatError(ValueError):
     """Schema violation; the message names the offending field path."""
 
 
-@dataclass(frozen=True)
-class GridSample:
+class GridSample(NamedTuple):
     lo: float
     hi: float
     step: float
 
 
-@dataclass(frozen=True)
-class PointsSample:
+class PointsSample(NamedTuple):
     pts: tuple
 
 
@@ -66,9 +65,10 @@ class PointsSample:
 class Scenario:
     """A problem instance: the built space and map, the run parameters and
     the certification sample. Construction is the one place that checks a
-    scenario: 0 < tol < inf, max_iter >= 1, beta in (alpha, beta_limit(q,
-    s)), and x0, x1 and every sample point against the space. Two scenarios
-    are equal when their canonical JSON objects are."""
+    scenario: c and q in [0, 1], alpha in [0, 1), 0 < tol < inf, max_iter
+    >= 1, beta in (alpha, beta_limit(q, s)), and x0, x1 and every sample
+    point against the space. Two scenarios are equal when their canonical
+    JSON objects are."""
 
     space: BMetricSpace
     map: SetValuedMap
@@ -81,11 +81,16 @@ class Scenario:
     sample: GridSample | PointsSample
 
     def __post_init__(self):
+        p = self.params
+        if not 0.0 <= p.c <= 1.0 or not 0.0 <= p.q <= 1.0:
+            raise ScenarioFormatError(f"params: coefficients must be in [0,1], got c={p.c}, q={p.q}")
+        if not 0.0 <= p.alpha < 1.0:
+            raise ScenarioFormatError(f"params: alpha must be in [0,1), got {p.alpha}")
         if not 0 < self.tol < inf:  # JSON output (the digest, the report) has no inf
             raise ScenarioFormatError(f"tol must be positive and finite, got {self.tol}")
         if not self.max_iter >= 1:
             raise ScenarioFormatError(f"max_iter must be >= 1, got {self.max_iter}")
-        p, hi = self.params, beta_limit(self.params.q, self.space.s)
+        hi = beta_limit(p.q, self.space.s)
         if p.beta is not None and not p.alpha < p.beta < hi:
             raise ScenarioFormatError(f"params.beta {p.beta} outside (alpha, min(1, 1/(q*s))) = ({p.alpha}, {hi})")
         self.space.check_point(self.x0)
@@ -199,7 +204,7 @@ def random_finite(
         if cert.alpha_min <= alpha_cap and cert.verdicts["thm33"]:
             # tighten the declared alpha to the certified minimum; the
             # certificate's verdicts are already evaluated there
-            return replace(sc, params=replace(sc.params, alpha=cert.alpha_min)), cert
+            return replace(sc, params=sc.params._replace(alpha=cert.alpha_min)), cert
     raise RuntimeError(f"no acceptable instance after 1000 rejections (seed {seed})")
 
 
@@ -527,11 +532,7 @@ def scenario_from_obj(obj) -> Scenario:
         raise ScenarioFormatError(f"unknown map.kind: {mkind!r}")
 
     pr = root["params"]
-    c, q, alpha, beta = pr["c"].as_num(), pr["q"].as_num(), pr["alpha"].as_num(), pr.get("beta", _Field.as_num)
-    try:
-        params = QuasiParams(c=c, q=q, alpha=alpha, beta=beta)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"params: {exc}") from None
+    params = QuasiParams(pr["c"].as_num(), pr["q"].as_num(), pr["alpha"].as_num(), pr.get("beta", _Field.as_num))
 
     sm = root["sample"]
     skind = sm["kind"].value

@@ -7,14 +7,12 @@ definitions is attained, which keeps each inequality exactly checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bspace import BMetricSpace, Point
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(NamedTuple):
     """Ordered, duplicate-free, nonempty collection of points.
 
     Order matters only for tie-breaking: distance ties resolve toward the

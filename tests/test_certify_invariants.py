@@ -13,7 +13,6 @@ at least d(x, y). Relabeling a matrix space, its matrix and its table map
 together changes no certificate value, axiom verdict or fixed point.
 """
 
-from dataclasses import replace
 from functools import cache
 from unittest import mock
 
@@ -156,7 +155,7 @@ def test_relabeling_a_matrix_space_changes_nothing(problem, c, q, block, data):
     axioms, moved_axioms = verify_axioms(space, points, 1e-12), verify_axioms(relabeled, moved, 1e-12)
     assert moved_axioms.passed == axioms.passed
     assert moved_axioms.violations == tuple(
-        replace(v, witness=tuple(label[w] for w in v.witness)) for v in axioms.violations
+        v._replace(witness=tuple(label[w] for w in v.witness)) for v in axioms.violations
     )
     fixed = enumerate_fixed_points(space, tmap)
     assert enumerate_fixed_points(relabeled, remap) == sorted(label[u] for u in fixed)

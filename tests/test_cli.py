@@ -410,6 +410,28 @@ def test_arithmetic_failure_is_invalid_input(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_orbit_into_a_non_finite_image_is_invalid_input(tmp_path, capsys):
+    # T(x) = {(1e300*x_0 - 1e300*x_1, 0)} certifies on the diagonal sample
+    # (every image is (0, 0)), but T(x0) is {(nan, 0)} at x0 = (1e10, 1e10)
+    scenario = {
+        "space": {"kind": "power", "dim": 2, "p": 1.0},
+        "map": {"kind": "branches", "branches": [{"A": [[1e300, -1e300], [0.0, 0.0]], "b": [0.0, 0.0]}]},
+        "params": {"c": 0.0, "q": 0.0, "alpha": 0.5},
+        "x0": [1e10, 1e10],
+        "tol": 1e-10,
+        "max_iter": 100,
+        "sample": {"kind": "points", "pts": [[0.0, 0.0], [0.5, 0.5], [0.25, 0.25]]},
+    }
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", write_json(tmp_path / "sc.json", scenario), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: arithmetic failure (OverflowError: no element of T(x0) is at a finite distance from"
+        " x0 = (10000000000.0, 10000000000.0): T(x0) = ((nan, 0.0),))\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "compare"])
 def test_out_of_memory_is_invalid_input(tmp_path, capsys, monkeypatch, command):
     # numpy raises _ArrayMemoryError, a MemoryError, for a table it cannot allocate

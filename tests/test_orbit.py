@@ -144,14 +144,25 @@ class TestRunOrbit:
         trace = run_orbit(space, tmap, 0.0, 0.0, 0.5, 0, x1=x1, tol=1e-9)
         assert (trace.status, trace.points, trace.steps) == ("converged", (0,), ())
 
-    def test_first_step_is_d_x0_x1_on_a_nan_image(self):
+    def test_no_step_to_a_non_finite_image(self):
         # 1e300*1e10 - 1e300*1e10 is inf - inf, so T(x0) = {(nan, 0)}: no
-        # image element is below inf, and the residual inf is not d(x0, x1)
+        # image element is at a finite distance, and the orbit stops at x0
+        # before it reads x1 (here not even a point of the plane)
         plane = make_power_space(2, 1.0)
         tmap = make_branch_map(plane, [([[1e300, -1e300], [0.0, 0.0]], [0.0, 0.0])])
-        trace = run_orbit(plane, tmap, 0.0, 0.0, 0.0, (1e10, 1e10), max_iter=1)
-        assert trace.status == "max_iter"
-        assert math.isnan(trace.steps[0])
+        message = r"from x0 = \(10000000000.0, 10000000000.0\): T\(x0\) = \(\(nan, 0.0\),\)"
+        for x1 in (None, (1.0,)):
+            with pytest.raises(OverflowError, match=message):
+                run_orbit(plane, tmap, 0.0, 0.0, 0.5, (1e10, 1e10), x1=x1, max_iter=1)
+
+    def test_infinite_residual_after_the_first_step_is_a_ratio_violation(self):
+        # T(x) = {(1e300 x_0, 0)}: x1 = (1e300, 0) from x0 = (1, 0), then
+        # (1e600, 0) overflows to inf, so d(x1, T(x1)) is inf
+        plane = make_power_space(2, 1.0)
+        tmap = make_branch_map(plane, [([[1e300, 0.0], [0.0, 0.0]], [0.0, 0.0])])
+        trace = run_orbit(plane, tmap, 0.0, 0.0, 0.5, (1.0, 0.0), max_iter=5)
+        assert trace.status == "ratio_violation" and trace.violation_step == 1
+        assert trace.points == ((1.0, 0.0), (1e300, 0.0)) and trace.residual == math.inf
 
     def test_constant_map_converges_quickly(self):
         tmap = make_branch_map(QUAD, [([[0.0]], [2.0])])

@@ -48,7 +48,35 @@ def paper_scenario_obj():
 
 
 class TestInvariants:
-    """Scenario construction is the one check of tol, max_iter and beta."""
+    """Scenario construction is the one check of c, q, alpha, tol, max_iter
+    and beta."""
+
+    @pytest.mark.parametrize(
+        "c, q, alpha, message",
+        [
+            (2.0, 0.0, 0.5, "params: coefficients must be in [0,1], got c=2.0, q=0.0"),
+            (-0.5, 0.0, 0.5, "params: coefficients must be in [0,1], got c=-0.5, q=0.0"),
+            (0.0, 1.5, 0.5, "params: coefficients must be in [0,1], got c=0.0, q=1.5"),
+            (float("nan"), 0.0, 0.5, "params: coefficients must be in [0,1], got c=nan, q=0.0"),
+            (0.0, 0.0, 1.0, "params: alpha must be in [0,1), got 1.0"),
+            (0.0, 0.0, -0.1, "params: alpha must be in [0,1), got -0.1"),
+            (0.0, 0.0, float("nan"), "params: alpha must be in [0,1), got nan"),
+        ],
+    )
+    def test_params_ranges(self, tmp_path, c, q, alpha, message):
+        # QuasiParams checks nothing; Scenario does, whether it is built,
+        # replaced or loaded, with the same message
+        params = QuasiParams(c=c, q=q, alpha=alpha)
+        with pytest.raises(ScenarioFormatError, match=re.escape(message)):
+            replace(paper_example(), params=params)
+        obj = valid_matrix_scenario()
+        obj["params"] = {"c": c, "q": q, "alpha": alpha}  # a NaN is written as NaN, which json.load reads
+        with pytest.raises(ScenarioFormatError, match=re.escape(message)):
+            load(write_json(tmp_path / "bad.json", obj))
+
+    def test_params_range_ends_are_accepted(self):
+        for c, q, alpha in ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.9999999999999999)):
+            assert replace(paper_example(), params=QuasiParams(c=c, q=q, alpha=alpha)).params.alpha == alpha
 
     def test_tol_and_max_iter(self):
         sc = paper_example()
@@ -62,10 +90,10 @@ class TestInvariants:
         # s = 2 and q = 1 put the upper end at 1/(q*s) = 0.5, not 1
         sc = replace(paper_example(), params=QuasiParams(c=0.5, q=1.0, alpha=0.3))
         assert beta_limit(1.0, sc.space.s) == 0.5
-        assert replace(sc, params=replace(sc.params, beta=0.45)).params.beta == 0.45
+        assert replace(sc, params=sc.params._replace(beta=0.45)).params.beta == 0.45
         for beta in (0.3, 0.5, 0.6):
             with pytest.raises(ScenarioFormatError, match="params.beta"):
-                replace(sc, params=replace(sc.params, beta=beta))
+                replace(sc, params=sc.params._replace(beta=beta))
 
     def test_beta_limit_is_the_orbit_limit(self):
         for q, s in ((0.0, 2.0), (0.3, 1.0), (1.0, 2.0), (0.8, 4.0)):
