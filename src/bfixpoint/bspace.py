@@ -244,10 +244,10 @@ def _coincide(sample: list) -> np.ndarray:
     return close
 
 
-def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomReport:
-    """Check the b-metric axioms on every ordered pair/triple of the sample
-    (symmetry holds in every space by construction, and identity in a
-    matrix space):
+def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0) -> AxiomReport:
+    """Check the b-metric axioms on every ordered pair/triple of the sample,
+    an iterable of points read once (symmetry holds in every space by
+    construction, and identity in a matrix space):
 
     identity:         d(x,y) = 0 exactly when the points coincide (zero is
                       read up to tol, and point coincidence up to
@@ -265,6 +265,7 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
     On n points this evaluates n(n-1)/2 dists entries (see _distance_table)
     and about n**3/2 via-point sums (see _via_minimum).
     """
+    sample = list(sample)
     if not sample:
         raise ValueError("sample must be nonempty")
     if not 0.0 <= tol < math.inf:  # a nan tol would pass every check
@@ -302,15 +303,17 @@ def verify_axioms(space: BMetricSpace, sample: list, tol: float = 0.0) -> AxiomR
     return AxiomReport(passed=not violations, violations=tuple(violations))
 
 
-def estimate_min_s(space: BMetricSpace, sample: list) -> float:
-    """Tightest relaxation coefficient on the sample: the largest ratio
-    d(x,y) / (d(x,z) + d(z,y)) over triples with x != y, clamped below at 1.
+def estimate_min_s(space: BMetricSpace, sample) -> float:
+    """Tightest relaxation coefficient on the sample, an iterable of points
+    read once: the largest ratio d(x,y) / (d(x,z) + d(z,y)) over triples
+    with x != y, clamped below at 1.
 
     Zero denominators are skipped (they need d(x,z) = d(z,y) = 0, which
     distances that underflow can give even where d(x,y) > 0). Requires at
     least two points at positive distance, and finite distances, as
     verify_axioms.
     """
+    sample = list(sample)
     for x in sample:
         space.check_point(x)
     dmat = _distance_table(space, sample)

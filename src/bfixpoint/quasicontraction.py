@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import chain, combinations
+from itertools import chain
 from sys import float_info
 from typing import NamedTuple
 
@@ -236,16 +236,16 @@ def enumerate_fixed_points(space: BMetricSpace, tmap: SetValuedMap) -> list[int]
 # Pairs are reduced in blocks of at most this many distances (screened or
 # not), so the buffers stay small however many pairs there are.
 _BLOCK_DISTANCES = 1 << 13
-# What a point outside the domain or an overflowing distance raises. The
-# block reduction leaves such failures to the pair-by-pair reference, which
-# raises the same error at the same pair.
+# What a malformed sample point (a bad id or coordinate) or an overflowing
+# d(x, T(x)) raises while _ratio_blocks takes each point's own terms; every
+# block then goes pair by pair through _pair_ratios.
 _PAIR_ERRORS = (ArithmeticError, LookupError, TypeError, ValueError)
 
 
 def _pair_ratios(space: BMetricSpace, tmap: SetValuedMap, c: float, q: float, x: Point, y: Point) -> tuple:
     """Both contraction ratios of one pair, term by term from the public
-    definitions (hausdorff, n_functional, five_term_max): the reference the
-    block reduction in certify agrees with. Raises the ValueError naming the
+    definitions (hausdorff, n_functional, five_term_max). certify runs it
+    only to raise a failing block's first error: the ValueError naming the
     pair when it is not distinct, or its distance, a ratio or a ratio's
     denominator is not finite (h / inf = 0 would drop the pair silently)."""
     if x == y or (d_xy := space.dist(x, y)) == 0.0:
@@ -260,12 +260,6 @@ def _pair_ratios(space: BMetricSpace, tmap: SetValuedMap, c: float, q: float, x:
             f"{h!r} / {n5!r} five-term): the map cannot be certified"
         )
     return h / n4, h / n5
-
-
-def _reference_ratios(space, tmap, c, q, pairs) -> np.ndarray:
-    """Both ratio arrays of `pairs` (two rows), pair by pair with
-    _pair_ratios: the first failing pair raises, in pair order."""
-    return np.array([_pair_ratios(space, tmap, c, q, x, y) for x, y in pairs]).T
 
 
 def _pair_indices(n: int, lo: int, hi: int) -> tuple:
@@ -304,7 +298,7 @@ def _screen(v: np.ndarray, p: float) -> tuple:
 
 def _block_ratios(space, table, coords, rows, dxt, xi, yi, c, q) -> tuple:
     """Both ratio arrays for the pairs (x, y) = (points[xi[b]], points[yi[b]]),
-    or None when a pair needs _pair_ratios (not distinct, a non-finite term).
+    or None when a pair fails (not distinct, a non-finite term).
 
     table holds each sample point u followed by its image T(u) (a
     BMetricSpace.point_table), and dxt[u] = d(u, T(u)). Column u of rows
@@ -352,10 +346,10 @@ def _ratio_blocks(space, tmap, c, q, points):
     T(x) and d(x, T(x)) are computed once for each sample point, and the
     points and their images go into one point table. Blocks are screened off
     the p = 1 line (whose entries cost no power) in power spaces with some
-    image of two elements. Any failure is left to _reference_ratios, which
-    raises the error of the first failing pair: from the first pair when a
-    point's own terms or the table fail, or from the start of the block
-    that failed."""
+    image of two elements. The ratios come only from the blocks: a block
+    that fails, or every block once a point's own terms fail, goes pair by
+    pair through _pair_ratios, only to raise the first failing pair's error
+    (every pair of an earlier block passes it)."""
     n, total = len(points), len(points) * (len(points) - 1) // 2
     try:
         images = [image_of(space, tmap, x) for x in points]
@@ -366,21 +360,20 @@ def _ratio_blocks(space, tmap, c, q, points):
         coords = None
         if space.kind == "power" and w >= 3 and (space.dim, space.p) != (1, 1.0):
             coords = table[None] if space.dim == 1 else np.array(table.tolist(), dtype=float).T
+        rows = (np.cumsum(width) - width) + np.minimum(np.arange(w)[:, None], width - 1)
+        step = max(1, _BLOCK_DISTANCES // w**2)
     except _PAIR_ERRORS:
-        yield (*_pair_indices(n, 0, total), *_reference_ratios(space, tmap, c, q, combinations(points, 2)))
-        return
-    rows = (np.cumsum(width) - width) + np.minimum(np.arange(w)[:, None], width - 1)
-    step = max(1, _BLOCK_DISTANCES // w**2)
+        table, step = None, _BLOCK_DISTANCES
     for lo in range(0, total, step):
         xi, yi = _pair_indices(n, lo, min(lo + step, total))
         try:
             with np.errstate(all="ignore"):
-                got = _block_ratios(space, table, coords, rows, dxt, xi, yi, c, q)
-        except _PAIR_ERRORS:
+                got = None if table is None else _block_ratios(space, table, coords, rows, dxt, xi, yi, c, q)
+        except OverflowError:  # the float power in dists, the one thing a block raises
             got = None
         if got is None:
-            pairs = zip(map(points.__getitem__, xi.tolist()), map(points.__getitem__, yi.tolist()))
-            got = _reference_ratios(space, tmap, c, q, pairs)
+            got = np.array([_pair_ratios(space, tmap, c, q, points[i], points[j])
+                            for i, j in zip(xi.tolist(), yi.tolist())]).T
         yield (xi, yi, *got)
 
 
@@ -405,7 +398,8 @@ def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float)
     power spaces off the p = 1 line evaluate only those a squared-distance
     screen keeps (_screen). The result equals the pair-by-pair loop over
     hausdorff, n_functional and five_term_max, worst pairs (the first to
-    attain each maximum) and errors included.
+    attain each maximum) and errors included. Its values come only from the
+    blocks; that loop runs only to raise the first failing pair's error.
     """
     points = list(points)
     n = len(points)

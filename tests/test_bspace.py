@@ -388,6 +388,16 @@ class TestEstimateMinS:
             assert estimate_min_s(sp, sample) <= sp.s + 1e-12
 
 
+
+@pytest.mark.parametrize("space, pts", [
+    (make_power_space(1, 2.0), grid1(0, 1, 2, 10)),
+    (make_matrix_space(3, SQUARED_LINE, 1.9), [2, 0, 1]),
+])
+def test_one_pass_samples(space, pts):
+    """verify_axioms and estimate_min_s read their sample once, as certify does."""
+    assert verify_axioms(space, iter(pts), tol=0.0) == verify_axioms(space, pts, tol=0.0)
+    assert estimate_min_s(space, iter(pts)) == estimate_min_s(space, pts)
+
 def reference_min_s(space, sample):
     """estimate_min_s by its definition: every ordered triple, one at a time."""
     d = [[space.dist(x, y) for y in sample] for x in sample]

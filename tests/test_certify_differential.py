@@ -5,9 +5,12 @@ sample by index and reduces them in numpy blocks. Here it is checked
 against the certificate by its definition: every pair of combinations(points, 2)
 in turn, from the public hausdorff, n_functional and five_term_max, keeping
 the first pair that attains each maximum. The two must agree on the
-certificate, or raise the same exception with the same message. The edges
-of certify's squared-distance screen (ties, near ties, distances that
-overflow or underflow, p far from 1) are checked the same way. The index
+certificate, or raise the same exception with the same message. A
+certificate's values must come from the blocks alone: certify's own pair
+loop (_pair_ratios), which only names the first failing pair, must not
+have run. The edges of certify's squared-distance screen (ties, near ties,
+distances that overflow or underflow, p far from 1) are checked the same
+way, and so is the error of a sample point whose own terms fail. The index
 arithmetic is checked against itertools.combinations, and a work guard
 keeps certify at one image per sample point.
 """
@@ -84,9 +87,13 @@ def outcome(f, *args):
 
 def assert_same_certificate(space, tmap, points, c, q, block):
     want = outcome(reference_certify, space, tmap, points, c, q)
-    with mock.patch.object(qc, "_BLOCK_DISTANCES", block):
+    with (
+        mock.patch.object(qc, "_BLOCK_DISTANCES", block),
+        mock.patch.object(qc, "_pair_ratios", wraps=qc._pair_ratios) as pair_loop,
+    ):
         got = outcome(certify, space, tmap, points, c, q)
     if got[0] == "ok":
+        assert pair_loop.call_count == 0  # a certificate's values come from the blocks only
         cert = got[1]
         got = "ok", (cert.alpha_min, cert.alpha41_min, cert.worst_pair, cert.worst_pair41, cert.coverage)
         assert cert.n_pairs == len(points) * (len(points) - 1) // 2
@@ -223,6 +230,19 @@ class TestCertifyMatchesPairLoop:
                 f"pair ((1e+308,), (9e+307,)) has non-finite contraction ratios (h / N = {d!r} / {d!r} four-term, "
                 f"{d!r} / inf five-term): the map cannot be certified",
             )
+
+    def test_a_point_whose_own_terms_fail_raises_the_first_failing_pair(self):
+        # the p = 3 line under x -> x/2: d(1.2e103, T(1.2e103)) = 6e102**3
+        # overflows while certify takes each point's own terms, so every pair
+        # goes through the pair loop, which raises at the first failing pair:
+        # the repeated point, or else the overflowing distance d(1, 1.2e103)
+        space = make_power_space(1, 3.0)
+        tmap = make_branch_map(space, [([[0.5]], [0.0])])
+        for block in (1, 9, qc._BLOCK_DISTANCES):
+            got = assert_same_certificate(space, tmap, [(1.0,), (1.0,), (1.2e103,)], 0.5, 0.5, block)
+            assert got == (ValueError, "pair ((1.0,), (1.0,)) is not distinct")
+            got = assert_same_certificate(space, tmap, [(1.0,), (2.0,), (1.2e103,)], 0.5, 0.5, block)
+            assert got == (OverflowError, "(34, 'Numerical result out of range')")
 
     def test_tied_ratios_keep_the_first_pair(self):
         # x -> x/2 on the p = 1 line with c = q = 0: every pair has
