@@ -31,6 +31,9 @@ import numpy as np
 Point = Union[tuple, int]
 
 COORD_TOL = 1e-12  # coordinate tolerance for treating continuous points as equal
+# the relative tol of `bfixpoint verify`'s axiom check: zero is read up to
+# this fraction of the largest sample distance (see verify_axioms)
+VERIFY_TOL = 1e-12
 
 
 def _check_int(name: str, value) -> None:
@@ -126,7 +129,8 @@ class BMetricSpace:
         return np.fromiter(map(pow, map(math.dist, xs.tolist(), ys.tolist()), repeat(self.p)), float)
 
     def check_point(self, x: Point) -> None:
-        """Reject points outside the domain (bad ids, wrong arity, non-finite coords)."""
+        """Reject points outside the domain with ValueError naming the point
+        (bad ids, wrong arity, coordinates that are not finite real numbers)."""
         if self.kind == "matrix":
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"matrix-space point must be an integer id, got {x!r}")
@@ -136,7 +140,11 @@ class BMetricSpace:
         if not isinstance(x, tuple) or len(x) != self.dim:
             raise ValueError(f"expected a coordinate tuple of length {self.dim}, got {x!r}")
         for c in x:
-            if not math.isfinite(c):
+            try:
+                finite = math.isfinite(c)
+            except TypeError:  # math.isfinite takes only real numbers, not a str or a complex
+                raise ValueError(f"coordinate {c!r} is not a real number in point {x!r}") from None
+            if not finite:
                 raise ValueError(f"non-finite coordinate in point {x!r}")
 
 
@@ -152,15 +160,19 @@ class AxiomReport(NamedTuple):
     violations: tuple[AxiomViolation, ...] = ()
 
 
-def make_power_space(dimension: int, p: float) -> BMetricSpace:
-    """R^dimension under d(x,y) = |x-y|_2**p with s = max(1, 2**(p-1)).
+def _power_coefficient(p: float) -> float:
+    """max(1, 2**(p-1)), the relaxation coefficient with which |x-y|_2**p
+    is a b-metric: by Minkowski's inequality and (a + b)**p <=
+    2**(p-1)*(a**p + b**p) for p >= 1, and (a + b)**p <= a**p + b**p for p
+    in (0,1). It is inf from p = 1025 on, where 2**(p-1) overflows (and
+    BMetricSpace rejects p)."""
+    return max(1.0, 2.0 ** (p - 1.0)) if p < 1025.0 else math.inf
 
-    For p >= 1 the relaxed triangle inequality holds with s = 2**(p-1); for
-    p in (0,1) the p-th power of a metric is again a metric, so s = 1.
-    """
-    # 2**(p-1) overflows from p = 1025 on, where BMetricSpace rejects p
-    s = max(1.0, 2.0 ** (p - 1.0)) if p < 1025.0 else math.inf
-    return BMetricSpace(kind="power", s=s, dim=dimension, p=p)
+
+def make_power_space(dimension: int, p: float) -> BMetricSpace:
+    """R^dimension under d(x,y) = |x-y|_2**p with s = max(1, 2**(p-1))
+    (_power_coefficient)."""
+    return BMetricSpace(kind="power", s=_power_coefficient(p), dim=dimension, p=p)
 
 
 def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
@@ -185,6 +197,15 @@ def _upper_indices(n: int) -> tuple:
     for a in upper:
         a.setflags(write=False)
     return upper
+
+
+def _sample_table(space: BMetricSpace, sample) -> tuple[list, np.ndarray]:
+    """The sample, an iterable of points read once, as a list with every
+    point checked (check_point), and its _distance_table."""
+    sample = list(sample)
+    for x in sample:
+        space.check_point(x)
+    return sample, _distance_table(space, sample)
 
 
 def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
@@ -234,6 +255,61 @@ def _via_minimum(dmat: np.ndarray) -> np.ndarray:
     return best
 
 
+_U = 2.0**-53  # the unit roundoff of float64
+_TINY = 2.0**-1022  # the smallest normal float64
+
+
+def _rounding_bound(p: float, dim: int) -> float:
+    """A relative tol from which on no rounding can make a table of the
+    power space (dim, p) violate the relaxed triangle, under the conditions
+    of _triangle_is_theorem; inf where the first-order reckoning below is
+    not trusted (a bound above 2**-20).
+
+    The exact distances C = d(x,y), A = d(x,z), B = d(z,y) of float points
+    satisfy C <= S*(A + B), S = _power_coefficient(p). With u = 2**-53 and
+    P = max(p, 1), to first order in u:
+    - a coordinate difference rounds by u, and math.dist is charged
+      (2*dim - 2)u (it is exact on one coordinate, and CPython's is within
+      one ulp, 2u), so a normal root is within (2*dim - 1)u of the exact
+      norm;
+    - the power multiplies that relative error by p (by at most P), and
+      pow adds its ulp, 2u, so a normal entry is within e = P*(2*dim - 1)u
+      + 2u of its exact value;
+    - s >= fl(S), a pow, is within 2u of S.
+    The check reads c > fl(fl(s*fl(a + b)) + fl(tol*M)), M the largest
+    entry. A float c exceeds fl(y) only if it exceeds y, and a + b and s*(a
+    + b) are normal (or inf, which nothing exceeds), so a violation needs
+        c - fl(tol*M) > s*(a + b)*(1 - u)**2 >= S*(A + B)*(1 - e - 4u)
+                                             >= C*(1 - e - 4u),
+    and with c <= C*(1 + e) that is fl(tol*M) < C*(2e + 4u). Every error is
+    relative to C <= M*(1 + e), so it is at most M*(2e + 4u). And fl(tol*M)
+    >= M*(tol - u - tol*u): a subnormal product is off by at most 2**-1075
+    <= u*M. So tol >= 2e + 5u = (2P(2*dim - 1) + 9)u, first order, rules a
+    violation out. The bound is twice that, which covers the second-order
+    terms (relative size at most e <= 2**-20).
+
+    At VERIFY_TOL it holds for every p on a line, up to p = 749 in the
+    plane and 449 in 3-D; above, the scan runs."""
+    bound = (4.0 * max(p, 1.0) * (2 * dim - 1) + 18.0) * _U
+    return bound if bound <= 2.0**-20 else math.inf
+
+
+def _triangle_is_theorem(space: BMetricSpace, dmat: np.ndarray, tol: float) -> bool:
+    """Whether no triple of the table dmat can violate the relaxed triangle
+    at the relative tol, so verify_axioms need not scan: dmat is a power
+    space's table (whose exact distances satisfy the triangle with
+    _power_coefficient(p)), s is at least that coefficient, tol is at least
+    the _rounding_bound, and every off-diagonal entry is at least
+    4*_TINY**min(p, 1). Such an entry is normal, and so is the root it was
+    powered from (at least (4/(1 + 2u))**(1/p) * _TINY**(min(p, 1)/p) >=
+    _TINY), so every entry carries only the relative errors the bound
+    counts. Costs one pass over the table."""
+    if space.kind != "power" or space.s < _power_coefficient(space.p) or tol < _rounding_bound(space.p, space.dim):
+        return False
+    # the n zeros of the diagonal are the only entries below the floor
+    return np.count_nonzero(dmat < 4.0 * _TINY ** min(space.p, 1.0)) == len(dmat)
+
+
 def _coincide(sample: list) -> np.ndarray:
     """The n x n mask of power-space sample points that coincide: every
     coordinate within COORD_TOL."""
@@ -262,19 +338,24 @@ def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0) -> AxiomReport:
     A sample distance that is not finite (finite coordinates can overflow)
     is an error: ValueError names the first such pair.
 
-    On n points this evaluates n(n-1)/2 dists entries (see _distance_table)
-    and about n**3/2 via-point sums (see _via_minimum).
+    On n points this evaluates n(n-1)/2 dists entries (see _distance_table).
+    In a power space whose s is at least max(1, 2**(p-1)) the relaxed
+    triangle is a theorem for the exact distances, so only rounding can
+    break it. Where the table's off-diagonal entries are normal floats and
+    tol is at least a bound on that rounding (_rounding_bound: about
+    4*p*(2*dim - 1) units of roundoff, below VERIFY_TOL up to p = 449 in 3-D)
+    no triple can fail, and none is scanned (_triangle_is_theorem). Else,
+    and always in a matrix space (whose s is the caller's claim), the
+    triangle costs about n**3/2 via-point sums (see _via_minimum).
     """
-    sample = list(sample)
-    if not sample:
-        raise ValueError("sample must be nonempty")
     if not 0.0 <= tol < math.inf:  # a nan tol would pass every check
         raise ValueError(f"tol must be >= 0 and finite, got {tol}")
-    for x in sample:
-        space.check_point(x)
+    sample, dmat = _sample_table(space, sample)
+    if not sample:
+        raise ValueError("sample must be nonempty")
 
     violations: list[AxiomViolation] = []
-    dmat = _distance_table(space, sample)
+    scan = not _triangle_is_theorem(space, dmat, tol)
     tol = tol * float(dmat.max())
 
     # identity for every ordered pair (i, j), in index order: equal points
@@ -285,15 +366,15 @@ def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0) -> AxiomReport:
         for i, j in np.argwhere((dmat <= tol) & ~_coincide(sample)).tolist():
             violations.append(AxiomViolation("identity", (sample[i], sample[j]), float(dmat[i, j]), 0.0))
 
-    # Relaxed triangle: the right-hand side s*(a + b) + tol never falls as
-    # the sum a + b grows, rounding included, so some via-point k violates
-    # it exactly when the smallest sum over k does. The block reduction finds
-    # the violating pairs; only those are scanned point by point, which
-    # yields (i, j, k) in index order. A right-hand side that overflows is
-    # inf, which no distance exceeds.
+    # Relaxed triangle, unless no triple can fail: the right-hand side
+    # s*(a + b) + tol never falls as the sum a + b grows, rounding included,
+    # so some via-point k violates it exactly when the smallest sum over k
+    # does. The block reduction finds the violating pairs; only those are
+    # scanned point by point, which yields (i, j, k) in index order. A
+    # right-hand side that overflows is inf, which no distance exceeds.
     s = space.s
     with np.errstate(over="ignore"):
-        for i, j in np.argwhere(dmat > s * _via_minimum(dmat) + tol).tolist():
+        for i, j in np.argwhere(dmat > s * _via_minimum(dmat) + tol).tolist() if scan else ():
             rhs = s * (dmat[i] + dmat[:, j]) + tol
             violations += (
                 AxiomViolation("relaxed-triangle", (sample[i], sample[j], sample[k]), float(dmat[i, j]), float(rhs[k]))
@@ -313,10 +394,7 @@ def estimate_min_s(space: BMetricSpace, sample) -> float:
     least two points at positive distance, and finite distances, as
     verify_axioms.
     """
-    sample = list(sample)
-    for x in sample:
-        space.check_point(x)
-    dmat = _distance_table(space, sample)
+    sample, dmat = _sample_table(space, sample)
     positive = dmat > 0.0
     if not positive.any():
         raise ValueError("sample needs at least 2 distinct points")

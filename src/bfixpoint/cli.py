@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bspace import AxiomReport, verify_axioms
+from .bspace import VERIFY_TOL, AxiomReport, verify_axioms
 from .jsonutil import dumps_canonical, format_float
 from .orbit import OrbitTrace, bound_audit, cauchy_bounds, cauchy_series, run_orbit
 from .quasicontraction import ContractionCertificate, certify, check_hypotheses, side_conditions, verdicts
@@ -217,8 +217,8 @@ def cmd_run(
 
 def cmd_verify(scenario_arg: str, seed: int | None = None) -> int:
     sc, pts, cert, hyp = _certified(scenario_arg, seed)
-    # zero is read up to 1e-12 of the largest distance over the sample's pairs
-    axioms = verify_axioms(sc.space, pts, tol=1e-12)
+    # zero is read up to VERIFY_TOL of the largest distance over the sample's pairs
+    axioms = verify_axioms(sc.space, pts, tol=VERIFY_TOL)
     print(dumps_canonical({"axioms": _axiom_obj(axioms), "certificate": _cert_obj(sc, cert, hyp)}))
     return 0 if axioms.passed and hyp["thm33"]["applicable"] else 1
 

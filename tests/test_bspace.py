@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from bfixpoint import bspace
 from bfixpoint.bspace import (
+    VERIFY_TOL,
     AxiomReport,
     AxiomViolation,
     BMetricSpace,
@@ -362,6 +365,159 @@ class TestVerifyAxiomsNearTheFloatMaximum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert verify_axioms(space, [0, 1, 2]) == want
+
+
+# -- the relaxed triangle as a theorem of power spaces --------------------------
+
+# from the exact check past the rounding bound: 2**-53 and 2**-50 lie below
+# the bound at every p, 2**-46 to VERIFY_TOL above it at small p and below it
+# at large p, 1e-9 and 0.3 above it at every p
+THEOREM_TOLS = [0.0, 2.0**-53, 2.0**-50, 2.0**-46, 2.0**-40, VERIFY_TOL, 1e-9, 0.3]
+
+
+def report_or_error(space, sample, tol):
+    try:
+        return verify_axioms(space, sample, tol)
+    except (ValueError, OverflowError) as e:  # an overflowing distance
+        return type(e), str(e)
+
+
+def scanned(space, sample, tol):
+    """verify_axioms with the relaxed triangle scanned whatever the table."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bspace, "_triangle_is_theorem", lambda *args: False)
+        return report_or_error(space, sample, tol)
+
+
+@st.composite
+def theorem_cases(draw):
+    """A power space whose s is at, above or below max(1, 2**(p-1)), and a
+    sample of distinct points: grid points k*scale (exact midpoints when
+    scale is a power of two) or uniform ones, at scales from 1e-3 to 1e3 or
+    at one where distances underflow (for p < 1, where roots are
+    subnormal), and in one case of four with a near-duplicate."""
+    dim = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 64.0, 1000.0, 1024.0]))
+    at = bspace._power_coefficient(p)
+    s = draw(st.sampled_from([at, math.nextafter(at, math.inf), 1.5 * at, max(1.0, math.nextafter(at, 0.0)), max(1.0, at / 2)]))
+    underflow = 0.3 * 2.0 ** (-1057 // max(p, 1.0))  # d(0, underflow), or its root at p < 1, is below 2**-1057
+    scale = draw(st.sampled_from([2.0**-10, 1e-3, 0.3, 1.0, 1e3, 2.0**10, underflow, underflow]))
+    if draw(st.booleans()):
+        coord = st.integers(-3, 3).map(lambda k: k * scale)
+    else:
+        coord = st.floats(-3 * scale, 3 * scale, allow_nan=False, allow_infinity=False)
+    sample = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=8, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        x = draw(st.sampled_from(sample))
+        nudged = draw(st.sampled_from([math.nextafter(x[0], math.inf), x[0] + 1e-7 * scale]))
+        sample.append((nudged,) + x[1:])
+    return BMetricSpace(kind="power", s=s, dim=dim, p=p), sample
+
+
+class TestTriangleWithoutTheScan:
+    """On a power space whose s is at least max(1, 2**(p-1)), with normal
+    table entries and a tol at least the rounding bound, verify_axioms
+    skips the relaxed-triangle scan; the report is the scan's all the same."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(case=theorem_cases(), tol=st.sampled_from(THEOREM_TOLS))
+    def test_same_report_as_the_scan(self, case, tol):
+        space, sample = case
+        assert report_or_error(space, sample, tol) == scanned(space, sample, tol)
+
+    @pytest.mark.parametrize(
+        "p, dim, sample, tol",
+        [
+            # rounding violations in normal-range tables: still there at
+            # tol = 1/2, 512 and 128 units of roundoff (2**-53)
+            (1.0, 1, grid1(0.00048070244885618817, -4.275611298001758e-05, 0.00038411353769061865), 2.0**-54),
+            (1024.0, 1, grid1(0.3, -0.3, 3 * 0.3), 2.0**-44),
+            (300.0, 2, [(0.7, 0.0), (-3 * 0.7, 0.0), (-0.7, 0.0)], 2.0**-46),
+        ],
+    )
+    def test_the_bound_lies_above_the_rounding(self, p, dim, sample, tol):
+        space = make_power_space(dim, p)
+        report = scanned(space, sample, tol)
+        assert "relaxed-triangle" in {v.axiom for v in report.violations}
+        assert bspace._rounding_bound(p, dim) > tol
+        assert verify_axioms(space, sample, tol) == report
+
+    @pytest.mark.parametrize(
+        "p, sample",
+        [
+            # subnormal distances on a squared grid with exact midpoints
+            (2.0, grid1(0.0, 3e-161, 6e-161)),
+            # d(0, 1e-5) underflows to 0, d(0, 2e-5) is normal
+            (64.0, grid1(0.0, 1e-5, 2e-5)),
+        ],
+    )
+    def test_underflowing_tables_keep_their_violations(self, p, sample):
+        space = make_power_space(1, p)
+        report = verify_axioms(space, sample, VERIFY_TOL)
+        assert "relaxed-triangle" in {v.axiom for v in report.violations}
+        assert report == scanned(space, sample, VERIFY_TOL)
+
+
+def test_triangle_scans_only_where_rounding_can_break_it(monkeypatch):
+    """The via-point reduction runs once per verify_axioms call, or not at
+    all where the relaxed triangle is a theorem up to rounding below tol."""
+    calls = [0]
+    real_via_minimum = bspace._via_minimum
+
+    def counted(dmat):
+        calls[0] += 1
+        return real_via_minimum(dmat)
+
+    monkeypatch.setattr(bspace, "_via_minimum", counted)
+
+    def scans(space, sample, tol=VERIFY_TOL):
+        calls[0] = 0
+        verify_axioms(space, sample, tol)
+        return calls[0]
+
+    line = make_power_space(1, 2.0)
+    grid = grid1(*range(-20, 21))
+    cloud = random_sample(SplitMix64(5), 3, 30, scale=2.0)
+    assert scans(line, grid) == 0
+    assert scans(make_power_space(2, 1.5), [x[:2] for x in cloud]) == 0
+    assert scans(make_power_space(3, 0.5), cloud) == 0
+    assert scans(BMetricSpace(kind="power", s=3.0, dim=1, p=2.0), grid) == 0  # s above the coefficient
+    assert scans(make_power_space(1, 1024.0), grid1(0.3, -0.3, 0.9)) == 0
+    assert scans(line, grid, tol=0.0) == 1
+    assert scans(line, grid, tol=bspace._rounding_bound(2.0, 1)) == 0
+    assert scans(line, grid, tol=math.nextafter(bspace._rounding_bound(2.0, 1), 0.0)) == 1
+    corners = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    assert scans(make_power_space(3, 449.0), corners) == 0
+    assert scans(make_power_space(3, 450.0), corners) == 1  # the bound exceeds VERIFY_TOL above p = 449 in 3-D
+    assert scans(BMetricSpace(kind="power", s=math.nextafter(2.0, 0.0), dim=1, p=2.0), grid) == 1
+    assert scans(line, grid1(0.0, 3e-161, 1.0)) == 1  # a subnormal entry
+    assert scans(line, grid + grid1(0)) == 1  # a repeated point: a zero entry
+    assert scans(make_power_space(1, 0.5), grid1(0.0, 1e-318, 1.0)) == 1  # a normal entry of a subnormal root
+    assert scans(make_matrix_space(3, SQUARED_LINE, 2.0), [0, 1, 2]) == 1
+
+
+def test_verify_command_reads_verify_tol(monkeypatch, capsys):
+    tols = []
+
+    def recorded(space, sample, tol=0.0):
+        tols.append(tol)
+        return verify_axioms(space, sample, tol)
+
+    monkeypatch.setattr(cli, "verify_axioms", recorded)
+    cli.main(["verify", "--scenario", "paper-example"])
+    capsys.readouterr()
+    assert tols == [VERIFY_TOL]
+
+
+@pytest.mark.parametrize("check", [verify_axioms, estimate_min_s])
+@pytest.mark.parametrize("coordinate", ["a", 1j])
+def test_a_coordinate_that_is_not_real_is_a_value_error(check, coordinate):
+    point = (1.0, coordinate)
+    message = f"^coordinate {coordinate!r} is not a real number in point {re.escape(repr(point))}$"
+    with pytest.raises(ValueError, match=message):
+        check(make_power_space(2, 2.0), [(0.0, 0.0), point])
+    with pytest.raises(ValueError, match="is not a real number"):
+        replace(builtin("paper-example"), x0=(coordinate,))
 
 
 class TestEstimateMinS:
