@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple, Union
 
@@ -148,6 +147,21 @@ class BMetricSpace:
                 raise ValueError(f"non-finite coordinate in point {x!r}")
 
 
+_TINY = 2.0**-1022  # the smallest normal float64, sys.float_info.min
+# For normal floats, d rises with the squared length v of x - y up to the
+# few ulps dists rounds by, far inside these relative windows: the screens
+# of certify and bound_audit evaluate exactly every entry within
+# _screen_window(p) of a screen's extreme v, and bound_audit's box bound is
+# widened by _BOX_WIDENING*max(1, p) (README, "Rounding allowances").
+_SCREEN_WINDOW = 1e-9
+_BOX_WIDENING = 1e-9
+
+
+def _screen_window(p: float) -> float:
+    """_SCREEN_WINDOW, times 1/p for p < 1, where d = v**(p/2) flattens v."""
+    return _SCREEN_WINDOW * max(1.0, 1.0 / p)
+
+
 class AxiomViolation(NamedTuple):
     axiom: str  # "identity" | "relaxed-triangle"
     witness: tuple  # offending points, (x, y) or (x, y, z) with z the via point
@@ -189,16 +203,6 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
     return BMetricSpace(kind="matrix", s=s, matrix=m)
 
 
-@lru_cache(maxsize=None)
-def _upper_indices(n: int) -> tuple:
-    """np.triu_indices(n, 1), read-only, built once per n; for n <= 32 only,
-    where they cost as much to build as the gather they index."""
-    upper = np.triu_indices(n, 1)
-    for a in upper:
-        a.setflags(write=False)
-    return upper
-
-
 def _sample_table(space: BMetricSpace, sample) -> tuple[list, np.ndarray]:
     """The sample, an iterable of points read once, as a list with every
     point checked (check_point), and its _distance_table."""
@@ -216,16 +220,30 @@ def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     d(x, x) is 0: 0.0**p is 0, and a matrix diagonal is 0.0 or -0.0.
 
     A distance that overflows names its pair (the first in index order,
-    with i < j) here, before any check or reduction does arithmetic on it."""
+    with i < j) here, before any check or reduction does arithmetic on it.
+    Where only the power overflows, pow raises OverflowError in dists; the
+    pairs are then evaluated one by one, such a distance read as inf."""
     n = len(sample)
     table = space.point_table(sample)
-    upper = _upper_indices(n) if n <= 32 else np.triu_indices(n, 1)
+    upper = np.triu_indices(n, 1)
     dmat = np.zeros((n, n))
-    dmat[upper] = dmat.T[upper] = space.dists(table[upper[0]], table[upper[1]])
+    try:
+        d = space.dists(table[upper[0]], table[upper[1]])
+    except OverflowError:
+        d = [_dist_or_inf(space, sample[i], sample[j]) for i, j in zip(*map(np.ndarray.tolist, upper))]
+    dmat[upper] = dmat.T[upper] = d
     if not np.isfinite(dmat).all():
         i, j = map(int, np.argwhere(~np.isfinite(dmat))[0])
         raise ValueError(f"sample pair ({sample[i]!r}, {sample[j]!r}) has non-finite distance {dmat[i, j]}")
     return dmat
+
+
+def _dist_or_inf(space: BMetricSpace, x: Point, y: Point) -> float:
+    """space.dist(x, y), or inf where its power overflows."""
+    try:
+        return space.dist(x, y)
+    except OverflowError:
+        return math.inf
 
 
 # The via-point reduction sums d(x,z) + d(z,y) for a block of rows x at a
@@ -256,7 +274,6 @@ def _via_minimum(dmat: np.ndarray) -> np.ndarray:
 
 
 _U = 2.0**-53  # the unit roundoff of float64
-_TINY = 2.0**-1022  # the smallest normal float64
 
 
 def _rounding_bound(p: float, dim: int) -> float:
@@ -327,7 +344,7 @@ def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0) -> AxiomReport:
 
     identity:         d(x,y) = 0 exactly when the points coincide (zero is
                       read up to tol, and point coincidence up to
-                      coordinate tolerance 1e-12);
+                      COORD_TOL in every coordinate);
     relaxed-triangle: d(x,y) <= s*(d(x,z) + d(z,y)) + tol.
 
     tol is relative: each check reads it as tol times the largest sample

@@ -106,7 +106,9 @@ def _trace_rows(space, trace: OrbitTrace, row: str, sep: str, empty: str, point:
     first, the last and a row after a zero step, the bound without steps;
     an empty cell holds 0. %.17g and format_float both call
     PyOS_double_to_string, and numpy's division rounds as Python's does.
-    The text is scanned (_finite) only if a number or gamma is not finite.
+    If a number or gamma is not finite, it is in the text (an empty cell
+    holds 0), and the first one there, found by a scan (no column name or
+    JSON keyword spells inf or nan), raises format_float's ValueError.
     """
     pts, steps = trace.points, np.array(trace.steps, dtype=float)
     n, k = len(pts), len(steps)  # n = k + 1
@@ -123,13 +125,7 @@ def _trace_rows(space, trace: OrbitTrace, row: str, sep: str, empty: str, point:
                 for d, r, b in product((False, True), repeat=3)]
     code = 4 * (np.arange(n) < k) + 2 * has_ratio + (k > 0)  # each row's variant
     text = sep.join(map(variants.__getitem__, code.tolist())) % tuple(values.ravel().tolist())
-    return text if np.isfinite(values).all() and np.isfinite(trace.gamma) else _finite(text)
-
-
-def _finite(text: str) -> str:
-    """The trace text, or format_float's ValueError for its first non-finite
-    number (no column name or JSON keyword spells inf or nan)."""
-    if "inf" in text or "nan" in text:
+    if not (np.isfinite(values).all() and np.isfinite(trace.gamma)):
         format_float(float(re.search("-?inf|nan", text).group()))
     return text
 

@@ -26,9 +26,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bspace import BMetricSpace, Point, _check_int
+from .bspace import _BOX_WIDENING, _TINY, BMetricSpace, Point, _check_int, _screen_window
 from .quasicontraction import SetValuedMap, _check_coefficients, _n_from_parts, image_of
 from .setops import PointSet, dist_point_set
+
+
+# rounding allowances (README, "Rounding allowances")
+_DECAY_SLACK = 1e-12  # run_orbit's decay check, relative to d_{n-1}
+_AUDIT_SLACK = 1e-9  # bound_audit's ok takes ratios up to 1 + _AUDIT_SLACK
+_SERIES_CUTOFF = 1e-16  # cauchy_series stops at a term below this share of the sum,
+_SERIES_TERMS = 64  # or after this many terms
 
 
 class OrbitTrace(NamedTuple):
@@ -100,7 +107,8 @@ def run_orbit(
     at a finite distance from x0 (an image coordinate that overflowed or is
     NaN), OverflowError names both, before x1 is read; at a later point an
     infinite residual fails the decay check. Every later step is checked
-    against the certified decay d_n <= gamma*d_{n-1} (slack 1e-12 relative)
+    against the certified decay d_n <= gamma*d_{n-1} (relative slack
+    _DECAY_SLACK, 1e-12)
     and the selection inequality d(x_cur, x_next) < beta*N(x_prev, x_cur); a
     failed check ends the trace with status "ratio_violation" and the
     offending step index.
@@ -172,7 +180,7 @@ def run_orbit(
                 if all(dist(nxt, w) != 0.0 for w in t_cur):
                     raise ValueError(f"x1 {nxt!r} is not an element of T(x0)")
                 step = dist(x0, nxt)
-        elif residual > gamma * d_prev + 1e-12 * d_prev or not (
+        elif residual > gamma * d_prev + _DECAY_SLACK * d_prev or not (
             residual < beta * d_prev
             or residual < beta * _n_from_parts(
                 space, c, q, x_prev, x_cur, d_prev, PointSet(t_prev), PointSet(t_cur), r_prev, residual
@@ -223,8 +231,9 @@ def cauchy_series(gamma: float, s: float, first_step: float | None = None) -> Ca
     """Sum of s**(2n) * gamma**(2**(n-1)) for n >= 1.
 
     Terms decay doubly exponentially once the gamma factor takes over, so
-    summation stops at relative 1e-16 or after 64 terms, far beyond what
-    64-bit floats can distinguish.
+    summation stops at relative _SERIES_CUTOFF (1e-16) or after
+    _SERIES_TERMS (64) terms, far beyond what 64-bit floats can
+    distinguish.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0,1), got {gamma}")
@@ -234,9 +243,9 @@ def cauchy_series(gamma: float, s: float, first_step: float | None = None) -> Ca
         raise ValueError(f"first_step must be non-negative, got {first_step}")
     total = 0.0
     terms = 0
-    for n in range(1, 65):
+    for n in range(1, _SERIES_TERMS + 1):
         t = (s ** (2 * n)) * (gamma ** (2 ** (n - 1)))
-        if terms >= 1 and (t == 0.0 or t < 1e-16 * total):
+        if terms >= 1 and (t == 0.0 or t < _SERIES_CUTOFF * total):
             break
         total += t
         terms += 1
@@ -276,19 +285,18 @@ def _row_maxima(space: BMetricSpace, table: np.ndarray, coords, rows: np.ndarray
     candidates are the entries within relative `rel` of its largest value,
     and their exact distances come from one space.dists call per block.
     Squared distances and d = math.dist(x, y)**p differ by a few ulps of
-    relative error, and a candidate window of 1e-9 (1e-9/p for p < 1, where
-    d**p flattens differences) exceeds what that error can reorder, so the
-    true maximum is always a candidate. That error bound holds for normal
-    floats, so a row is screened only if its largest value is a normal
-    float and its exact maximum is too (rounding to a subnormal result may
+    relative error, and the candidate window bspace._screen_window(p)
+    exceeds what that error can reorder, so the true maximum is always a
+    candidate. That error bound holds for normal floats, so a row is
+    screened only if its largest value is a normal float and its exact
+    maximum is too (rounding to a subnormal result may
     reorder near ties); values below the normal range elsewhere in the row
     are too small to lead. Other rows (the last one, whose only value is
     d(x_i, x_i) = 0, underflowing or overflowing distances, non-finite
     coordinates) are left to the full check.
     """
     n = len(table)
-    tiny, huge = float_info.min, float_info.max
-    rel = 0.0 if space.kind == "matrix" else 1e-9 * max(1.0, 1.0 / space.p)
+    rel = 0.0 if space.kind == "matrix" else _screen_window(space.p)
     maxima = np.full(len(rows), np.nan)
     lo = 0
     with np.errstate(all="ignore"):
@@ -301,11 +309,11 @@ def _row_maxima(space: BMetricSpace, table: np.ndarray, coords, rows: np.ndarray
                 v = sum((xs[c0:] - xs[ri, None]) ** 2 for xs in coords)  # in coordinate order
             v[np.arange(c0, n) < ri[:, None]] = -np.inf
             top = v.max(axis=1)
-            ok = (top >= tiny) & (top <= huge)
+            ok = (top >= _TINY) & (top <= float_info.max)
             b, c = np.nonzero((v >= (top * (1.0 - rel))[:, None]) & ok[:, None])
             best = np.full(len(ri), -np.inf)
             np.fmax.at(best, b, space.dists(table[ri[b]], table[c + c0]))
-            maxima[lo : lo + len(ri)] = np.where(ok & (best >= tiny), best, np.nan)
+            maxima[lo : lo + len(ri)] = np.where(ok & (best >= _TINY), best, np.nan)
             lo += len(ri)
     return maxima
 
@@ -320,11 +328,12 @@ def _ruled_out(space: BMetricSpace, table: np.ndarray, coords, bounds: np.ndarra
     lb = max over m of d(x_{m+1}, x_{n-1}) / bounds[m]. Every distance of
     row m is at most d_hi, the length of the vector from x_{m+1} to the far
     corner of the bounding box of x_{m+1}, ..., x_{n-1}, to the power p,
-    widened by 1e-9*max(1, p) relative. That is far more than the rounding
-    of the squares, their sum, math.dist, the power (whose relative error
-    grows by p/2 from squared lengths) and the division can move it, so
-    d_hi covers every exact entry, and if d_hi / bounds[m] < lb no entry of
-    the row can lead (rounded division is monotone). The error bound holds
+    widened by bspace._BOX_WIDENING*max(1, p) relative. That is far more
+    than the rounding of the squares, their sum, math.dist, the power
+    (whose relative error grows by p/2 from squared lengths) and the
+    division can move it, so d_hi covers every exact entry, and if d_hi /
+    bounds[m] < lb no entry of the row can lead (rounded division is
+    monotone). The error bound holds
     for normal floats, so a row is ruled out only if its bound, its squared
     length and d_hi are finite positive normal floats: then no entry of it
     overflows or is NaN, and a zero bound, the only source of violations,
@@ -343,10 +352,10 @@ def _ruled_out(space: BMetricSpace, table: np.ndarray, coords, bounds: np.ndarra
     with np.errstate(all="ignore"):
         far = np.maximum(coords[:, 1:] - lo, hi - coords[:, 1:])
         u2 = (far * far).sum(axis=0)
-        d_hi = u2 ** (0.5 * space.p) * (1.0 + 1e-9 * max(1.0, space.p))
+        d_hi = u2 ** (0.5 * space.p) * (1.0 + _BOX_WIDENING * max(1.0, space.p))
         ruled = d_hi / bounds < lb
         for v in (bounds, u2, d_hi):
-            ruled &= (v >= float_info.min) & (v <= float_info.max)
+            ruled &= (v >= _TINY) & (v <= float_info.max)
     out[ruled] = last[ruled]
     return out
 
@@ -412,7 +421,7 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
         chaining, chain_violations = _worst_ratio(from_x0, np.fromiter(chaining_bounds(steps, space.s), float))
         violations += chain_violations
 
-    slack = 1.0 + 1e-9
+    slack = 1.0 + _AUDIT_SLACK
     return {
         "cauchy_ratio_max": cauchy,
         "chaining_ratio_max": chaining,

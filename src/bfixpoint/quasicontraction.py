@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bspace import BMetricSpace, Point
+from .bspace import _TINY, BMetricSpace, Point, _screen_window
 from .setops import PointSet, dist_point_set, hausdorff, make_point_set
 
 
@@ -276,14 +276,13 @@ def _screen(v: np.ndarray, p: float) -> tuple:
     the entries that can decide a term, and the rows T(x) and columns T(y)
     of h whose minimum can be the largest (a non-leading row may read more
     than its minimum from the kept entries). As in orbit._row_maxima, d
-    rises with v up to a few ulps, far inside the window 1e-9 (1e-9/p for
-    p < 1), for normal floats: None, to evaluate in full, if a v is not one
-    or a distance could leave their range (an overflow must raise)."""
+    rises with v up to a few ulps, far inside the bspace._screen_window,
+    for normal floats: None, to evaluate in full, if a v is not one or a
+    distance could leave their range (an overflow must raise)."""
     vmin, vmax = v.min(), v.max()
-    if not (vmin >= float_info.min and vmin ** (0.5 * p) >= 2.0 * float_info.min
-            and vmax ** (0.5 * p) <= 0.5 * float_info.max):
+    if not (vmin >= _TINY and vmin ** (0.5 * p) >= 2.0 * _TINY and vmax ** (0.5 * p) <= 0.5 * float_info.max):
         return None
-    rel = 1e-9 * max(1.0, 1.0 / p)
+    rel = _screen_window(p)
     lo, hi = 1.0 + rel, 1.0 - rel
     keep = np.empty(v.shape, dtype=bool)
     keep[0, 0] = True
@@ -426,11 +425,15 @@ def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float)
     )
 
 
+_CERTIFY_SLACK = 1e-12  # certifies' relative slack (README, "Rounding allowances")
+
+
 def certifies(cert: ContractionCertificate, alpha: float) -> bool:
     """Whether alpha is a contraction constant the certificate vouches for:
-    alpha >= alpha_min, up to a relative 1e-12 for the rounding in alpha_min
-    (the paper example's exact constant 0.81 certifies as 0.8100000000000009)."""
-    return alpha >= cert.alpha_min * (1.0 - 1e-12)
+    alpha >= alpha_min, up to a relative _CERTIFY_SLACK (1e-12) for the
+    rounding in alpha_min (the paper example's exact constant 0.81
+    certifies as 0.8100000000000009)."""
+    return alpha >= cert.alpha_min * (1.0 - _CERTIFY_SLACK)
 
 
 class SideCondition(NamedTuple):

@@ -109,6 +109,7 @@ BUILTIN_NAMES = ("paper-example", "random-finite")
 # caps the grid's size, not its work: certify is quadratic in the sample and
 # verify's axiom check cubic; the largest grid in use has 201 points
 MAX_GRID_POINTS = 100_000
+_GRID_SLACK = 1e-12  # sample_points' relative slack on a grid's count of steps
 
 
 def paper_example() -> Scenario:
@@ -156,7 +157,7 @@ def sample_points(sc: Scenario) -> list:
         steps = (g.hi - g.lo) / g.step
         # whole steps up to hi; the slack keeps the point at hi when the
         # division rounds just below a whole number (2 / 0.1 = 19.999999999999996)
-        count = floor(steps * (1.0 + 1e-12)) + 1 if steps < MAX_GRID_POINTS else MAX_GRID_POINTS + 1
+        count = floor(steps * (1.0 + _GRID_SLACK)) + 1 if steps < MAX_GRID_POINTS else MAX_GRID_POINTS + 1
         if count > MAX_GRID_POINTS:
             raise ScenarioFormatError(
                 f"sample grid {g.lo}..{g.hi} step {g.step} has too many points (over {MAX_GRID_POINTS})"

@@ -30,13 +30,7 @@ from bfixpoint.orbit import (
 from bfixpoint.quasicontraction import image_of, make_branch_map, make_table_map, n_functional
 from bfixpoint.setops import dist_point_set
 
-SETTINGS = settings(
-    max_examples=120,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-)
+SETTINGS = settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 
 
 def reference_chaining(prefix, s):

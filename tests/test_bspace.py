@@ -271,7 +271,7 @@ def symmetric_matrices(draw, entries, max_n):
 class TestVerifyAxiomsMatchesPairLoop:
     """Same violations, in the same order, as the scalar scan."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(data=st.data(), tol=TOLS)
     def test_power_samples_with_near_duplicates(self, data, tol):
         dim = data.draw(st.integers(1, 2))
@@ -282,7 +282,7 @@ class TestVerifyAxiomsMatchesPairLoop:
 
 
 class TestVerifyAxiomsRelativeTol:
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(data=st.data())
     def test_scaling_the_table_by_a_power_of_two_keeps_the_violations(self, data):
         # tol is relative to the largest distance, so a table scaled by 2**40
@@ -302,7 +302,7 @@ class TestVerifyAxiomsAcrossBlocks:
     to a row or a few, violations fall in several blocks and must still come
     out as the scalar scan gives them."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(data=st.data(), tol=TOLS, budget=st.sampled_from([1, 40, 300]))
     def test_matrices_with_understated_s(self, data, tol, budget):
         m = data.draw(symmetric_matrices([0.2, 1.0, 1.0 + 1e-12, 3.0, 9.0], 8))
@@ -313,7 +313,7 @@ class TestVerifyAxiomsAcrossBlocks:
             got = verify_axioms(space, sample, tol)
         assert got == reference_axioms(space, sample, tol)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(data=st.data(), tol=TOLS, budget=st.sampled_from([1, 40, 300]))
     def test_power_samples_with_understated_s(self, data, tol, budget):
         dim = data.draw(st.integers(1, 2))
@@ -419,7 +419,7 @@ class TestTriangleWithoutTheScan:
     table entries and a tol at least the rounding bound, verify_axioms
     skips the relaxed-triangle scan; the report is the scan's all the same."""
 
-    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=600)
     @given(case=theorem_cases(), tol=st.sampled_from(THEOREM_TOLS))
     def test_same_report_as_the_scan(self, case, tol):
         space, sample = case
@@ -566,7 +566,7 @@ def reference_min_s(space, sample):
 
 
 class TestEstimateMinSMatchesTripleLoop:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(data=st.data(), budget=st.sampled_from([1, 40, 1 << 16]))
     def test_power_samples_with_near_duplicates(self, data, budget):
         dim = data.draw(st.integers(1, 2))
@@ -651,7 +651,7 @@ def bits_or_error(evaluate):
 
 
 class TestDistsMatchesDist:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(st.one_of(power_pairs(), matrix_pairs()))
     def test_entry_by_entry(self, case):
         space, xs, ys = case
@@ -706,10 +706,19 @@ def table_or_error(evaluate):
         return type(exc), str(exc)
 
 
+def dist_or_inf(space, x, y):
+    """space.dist(x, y), or inf where pow raises OverflowError."""
+    try:
+        return space.dist(x, y)
+    except OverflowError:
+        return math.inf
+
+
 def reference_table(space, sample):
-    """_distance_table by its definition: every ordered pair, one at a time,
-    and the first non-finite one in index order named."""
-    d = [[space.dist(x, y) for y in sample] for x in sample]
+    """_distance_table by its definition: every ordered pair, one at a time
+    (a power that overflows is an infinite distance), and the first
+    non-finite one in index order named."""
+    d = [[dist_or_inf(space, x, y) for y in sample] for x in sample]
     for (i, x), (j, y) in itertools.product(enumerate(sample), repeat=2):
         if not math.isfinite(d[i][j]):
             raise ValueError(f"sample pair ({x!r}, {y!r}) has non-finite distance {d[i][j]}")
@@ -723,7 +732,7 @@ def hand_built_tables():
 
 
 class TestDistanceTableMatchesDist:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(power_samples())
     def test_power_spaces_entry_by_entry(self, case):
         space, sample = case
@@ -741,10 +750,23 @@ class TestDistanceTableMatchesDist:
         assert got == table_or_error(lambda: reference_table(space, sample))
         assert got[0] is ValueError and f"({sample[1]!r}, {sample[2]!r})" in got[1]
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("check", [verify_axioms, estimate_min_s])
+    def test_an_overflowing_power_names_its_pair(self, check, dim):
+        # 10**400 overflows in pow, where the difference is finite; the
+        # first pair, (0, 10), is named, not the pair (-1e308, 1e308)
+        # whose difference is inf
+        space = make_power_space(dim, 400.0)
+        sample = [(0.0,) * dim, (10.0,) + (0.0,) * (dim - 1), (-1e308,) * dim, (1e308,) * dim]
+        for pts, (x, y) in ((sample, sample[:2]), (sample[2:] + sample[:2], sample[2:])):
+            # in the second order, the pair whose difference is inf comes first
+            with pytest.raises(ValueError, match=re.escape(f"sample pair ({x!r}, {y!r}) has non-finite distance inf")):
+                check(space, pts)
+
 
 class TestViaMinimumMatchesTripleLoop:
     # == on floats, since a mirrored minimum may be 0.0 where the loop gives -0.0
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(m=hand_built_tables(), budget=st.sampled_from([1, 40, bspace._BLOCK_SUMS]))
     def test_hand_built_tables(self, m, budget):
         n = len(m)
@@ -754,7 +776,7 @@ class TestViaMinimumMatchesTripleLoop:
             mp.setattr(bspace, "_BLOCK_SUMS", budget)
             assert bspace._via_minimum(m).tolist() == want
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(
         data=st.data(), m=hand_built_tables(), tol=TOLS, budget=st.sampled_from([1, 40, bspace._BLOCK_SUMS])
     )

@@ -36,13 +36,7 @@ from bfixpoint.quasicontraction import (
     n_functional,
 )
 
-SETTINGS = settings(
-    max_examples=150,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SETTINGS = settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 
 
 def reference_certify(space, tmap, points, c, q):

@@ -25,13 +25,7 @@ from bfixpoint.bspace import make_matrix_space, make_power_space, verify_axioms
 from bfixpoint.quasicontraction import certify, enumerate_fixed_points, make_branch_map, make_table_map
 from bfixpoint.scenarios import random_finite, sample_points
 
-SETTINGS = settings(
-    max_examples=150,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SETTINGS = settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 # blocks of one pair, a few pairs, and the default size
 BLOCKS = st.sampled_from([1, 9, qc._BLOCK_DISTANCES])
 COEFFS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))

@@ -21,13 +21,7 @@ from bfixpoint.quasicontraction import certify, image_of, make_branch_map, make_
 # The largest relative error allowed, in units of 2**-52 (one ulp at 1.0).
 REL_ULPS = 16
 
-SETTINGS = settings(
-    max_examples=120,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SETTINGS = settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
 
 
 def exact_certificate(space, tmap, points, c, q):

@@ -707,7 +707,7 @@ def writer_cases(draw):
     return space, OrbitTrace(tuple(points), tuple(steps), 0.5, gamma, "max_iter", None, 0.0)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(writer_cases())
 @example((make_power_space(2, 2.0), OrbitTrace(((-0.0, 5e-324), (1e308, -0.0)), (5e-324,), 0.5, 1e-300, "max_iter", None, 0.0)))
 @example((make_power_space(1, 1.0), OrbitTrace(((1.0,), (2.0,), (2.0,)), (0.0, math.nan), 0.5, 0.5, "max_iter", None, 0.0)))

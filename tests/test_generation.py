@@ -19,7 +19,7 @@ from bfixpoint.scenarios import _SEPARATION, _STOP_RADIUS, instantiate, random_f
 # --- block draws ------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.one_of(st.integers(0, _MASK64), st.integers(_MASK64 - 2**16, _MASK64)),
     k=st.sampled_from([0, 1, 2, 7, 63, 128, 2000]),
@@ -197,7 +197,7 @@ def test_screen_never_skips_a_graft_after_the_first_step():
     assert target == graft and chain == [z0]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(
     seed=st.integers(0, 2**32),
     p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),

@@ -124,7 +124,7 @@ class TestMaps:
         with pytest.raises(ValueError, match="length 2"):
             image_of(plane, tmap, x)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(problem=branch_images())
     @example(problem=(1, [([[-1.0]], [-0.0])], (0.0,)))  # 0.0 + (-0.0) + (-0.0) is 0.0
     @example(problem=(2, [([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])], (1.0, 10.0)))  # not the transpose

@@ -112,7 +112,7 @@ def test_reader_returns_scenario_or_value_error(base):
     assert not failures, "\n".join(failures)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(case=st.sampled_from(CASES), command=st.sampled_from(["verify", "compare"]))
 def test_cli_exit_code_is_documented(case, command):
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,12 +1,22 @@
 """Each tolerance that decides a verdict, at its edge: a case just inside
 passes and the next float outside fails. (The orbit's decay slack has its
-edge test in test_orbit.py, TestRunOrbit.test_decay_slack_at_its_edge.)"""
+edge test in test_orbit.py, TestRunOrbit.test_decay_slack_at_its_edge.)
+README's table of rounding allowances names every allowance once, with
+its value and its edge test, and is checked against the code here."""
 
+import ast
+import importlib
+import inspect
 import math
+import re
 from dataclasses import replace
+from itertools import product
+from pathlib import Path
+
+import bfixpoint
 
 from bfixpoint.bspace import make_power_space, verify_axioms
-from bfixpoint.orbit import OrbitTrace, bound_audit
+from bfixpoint.orbit import _SERIES_TERMS, OrbitTrace, bound_audit, cauchy_series
 from bfixpoint.quasicontraction import certifies
 from bfixpoint.scenarios import GridSample, certify_scenario, paper_example, sample_points
 
@@ -63,3 +73,65 @@ def test_verify_relative_tol():
     report = verify_axioms(LINE, [(0.0,), (2e-12,), (2.0,)], tol=1e-12)
     assert [(v.axiom, v.lhs) for v in report.violations] == [("identity", 2e-12), ("identity", 2e-12)]
     assert verify_axioms(LINE, [(0.0,), (math.nextafter(2e-12, 1.0),), (2.0,)], tol=1e-12).passed
+
+
+def test_series_cap_is_never_reached():
+    # the largest float gamma below 1 takes the most terms: the relative
+    # cutoff ends its sum by 60, and from s = 336.3 on a power of s overflows
+    terms = [cauchy_series(math.nextafter(1.0, 0.0), s).terms_used for s in (1.0, 2.0, 25.5, 300.0)]
+    assert terms == [59, 59, 60, 60] and max(terms) < _SERIES_TERMS
+
+
+# --- README's table of rounding allowances ---------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+# a module-level constant whose name ends so is an allowance, and needs a row
+SUFFIXES = ("_TOL", "_SLACK", "_WINDOW", "_WIDENING", "_MARGIN", "_CUTOFF")
+# the arguments at which a function's row is evaluated
+ARGUMENTS = {"p": [0.5, 1.0, 1.5, 2.0, 64.0, 449.0], "dim": [1, 2, 3]}
+
+
+def allowance_rows() -> dict:
+    """Code name (module.name) -> (value expression, edge tests) of each
+    row of README's table."""
+    section = (ROOT / "README.md").read_text().split("\n## Rounding allowances\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| `(\w+\.\w+)` \|.*\|([^|]*)\|$", section, re.M)
+    return {name: (value, re.findall(r"`(tests/\w+\.py(?:::\w+)+)`", edge)) for value, name, edge in rows}
+
+
+def test_every_code_name_has_its_listed_value():
+    rows = allowance_rows()
+    assert len(rows) == 12
+    for name, (value, _) in rows.items():
+        module, attr = name.split(".")
+        obj = getattr(importlib.import_module(f"bfixpoint.{module}"), attr)
+        params = list(inspect.signature(obj).parameters) if callable(obj) else []
+        for args in product(*(ARGUMENTS[p] for p in params)):
+            want = eval(value, {"__builtins__": {}, "max": max}, dict(zip(params, args)))
+            got = obj(*args) if callable(obj) else obj
+            assert (got, type(got)) == (want, type(want)), f"{name}{args} is {got!r}, README lists {value}"
+
+
+def test_every_edge_test_exists():
+    for name, (_, edges) in allowance_rows().items():
+        assert edges, f"{name} names no edge test"
+        for edge in edges:
+            path, *parts = edge.split("::")
+            scope = ast.parse((ROOT / path).read_text()).body
+            for part in parts:
+                found = [n for n in scope if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part]
+                assert found, f"{name}: {edge} does not exist"
+                scope = found[0].body
+
+
+def test_every_allowance_constant_has_a_row():
+    listed = set(allowance_rows())
+    defined = set()
+    for path in Path(bfixpoint.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            defined.update(
+                f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name) and t.id.endswith(SUFFIXES)
+            )
+    assert "scenarios._MARGIN" in defined
+    assert defined <= listed, f"README's table of rounding allowances lacks {sorted(defined - listed)}"
