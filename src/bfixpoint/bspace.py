@@ -143,6 +143,8 @@ class BMetricSpace:
                 finite = math.isfinite(c)
             except TypeError:  # math.isfinite takes only real numbers, not a str or a complex
                 raise ValueError(f"coordinate {c!r} is not a real number in point {x!r}") from None
+            except OverflowError:  # an integer beyond the float range
+                raise ValueError(f"coordinate beyond the float range in point {x!r}") from None
             if not finite:
                 raise ValueError(f"non-finite coordinate in point {x!r}")
 
@@ -220,30 +222,30 @@ def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     d(x, x) is 0: 0.0**p is 0, and a matrix diagonal is 0.0 or -0.0.
 
     A distance that overflows names its pair (the first in index order,
-    with i < j) here, before any check or reduction does arithmetic on it.
-    Where only the power overflows, pow raises OverflowError in dists; the
-    pairs are then evaluated one by one, such a distance read as inf."""
+    with i < j) here, before any check or reduction does arithmetic on it;
+    one whose power overflows reads inf (_dists_or_inf)."""
     n = len(sample)
     table = space.point_table(sample)
     upper = np.triu_indices(n, 1)
     dmat = np.zeros((n, n))
-    try:
-        d = space.dists(table[upper[0]], table[upper[1]])
-    except OverflowError:
-        d = [_dist_or_inf(space, sample[i], sample[j]) for i, j in zip(*map(np.ndarray.tolist, upper))]
-    dmat[upper] = dmat.T[upper] = d
+    dmat[upper] = dmat.T[upper] = _dists_or_inf(space, table[upper[0]], table[upper[1]])
     if not np.isfinite(dmat).all():
         i, j = map(int, np.argwhere(~np.isfinite(dmat))[0])
         raise ValueError(f"sample pair ({sample[i]!r}, {sample[j]!r}) has non-finite distance {dmat[i, j]}")
     return dmat
 
 
-def _dist_or_inf(space: BMetricSpace, x: Point, y: Point) -> float:
-    """space.dist(x, y), or inf where its power overflows."""
+def _dists_or_inf(space: BMetricSpace, xs, ys) -> np.ndarray:
+    """space.dists(xs, ys), an entry whose power overflows read as inf:
+    where pow raises OverflowError in dists, each half is evaluated again,
+    down to the single entries that raise."""
     try:
-        return space.dist(x, y)
+        return space.dists(xs, ys)
     except OverflowError:
-        return math.inf
+        if len(xs) == 1:
+            return np.array([math.inf])
+        k = len(xs) // 2
+        return np.concatenate([_dists_or_inf(space, xs[:k], ys[:k]), _dists_or_inf(space, xs[k:], ys[k:])])
 
 
 # The via-point reduction sums d(x,z) + d(z,y) for a block of rows x at a

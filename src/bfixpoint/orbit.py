@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from itertools import accumulate, chain, islice, repeat
-from math import inf
+from math import exp, inf, log
 from sys import float_info
 from typing import NamedTuple
 
@@ -233,7 +233,9 @@ def cauchy_series(gamma: float, s: float, first_step: float | None = None) -> Ca
     Terms decay doubly exponentially once the gamma factor takes over, so
     summation stops at relative _SERIES_CUTOFF (1e-16) or after
     _SERIES_TERMS (64) terms, far beyond what 64-bit floats can
-    distinguish.
+    distinguish. Where s**(2n) alone leaves the float range, the term is
+    exp(2n*log(s) + 2**(n-1)*log(gamma)) (0 at gamma = 0). A term or a sum
+    beyond the float range raises OverflowError.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0,1), got {gamma}")
@@ -244,11 +246,16 @@ def cauchy_series(gamma: float, s: float, first_step: float | None = None) -> Ca
     total = 0.0
     terms = 0
     for n in range(1, _SERIES_TERMS + 1):
-        t = (s ** (2 * n)) * (gamma ** (2 ** (n - 1)))
+        try:
+            t = (s ** (2 * n)) * (gamma ** (2 ** (n - 1)))
+        except OverflowError:
+            t = exp(2 * n * log(s) + 2 ** (n - 1) * log(gamma)) if gamma > 0.0 else 0.0
         if terms >= 1 and (t == 0.0 or t < _SERIES_CUTOFF * total):
             break
         total += t
         terms += 1
+    if total == inf:  # finite terms whose sum is not
+        raise OverflowError(f"the series for gamma = {gamma!r}, s = {s!r} sums beyond the float range")
     return CauchyCertificate(gamma, s, total, first_step, terms)
 
 

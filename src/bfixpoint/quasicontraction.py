@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bspace import _TINY, BMetricSpace, Point, _screen_window
-from .setops import PointSet, dist_point_set, hausdorff, make_point_set
+from .bspace import _TINY, BMetricSpace, Point, _dists_or_inf, _screen_window
+from .setops import PointSet, dist_point_set, make_point_set
 
 
 @dataclass(frozen=True)
@@ -236,30 +236,6 @@ def enumerate_fixed_points(space: BMetricSpace, tmap: SetValuedMap) -> list[int]
 # Pairs are reduced in blocks of at most this many distances (screened or
 # not), so the buffers stay small however many pairs there are.
 _BLOCK_DISTANCES = 1 << 13
-# What a malformed sample point (a bad id or coordinate) or an overflowing
-# d(x, T(x)) raises while _ratio_blocks takes each point's own terms; every
-# block then goes pair by pair through _pair_ratios.
-_PAIR_ERRORS = (ArithmeticError, LookupError, TypeError, ValueError)
-
-
-def _pair_ratios(space: BMetricSpace, tmap: SetValuedMap, c: float, q: float, x: Point, y: Point) -> tuple:
-    """Both contraction ratios of one pair, term by term from the public
-    definitions (hausdorff, n_functional, five_term_max). certify runs it
-    only to raise a failing block's first error: the ValueError naming the
-    pair when it is not distinct, or its distance, a ratio or a ratio's
-    denominator is not finite (h / inf = 0 would drop the pair silently)."""
-    if x == y or (d_xy := space.dist(x, y)) == 0.0:
-        raise ValueError(f"pair ({x!r}, {y!r}) is not distinct")
-    if not math.isfinite(d_xy):
-        raise ValueError(f"sample pair ({x!r}, {y!r}) has non-finite distance {d_xy}")
-    h = hausdorff(space, image_of(space, tmap, x), image_of(space, tmap, y))
-    n4, n5 = n_functional(space, tmap, c, q, x, y), five_term_max(space, tmap, x, y)
-    if not all(map(math.isfinite, (n4, n5, h / n4, h / n5))):
-        raise ValueError(
-            f"pair ({x!r}, {y!r}) has non-finite contraction ratios (h / N = {h!r} / {n4!r} four-term, "
-            f"{h!r} / {n5!r} five-term): the map cannot be certified"
-        )
-    return h / n4, h / n5
 
 
 def _pair_indices(n: int, lo: int, hi: int) -> tuple:
@@ -278,7 +254,7 @@ def _screen(v: np.ndarray, p: float) -> tuple:
     than its minimum from the kept entries). As in orbit._row_maxima, d
     rises with v up to a few ulps, far inside the bspace._screen_window,
     for normal floats: None, to evaluate in full, if a v is not one or a
-    distance could leave their range (an overflow must raise)."""
+    distance could leave their range."""
     vmin, vmax = v.min(), v.max()
     if not (vmin >= _TINY and vmin ** (0.5 * p) >= 2.0 * _TINY and vmax ** (0.5 * p) <= 0.5 * float_info.max):
         return None
@@ -295,19 +271,19 @@ def _screen(v: np.ndarray, p: float) -> tuple:
     return keep, (lead_rows, lead_cols)
 
 
-def _block_ratios(space, table, coords, rows, dxt, xi, yi, c, q) -> tuple:
-    """Both ratio arrays for the pairs (x, y) = (points[xi[b]], points[yi[b]]),
-    or None when a pair fails (not distinct, a non-finite term).
+def _block_terms(space, table, coords, rows, dxt, xi, yi, c, q) -> tuple:
+    """(d(x, y), h(T(x), T(y)), N(x, y), five_term_max(x, y)) as arrays over
+    the pairs (x, y) = (points[xi[b]], points[yi[b]]).
 
     table holds each sample point u followed by its image T(u) (a
     BMetricSpace.point_table), and dxt[u] = d(u, T(u)). Column u of rows
     holds the table indices of u and T(u), padded to the widest image by
-    repeating the last element. One space.dists call evaluates m[a, e, b],
-    the distances from x, T(x) to y, T(y) of pair b (given coords, the
-    table's coordinates by dimension, only those _screen keeps; the rest
-    read inf); a padded entry repeats a distance, which changes no min or
-    max. Row 0 holds d(x,y) and d(x,T(y)), column 0 d(T(x),y), read exactly
-    as d(y,T(x)) as every space is symmetric, the rest the distances of h.
+    repeating the last element. One dists call evaluates m[a, e, b], the
+    distances from x, T(x) to y, T(y) of pair b (given coords, the table's
+    coordinates by dimension, only those _screen keeps; the rest read inf);
+    a padded entry repeats a distance, which changes no min or max. Row 0
+    holds d(x,y) and d(x,T(y)), column 0 d(T(x),y), read exactly as
+    d(y,T(x)) as every space is symmetric, the rest the distances of h.
     fmin/fmax skip NaN as the `<`/`>` loops do, from the same inf / 0."""
     ix, iy = rows.take(xi, axis=1), rows.take(yi, axis=1)  # C-contiguous, unlike rows[:, xi]
     shape = (len(ix), len(ix), len(xi))
@@ -315,11 +291,11 @@ def _block_ratios(space, table, coords, rows, dxt, xi, yi, c, q) -> tuple:
     screen = None if coords is None else _screen(sum((xs[ix][:, None] - xs[iy][None]) ** 2 for xs in coords), space.p)
     if screen is None:
         lead = (True, True)
-        m = space.dists(table[gx.ravel()], table[gy.ravel()]).reshape(shape)
+        m = _dists_or_inf(space, table[gx.ravel()], table[gy.ravel()]).reshape(shape)
     else:
         keep, lead = screen
         m = np.full(shape, np.inf)
-        m[keep] = space.dists(table[gx[keep]], table[gy[keep]])
+        m[keep] = _dists_or_inf(space, table[gx[keep]], table[gy[keep]])
     fmin, fmax, inf = np.fmin, np.fmax, np.inf
     d_xy = m[0, 0]
     d_x_ty = fmin.reduce(m[0, 1:], axis=0, initial=inf)
@@ -328,52 +304,54 @@ def _block_ratios(space, table, coords, rows, dxt, xi, yi, c, q) -> tuple:
     h = fmax(fmax.reduce(np.where(lead[0], fmin.reduce(img, axis=1, initial=inf), np.nan), axis=0, initial=0.0),
              fmax.reduce(np.where(lead[1], fmin.reduce(img, axis=0, initial=inf), np.nan), axis=0, initial=0.0))
     d_x_tx, d_y_ty = dxt[xi], dxt[yi]
-    # the terms in the order of _n_from_parts and five_term_max; a NaN d_xy
-    # (which Python's max would keep) fails the d_xy > 0 test instead
+    # the terms in the order of _n_from_parts and five_term_max
     n4 = reduce(fmax, [c * d_x_tx, c * d_y_ty, 0.5 * q * (d_x_ty + d_y_tx)], d_xy)
     n5 = reduce(fmax, [d_x_tx, d_y_ty, d_x_ty, d_y_tx], d_xy)
-    ratio, ratio41 = h / n4, h / n5
-    if not ((d_xy > 0.0) & np.isfinite(n4) & np.isfinite(n5) & np.isfinite(ratio) & np.isfinite(ratio41)).all():
-        return None
-    return ratio, ratio41
+    return d_xy, h, n4, n5
 
 
-def _ratio_blocks(space, tmap, c, q, points):
-    """Yield (xi, yi, ratio, ratio41) for consecutive blocks of the pairs
-    (points[xi[b]], points[yi[b]]), in combinations order.
+def _term_blocks(space, tmap, c, q, points):
+    """Yield (xi, yi, d_xy, h, n4, n5) for consecutive blocks of the pairs
+    (points[xi[b]], points[yi[b]]), in combinations order (_block_terms).
 
-    T(x) and d(x, T(x)) are computed once for each sample point, and the
-    points and their images go into one point table. Blocks are screened off
-    the p = 1 line (whose entries cost no power) in power spaces with some
-    image of two elements. The ratios come only from the blocks: a block
-    that fails, or every block once a point's own terms fail, goes pair by
-    pair through _pair_ratios, only to raise the first failing pair's error
-    (every pair of an earlier block passes it)."""
+    T(x) is computed once for each sample point, and the points and their
+    images go into one point table. Every d(x, T(x)) comes from one dists
+    call over the sum of the image sizes, a NaN read as inf, as
+    dist_point_set's strict < from inf reads it. Blocks are screened off the
+    p = 1 line (whose entries cost no power) in power spaces with some image
+    of two elements. Every dists call reads a power that overflows as inf
+    (_dists_or_inf), so nothing here raises once the points are checked;
+    the caller scopes the floating-point warnings."""
     n, total = len(points), len(points) * (len(points) - 1) // 2
-    try:
-        images = [image_of(space, tmap, x) for x in points]
-        dxt = np.array([dist_point_set(space, x, t).value for x, t in zip(points, images)])
-        table = space.point_table(chain.from_iterable((x, *t.elements) for x, t in zip(points, images)))
-        width = np.array([1 + len(t.elements) for t in images])
-        w = int(width.max())
-        coords = None
-        if space.kind == "power" and w >= 3 and (space.dim, space.p) != (1, 1.0):
-            coords = table[None] if space.dim == 1 else np.array(table.tolist(), dtype=float).T
-        rows = (np.cumsum(width) - width) + np.minimum(np.arange(w)[:, None], width - 1)
-        step = max(1, _BLOCK_DISTANCES // w**2)
-    except _PAIR_ERRORS:
-        table, step = None, _BLOCK_DISTANCES
+    images = [image_of(space, tmap, x) for x in points]
+    table = space.point_table(chain.from_iterable((x, *t.elements) for x, t in zip(points, images)))
+    width = np.array([1 + len(t.elements) for t in images])
+    starts = np.cumsum(width) - width
+    own = _dists_or_inf(space, table[np.repeat(starts, width - 1)], table[np.delete(np.arange(len(table)), starts)])
+    dxt = np.minimum.reduceat(np.where(np.isnan(own), np.inf, own), starts - np.arange(n))
+    w = int(width.max())
+    coords = None
+    if space.kind == "power" and w >= 3 and (space.dim, space.p) != (1, 1.0):
+        coords = table[None] if space.dim == 1 else np.array(table.tolist(), dtype=float).T
+    rows = starts + np.minimum(np.arange(w)[:, None], width - 1)
+    step = max(1, _BLOCK_DISTANCES // w**2)
     for lo in range(0, total, step):
         xi, yi = _pair_indices(n, lo, min(lo + step, total))
-        try:
-            with np.errstate(all="ignore"):
-                got = None if table is None else _block_ratios(space, table, coords, rows, dxt, xi, yi, c, q)
-        except OverflowError:  # the float power in dists, the one thing a block raises
-            got = None
-        if got is None:
-            got = np.array([_pair_ratios(space, tmap, c, q, points[i], points[j])
-                            for i, j in zip(xi.tolist(), yi.tolist())]).T
-        yield (xi, yi, *got)
+        yield xi, yi, *_block_terms(space, table, coords, rows, dxt, xi, yi, c, q)
+
+
+def _pair_error(x: Point, y: Point, d_xy: float, h: float, n4: float, n5: float) -> ValueError:
+    """The error of a pair that fails certify: not distinct, or its
+    distance, a ratio h / N or a denominator N is not finite (h / inf = 0
+    would drop the pair silently)."""
+    if d_xy == 0.0:
+        return ValueError(f"pair ({x!r}, {y!r}) is not distinct")
+    if not math.isfinite(d_xy):
+        return ValueError(f"sample pair ({x!r}, {y!r}) has non-finite distance {d_xy}")
+    return ValueError(
+        f"pair ({x!r}, {y!r}) has non-finite contraction ratios (h / N = {h!r} / {n4!r} four-term, "
+        f"{h!r} / {n5!r} five-term): the map cannot be certified"
+    )
 
 
 def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float) -> ContractionCertificate:
@@ -384,36 +362,45 @@ def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float)
     alpha41_min = max h(T(x),T(y)) / five_term_max    (five-term condition)
 
     Both ratios are well-defined because distinct pairs give N >= d(x,y) > 0.
-    A pair that is not distinct, or whose distance, ratio or denominator is
-    not finite (points, images or distances that overflow), makes the
-    certificate uncomputable: ValueError names the first such pair, as it
-    does fewer than two points. On a finite space sampled at every point the
-    certificate is exhaustive; otherwise it only speaks for the sample and
-    is labeled empirical. Theorem verdicts come from `verdicts`.
+    Every sample point is checked first (space.check_point: ValueError
+    names the point). A pair that is not distinct, or whose distance, ratio
+    or denominator is not finite (images or distances that overflow), makes
+    the certificate uncomputable: ValueError names the first such pair, as
+    it does fewer than two points. On a finite space sampled at every point
+    the certificate is exhaustive; otherwise it only speaks for the sample
+    and is labeled empirical. Theorem verdicts come from `verdicts`.
 
-    Cost: one image_of and one d(x, T(x)) per sample point, then at most
-    (1 + w)**2 space.dists entries per pair, w the widest image (narrower
-    ones are padded), walked by index and reduced in numpy block by block:
-    power spaces off the p = 1 line evaluate only those a squared-distance
-    screen keeps (_screen). The result equals the pair-by-pair loop over
-    hausdorff, n_functional and five_term_max, worst pairs (the first to
-    attain each maximum) and errors included. Its values come only from the
-    blocks; that loop runs only to raise the first failing pair's error.
+    Cost: one image_of per sample point, one space.dists entry per image
+    element for the d(x, T(x)), then at most (1 + w)**2 entries per pair, w
+    the widest image (narrower ones are padded), walked by index and
+    reduced in numpy block by block: power spaces off the p = 1 line
+    evaluate only those a squared-distance screen keeps (_screen). The
+    result, worst pairs (the first to attain each maximum) and errors
+    included, equals the pair-by-pair loop over hausdorff, n_functional and
+    five_term_max with a power that overflows read as an infinite distance.
     """
     points = list(points)
     n = len(points)
     if n < 2:
         raise ValueError(f"certify needs at least two sample points, got {n}")
     _check_coefficients(c, q)
+    for x in points:
+        space.check_point(x)
 
     alpha_min = alpha41_min = 0.0
     worst = worst41 = (points[0], points[1])
-    for xi, yi, ratio, ratio41 in _ratio_blocks(space, tmap, c, q, points):
-        i, j = int(np.argmax(ratio)), int(np.argmax(ratio41))
-        if ratio[i] > alpha_min:
-            alpha_min, worst = float(ratio[i]), (points[xi[i]], points[yi[i]])
-        if ratio41[j] > alpha41_min:
-            alpha41_min, worst41 = float(ratio41[j]), (points[xi[j]], points[yi[j]])
+    with np.errstate(all="ignore"):
+        for xi, yi, d_xy, h, n4, n5 in _term_blocks(space, tmap, c, q, points):
+            ratio, ratio41 = h / n4, h / n5
+            failed = ~((d_xy > 0.0) & np.isfinite([n4, n5, ratio, ratio41]).all(axis=0))
+            if failed.any():
+                b = int(failed.argmax())
+                raise _pair_error(points[xi[b]], points[yi[b]], *(float(t[b]) for t in (d_xy, h, n4, n5)))
+            i, j = int(np.argmax(ratio)), int(np.argmax(ratio41))
+            if ratio[i] > alpha_min:
+                alpha_min, worst = float(ratio[i]), (points[xi[i]], points[yi[i]])
+            if ratio41[j] > alpha41_min:
+                alpha41_min, worst41 = float(ratio41[j]), (points[xi[j]], points[yi[j]])
 
     # every pair is certified, so on a finite space the points are distinct ids
     finite = space.kind == "matrix"

@@ -106,8 +106,10 @@ class Scenario:
 
 
 BUILTIN_NAMES = ("paper-example", "random-finite")
-# caps the grid's size, not its work: certify is quadratic in the sample and
-# verify's axiom check cubic; the largest grid in use has 201 points
+# caps the grid's size, not its work: certify is quadratic in the sample, and
+# so is verify's axiom check on a grid (one distance table at VERIFY_TOL; its
+# triangle scan, cubic, runs only where a distance underflows); the largest
+# grid in use has 201 points
 MAX_GRID_POINTS = 100_000
 _GRID_SLACK = 1e-12  # sample_points' relative slack on a grid's count of steps
 

@@ -6,12 +6,15 @@ This test resolves each name with the benchmark's own resolver, so such a
 rename fails here instead.
 """
 
+import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-from bfixpoint import quasicontraction, setops
+import bfixpoint
+from bfixpoint import setops
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,5 +40,8 @@ def test_wrap_target_resolves(module, qualname):
 
 
 def test_hausdorff_is_the_setops_function():
-    # one wrapper on setops.hausdorff must also see certify's calls
-    assert quasicontraction.hausdorff is setops.hausdorff
+    # one wrapper on setops.hausdorff must see every call: each module of the
+    # package that binds the name binds that function
+    modules = [importlib.import_module(f"bfixpoint.{m.name}") for m in pkgutil.iter_modules(bfixpoint.__path__)]
+    bound = [m for m in (bfixpoint, *modules) if hasattr(m, "hausdorff")]
+    assert setops in bound and all(m.hausdorff is setops.hausdorff for m in bound)

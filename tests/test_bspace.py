@@ -520,6 +520,17 @@ def test_a_coordinate_that_is_not_real_is_a_value_error(check, coordinate):
         replace(builtin("paper-example"), x0=(coordinate,))
 
 
+def certify_halving(space, sample):
+    return certify(space, make_branch_map(space, [([[0.5]], [0.0])]), sample, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("check", [verify_axioms, estimate_min_s, certify_halving])
+def test_an_integer_beyond_the_float_range_is_a_value_error(check):
+    # math.isfinite(10**400) raises OverflowError: int too large to convert to float
+    with pytest.raises(ValueError, match=r"^coordinate beyond the float range in point \(10{400},\)$"):
+        check(make_power_space(1, 1.0), [(0.0,), (10**400,)])
+
+
 class TestEstimateMinS:
     def test_metric_line(self):
         assert estimate_min_s(make_power_space(1, 1.0), grid1(0, 1, 2)) == 1.0
@@ -826,11 +837,12 @@ def test_bulk_layers_make_no_scalar_distance_calls(monkeypatch):
 
 
 def test_certify_work_per_point_and_pair(monkeypatch):
-    """certify on n points makes n image_of calls, the scalar dist calls of
-    the residuals d(x, T(x)) and nothing else. Matrix spaces, the p = 1 line
-    and one-element images evaluate exactly (1 + w)**2 dists entries for
-    each pair, w the widest image in the sample: narrower images are padded
-    by repeating an element, and the padded entries are evaluated like the
+    """certify on n points makes n image_of calls and no scalar dist call.
+    Its dists entries are one per image element, for the residuals
+    d(x, T(x)), and those of its blocks. Matrix spaces, the p = 1 line and
+    one-element images evaluate exactly (1 + w)**2 block entries for each
+    pair, w the widest image in the sample: narrower images are padded by
+    repeating an element, and the padded entries are evaluated like the
     others. Other power spaces evaluate only the entries the squared-distance
     screen keeps: at least d(x, y), one entry for each of d(x, T(y)) and
     d(y, T(x)) and one for h, and fewer than (1 + w)**2 per pair.
@@ -896,8 +908,8 @@ def test_certify_work_per_point_and_pair(monkeypatch):
             m.setattr(BMetricSpace, "dists", counted_dists)
             cert = certify(space, tmap, pts, 0.5, 0.5)
         assert cert.n_pairs == pairs
-        entries = counts.pop("entries")
-        assert counts == {"image_of": len(pts), "dist": sum(sizes)}
+        entries = counts.pop("entries") - sum(sizes)  # the block entries, past the residuals'
+        assert counts == {"image_of": len(pts), "dist": 0}
         if want == "full":
             assert entries == full
         elif want == "screened":
@@ -910,7 +922,8 @@ def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
     """bfixpoint verify on n points evaluates the dists entries of certify on
     its sample and those of verify_axioms' table, nothing more: the
     n(n-1)/2 pairs i < j, in a power space and a matrix space alike. certify
-    evaluates n(n-1)/2 * (1 + w)**2 entries on a matrix space or with
+    evaluates one entry per image element (the residuals d(x, T(x))), then
+    n(n-1)/2 * (1 + w)**2 block entries on a matrix space or with
     one-element images, and fewer where its screen applies (the 2-D
     sample). A builtin is resolved uncounted: random-finite's generation
     runs certify rounds of its own."""
@@ -947,14 +960,16 @@ def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
         (["--scenario", str(path)], load(path)),
     ):
         sample = sample_points(sc)
-        n, w = len(sample), max(len(image_of(sc.space, sc.map, x).elements) for x in sample)
+        sizes = [len(image_of(sc.space, sc.map, x).elements) for x in sample]
+        n, w = len(sample), max(sizes)
         full = n * (n - 1) // 2 * (1 + w) ** 2
         entries[0] = 0
         with monkeypatch.context() as m:
             m.setattr(BMetricSpace, "dists", counted_dists)
             certify(sc.space, sc.map, sample, sc.params.c, sc.params.q)
         certified = entries[0]
-        assert certified == full if sc.space.kind == "matrix" or w == 1 else certified < full
+        blocks = certified - sum(sizes)
+        assert blocks == full if sc.space.kind == "matrix" or w == 1 else 0 < blocks < full
         entries[0] = 0
         with monkeypatch.context() as m:
             m.setattr(cli, "builtin", uncounted_builtin)

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import pytest
 
 from bfixpoint.bspace import make_matrix_space, make_power_space
@@ -256,11 +258,20 @@ class TestChainingBound:
                 assert space.dist(walk[0], walk[k]) <= bound * (1.0 + 1e-12)
 
 
+def series_50_digits(gamma, s):
+    """The sum of the first 64 terms of s**(2n) * gamma**(2**(n-1)), in
+    50-digit arithmetic."""
+    with mpmath.workdps(50):
+        g, s = mpmath.mpf(gamma), mpmath.mpf(s)
+        return sum(s ** (2 * n) * g ** (2 ** (n - 1)) for n in range(1, 65))
+
+
 class TestCauchySeries:
     def test_zero_gamma(self):
-        cert = cauchy_series(0.0, 3.0)
-        assert cert.series_sum == 0.0
-        assert cert.terms_used == 1
+        for s in (3.0, 1e200):  # at 1e200, s**2 overflows on its own
+            cert = cauchy_series(0.0, s)
+            assert cert.series_sum == 0.0
+            assert cert.terms_used == 1
 
     def test_frozen_metric_value(self):
         cert = cauchy_series(0.9, 1.0)
@@ -277,6 +288,27 @@ class TestCauchySeries:
 
     def test_terms_capped(self):
         assert cauchy_series(0.99, 4.0).terms_used <= 64
+
+    def test_a_power_of_s_that_overflows_alone(self):
+        # at the largest gamma below 1 and s = 336.3, s**(2n) overflows from
+        # n = 61 on, long after gamma's factor has shrunk the terms: the sum
+        # is about 1.47e286, to an ulp of its 50-digit value
+        gamma = math.nextafter(1.0, 0.0)
+        cert = cauchy_series(gamma, 336.3)
+        assert cert.series_sum == pytest.approx(float(series_50_digits(gamma, 336.3)), rel=1e-15)
+        assert cert.terms_used == 60
+
+    @pytest.mark.parametrize(
+        "gamma, s",
+        [
+            (0.95, 2.0**99),  # the sixth term is about e**821
+            (math.nextafter(1.0, 0.0), 521.5),  # every term is finite, their sum is not
+        ],
+    )
+    def test_a_sum_beyond_the_float_range_raises(self, gamma, s):
+        assert series_50_digits(gamma, s) > sys.float_info.max
+        with pytest.raises(OverflowError):
+            cauchy_series(gamma, s)
 
 
 class TestCauchyBound:
