@@ -14,7 +14,7 @@ relaxed triangle with that s is the caller's claim, which verify_axioms
 checks on a sample.
 
 Points are coordinate tuples in power spaces and integer ids in matrix
-spaces.
+spaces. A distance beyond the float range, from the norm or the power, is inf.
 """
 
 from __future__ import annotations
@@ -97,7 +97,10 @@ class BMetricSpace:
             return float(self.matrix[x, y])
         # math.dist is exactly symmetric under argument swap, so d(x,y) and
         # d(y,x) agree bit for bit without canonical ordering.
-        return math.dist(x, y) ** self.p
+        try:
+            return math.dist(x, y) ** self.p
+        except OverflowError:  # a power beyond the float range
+            return math.inf
 
     def point_table(self, points) -> np.ndarray:
         """The points as a one-dimensional array, in the form dists
@@ -115,17 +118,20 @@ class BMetricSpace:
         A one-dimensional power space takes numpy's |x - y|, which is what
         math.dist returns for one coordinate, then Python's float power per
         entry unless p = 1 (x ** 1.0 is x). Higher dimensions take
-        math.dist and builtin pow. The float power is that of ** with the
-        same OverflowError; numpy's float power and norms round
-        differently."""
+        math.dist and builtin pow. The float power is that of **; numpy's
+        float power and norms round differently."""
         if self.kind == "matrix":
             return self.matrix[xs, ys]
-        if self.dim == 1:
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = np.abs(xs - ys)
-            # an object array's power is the builtin float power, entry by entry
-            return d if self.p == 1.0 else np.power(d.astype(object), self.p).astype(float)
-        return np.fromiter(map(pow, map(math.dist, xs.tolist(), ys.tolist()), repeat(self.p)), float)
+        try:
+            if self.dim == 1:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    d = np.abs(xs - ys)
+                # an object array's power is the builtin float power, entry by entry
+                return d if self.p == 1.0 else np.power(d.astype(object), self.p).astype(float)
+            return np.fromiter(map(pow, map(math.dist, xs.tolist(), ys.tolist()), repeat(self.p)), float)
+        except OverflowError:  # from pow: each half again, down to the single entries, which read inf
+            k = len(xs) // 2
+            return np.concatenate([self.dists(xs[:k], ys[:k]), self.dists(xs[k:], ys[k:])] if k else [[math.inf]])
 
     def check_point(self, x: Point) -> None:
         """Reject points outside the domain with ValueError naming the point
@@ -221,31 +227,18 @@ def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     space is symmetric (a power space exactly: fl(a - b) is -fl(b - a)), and
     d(x, x) is 0: 0.0**p is 0, and a matrix diagonal is 0.0 or -0.0.
 
-    A distance that overflows names its pair (the first in index order,
-    with i < j) here, before any check or reduction does arithmetic on it;
-    one whose power overflows reads inf (_dists_or_inf)."""
+    A distance beyond the float range names its pair (the first in index
+    order, with i < j) here, before any check or reduction does arithmetic
+    on it."""
     n = len(sample)
     table = space.point_table(sample)
     upper = np.triu_indices(n, 1)
     dmat = np.zeros((n, n))
-    dmat[upper] = dmat.T[upper] = _dists_or_inf(space, table[upper[0]], table[upper[1]])
+    dmat[upper] = dmat.T[upper] = space.dists(table[upper[0]], table[upper[1]])
     if not np.isfinite(dmat).all():
         i, j = map(int, np.argwhere(~np.isfinite(dmat))[0])
         raise ValueError(f"sample pair ({sample[i]!r}, {sample[j]!r}) has non-finite distance {dmat[i, j]}")
     return dmat
-
-
-def _dists_or_inf(space: BMetricSpace, xs, ys) -> np.ndarray:
-    """space.dists(xs, ys), an entry whose power overflows read as inf:
-    where pow raises OverflowError in dists, each half is evaluated again,
-    down to the single entries that raise."""
-    try:
-        return space.dists(xs, ys)
-    except OverflowError:
-        if len(xs) == 1:
-            return np.array([math.inf])
-        k = len(xs) // 2
-        return np.concatenate([_dists_or_inf(space, xs[:k], ys[:k]), _dists_or_inf(space, xs[k:], ys[k:])])
 
 
 # The via-point reduction sums d(x,z) + d(z,y) for a block of rows x at a

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bspace import _BOX_WIDENING, _TINY, BMetricSpace, Point, _check_int, _screen_window
-from .quasicontraction import SetValuedMap, _check_coefficients, _n_from_parts, image_of
+from .quasicontraction import SetValuedMap, _check_coefficients, _check_map, _n_from_parts, image_of
 from .setops import PointSet, dist_point_set
 
 
@@ -104,14 +104,13 @@ def run_orbit(
     of x0, goes through the loop as every other: x1 defaults to the closest
     element of T(x0), and a given x1 is read only once x0 has failed to
     converge, and must be an element of T(x0). When no element of T(x0) is
-    at a finite distance from x0 (an image coordinate that overflowed or is
-    NaN), OverflowError names both, before x1 is read; at a later point an
-    infinite residual fails the decay check. Every later step is checked
+    at a finite distance from x0, OverflowError names both, before x1 is
+    read, as it does a given x1 at an infinite distance; at a later point
+    an infinite residual fails the decay check. Every later step is checked
     against the certified decay d_n <= gamma*d_{n-1} (relative slack
-    _DECAY_SLACK, 1e-12)
-    and the selection inequality d(x_cur, x_next) < beta*N(x_prev, x_cur); a
-    failed check ends the trace with status "ratio_violation" and the
-    offending step index.
+    _DECAY_SLACK, 1e-12) and the selection inequality d(x_cur, x_next) <
+    beta*N(x_prev, x_cur), with N finite where it is computed (see below); a
+    failed check ends the trace as "ratio_violation" at the offending step.
 
     Stopping is by residual, not step size: a small step does not certify a
     fixed point, the residual is exactly what the fixed-point theorems bound.
@@ -147,6 +146,7 @@ def run_orbit(
         raise ValueError(f"beta must lie in ({alpha}, {hi}), got {beta}")
     gamma = gamma_of(beta, q, s)
 
+    _check_map(space, tmap)
     space.check_point(x0)
     image, dist = tmap.evaluate, space.dist
     points, steps = [x0], []
@@ -180,11 +180,13 @@ def run_orbit(
                 if all(dist(nxt, w) != 0.0 for w in t_cur):
                     raise ValueError(f"x1 {nxt!r} is not an element of T(x0)")
                 step = dist(x0, nxt)
+                if step == inf:  # a trace would converge from it unchecked
+                    raise OverflowError(f"x1 = {nxt!r} is at an infinite distance from x0 = {x0!r}")
         elif residual > gamma * d_prev + _DECAY_SLACK * d_prev or not (
             residual < beta * d_prev
             or residual < beta * _n_from_parts(
                 space, c, q, x_prev, x_cur, d_prev, PointSet(t_prev), PointSet(t_cur), r_prev, residual
-            )
+            ) < inf
         ):
             status = "ratio_violation"
             break

@@ -22,12 +22,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain
-from sys import float_info
 from typing import NamedTuple
 
 import numpy as np
 
-from .bspace import _TINY, BMetricSpace, Point, _dists_or_inf, _screen_window
+from .bspace import _TINY, BMetricSpace, Point, _screen_window
 from .setops import PointSet, dist_point_set, make_point_set
 
 
@@ -158,20 +157,28 @@ def make_branch_map(space: BMetricSpace, branches) -> SetValuedMap:
     return SetValuedMap(kind="branches", branches=tuple(normd))
 
 
+def _check_map(space: BMetricSpace, tmap: SetValuedMap) -> None:
+    """ValueError, naming both, for a map built for another space. A table
+    map and a matrix space are told by their points, a branch map and a
+    power space by their dimension, so the two differ exactly on a misfit."""
+    fit = f"{len(tmap.table)} points" if tmap.kind == "table" else f"dimension {len(tmap.branches[0][1])}"
+    own = f"{space.n_points} points" if space.kind == "matrix" else f"dimension {space.dim}"
+    if fit != own:
+        kind = "table" if tmap.kind == "table" else "branch"
+        raise ValueError(f"a {kind} map of {fit} does not fit the {space.kind} space of {own}")
+
+
 def image_of(space: BMetricSpace, tmap: SetValuedMap, x: Point) -> PointSet:
     """The image set T(x): the outputs of tmap.evaluate(x), those that
     coincide exactly deduplicated (the first is kept), so the bits do not
-    depend on the Python version. A point of the wrong length raises
-    ValueError."""
+    depend on the Python version. A map built for another space
+    (_check_map) or a point of the wrong length raises ValueError."""
+    _check_map(space, tmap)
     if tmap.kind == "table":
         return tmap.table[x]
     if len(x) != space.dim:  # evaluate would ignore extra coordinates
         raise ValueError(f"expected a coordinate tuple of length {space.dim}, got {x!r}")
-    outs = []
-    for y in tmap.evaluate(x):
-        if y not in outs:
-            outs.append(y)
-    return PointSet(tuple(outs))
+    return PointSet(tuple(dict.fromkeys(tmap.evaluate(x))))
 
 
 def _check_coefficients(c: float, q: float) -> None:
@@ -253,10 +260,10 @@ def _screen(v: np.ndarray, p: float) -> tuple:
     of h whose minimum can be the largest (a non-leading row may read more
     than its minimum from the kept entries). As in orbit._row_maxima, d
     rises with v up to a few ulps, far inside the bspace._screen_window,
-    for normal floats: None, to evaluate in full, if a v is not one or a
-    distance could leave their range."""
+    for normal floats: None, to evaluate in full, if a v is not one (an
+    inf v orders nothing) or a distance could fall below their range."""
     vmin, vmax = v.min(), v.max()
-    if not (vmin >= _TINY and vmin ** (0.5 * p) >= 2.0 * _TINY and vmax ** (0.5 * p) <= 0.5 * float_info.max):
+    if not (vmin >= _TINY and vmin ** (0.5 * p) >= 2.0 * _TINY and vmax < math.inf):
         return None
     rel = _screen_window(p)
     lo, hi = 1.0 + rel, 1.0 - rel
@@ -291,11 +298,11 @@ def _block_terms(space, table, coords, rows, dxt, xi, yi, c, q) -> tuple:
     screen = None if coords is None else _screen(sum((xs[ix][:, None] - xs[iy][None]) ** 2 for xs in coords), space.p)
     if screen is None:
         lead = (True, True)
-        m = _dists_or_inf(space, table[gx.ravel()], table[gy.ravel()]).reshape(shape)
+        m = space.dists(table[gx.ravel()], table[gy.ravel()]).reshape(shape)
     else:
         keep, lead = screen
         m = np.full(shape, np.inf)
-        m[keep] = _dists_or_inf(space, table[gx[keep]], table[gy[keep]])
+        m[keep] = space.dists(table[gx[keep]], table[gy[keep]])
     fmin, fmax, inf = np.fmin, np.fmax, np.inf
     d_xy = m[0, 0]
     d_x_ty = fmin.reduce(m[0, 1:], axis=0, initial=inf)
@@ -319,15 +326,15 @@ def _term_blocks(space, tmap, c, q, points):
     call over the sum of the image sizes, a NaN read as inf, as
     dist_point_set's strict < from inf reads it. Blocks are screened off the
     p = 1 line (whose entries cost no power) in power spaces with some image
-    of two elements. Every dists call reads a power that overflows as inf
-    (_dists_or_inf), so nothing here raises once the points are checked;
-    the caller scopes the floating-point warnings."""
+    of two elements. A distance beyond the float range reads inf (dists),
+    so nothing here raises once the points are checked; the caller scopes
+    the floating-point warnings."""
     n, total = len(points), len(points) * (len(points) - 1) // 2
     images = [image_of(space, tmap, x) for x in points]
     table = space.point_table(chain.from_iterable((x, *t.elements) for x, t in zip(points, images)))
     width = np.array([1 + len(t.elements) for t in images])
     starts = np.cumsum(width) - width
-    own = _dists_or_inf(space, table[np.repeat(starts, width - 1)], table[np.delete(np.arange(len(table)), starts)])
+    own = space.dists(table[np.repeat(starts, width - 1)], table[np.delete(np.arange(len(table)), starts)])
     dxt = np.minimum.reduceat(np.where(np.isnan(own), np.inf, own), starts - np.arange(n))
     w = int(width.max())
     coords = None
@@ -377,7 +384,7 @@ def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float)
     evaluate only those a squared-distance screen keeps (_screen). The
     result, worst pairs (the first to attain each maximum) and errors
     included, equals the pair-by-pair loop over hausdorff, n_functional and
-    five_term_max with a power that overflows read as an infinite distance.
+    five_term_max.
     """
     points = list(points)
     n = len(points)

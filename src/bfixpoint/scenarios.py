@@ -181,8 +181,8 @@ def random_finite(
     Planar points get p-power euclidean distances (s = 2**(p-1)); the map
     sends each point one hop along a contraction orbit toward a designated
     root (sometimes with a second image element), so the root is a fixed
-    point by construction. Candidates whose chains cannot be placed or
-    trimmed, or that certify badly, are rejected and rebuilt from a derived
+    point by construction. Candidates whose chains cannot be placed, or
+    that certify badly, are rejected and rebuilt from a derived
     seed; after 1000 rejections RuntimeError is raised. Generation is a pure
     function of the arguments. The accepted scenario's alpha is tightened to
     the certified minimum.
@@ -221,8 +221,8 @@ _MARGIN = 1e-9  # relative margin on squared thresholds, far above their roundin
 
 
 class _PlacementError(RuntimeError):
-    """A candidate whose chains cannot be placed or trimmed; random_finite
-    rejects it like one that certifies badly."""
+    """A candidate whose chains cannot be placed; random_finite rejects it
+    like one that certifies badly."""
 
 
 def _build_candidate(rng: SplitMix64, seed: int, n_points: int, p: float, alpha_cap: float) -> Scenario:
@@ -247,16 +247,13 @@ def _build_candidate(rng: SplitMix64, seed: int, n_points: int, p: float, alpha_
 
     placed, succ = _place_chains(rng, n_points, u, step, graft_tol)
 
-    # trim outermost unreferenced points until exactly n_points remain
+    # trim the outermost unreferenced point (u maps to itself) until n_points
+    # remain. Each chain point is new and maps to the next point of its chain,
+    # to an earlier one or to u: a tree rooted at u, which keeps a leaf other
+    # than u as long as it has two nodes, and stays a tree without it.
     while len(placed) > n_points:
-        indeg = {w: 0 for w in placed}
-        for a, b in succ.items():
-            if a != b:
-                indeg[b] += 1
-        free = [w for w in placed if indeg[w] == 0 and w != u]
-        if not free:
-            raise _PlacementError("cannot trim without breaking the map closure")
-        victim = max(free, key=lambda w: _euclid(w, u))
+        referenced = set(succ.values())
+        victim = max((w for w in placed if w not in referenced), key=lambda w: _euclid(w, u))
         placed.remove(victim)
         del succ[victim]
 

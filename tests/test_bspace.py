@@ -378,7 +378,7 @@ THEOREM_TOLS = [0.0, 2.0**-53, 2.0**-50, 2.0**-46, 2.0**-40, VERIFY_TOL, 1e-9, 0
 def report_or_error(space, sample, tol):
     try:
         return verify_axioms(space, sample, tol)
-    except (ValueError, OverflowError) as e:  # an overflowing distance
+    except ValueError as e:  # a distance beyond the float range
         return type(e), str(e)
 
 
@@ -675,15 +675,36 @@ class TestDistsMatchesDist:
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize(
-        "x, y", [((0.0,), (5e-324,)), ((-5e-324,), (5e-324,)), ((1e308,), (-1e308,)), ((-1e308,), (1e308,))]
+        "x, y",
+        [
+            ((0.0,), (5e-324,)),
+            ((-5e-324,), (5e-324,)),
+            ((1e308,), (-1e308,)),
+            ((-1e308,), (1e308,)),
+            ((1e200,), (-1e200,)),  # only the power overflows, at p = 2
+        ],
     )
     def test_extreme_differences_in_one_dimension(self, p, x, y):
-        # a subnormal |x - y| is kept, not flushed to 0, and one that
-        # overflows is inf, with no warning
+        # a subnormal |x - y| is kept, not flushed to 0, and a distance
+        # beyond the float range, from |x - y| or from its power, is inf,
+        # with no error and no warning
         space = make_power_space(1, p)
         table = space.point_table([x, y])
-        want = bits_or_error(lambda: [space.dist(a, b) for a, b in ((x, y), (y, x), (x, x))])
-        assert bits_or_error(lambda: space.dists(table[[0, 1, 0]], table[[1, 0, 0]])) == want
+        want = [space.dist(a, b).hex() for a, b in ((x, y), (y, x), (x, x))]
+        assert [d.hex() for d in space.dists(table[[0, 1, 0]], table[[1, 0, 0]])] == want
+
+    @pytest.mark.parametrize("p", [0.5, 3.0, 30.0])
+    def test_extreme_differences_in_two_dimensions(self, p):
+        # the power overflows from (1e103, 1e103) at p = 3 and from (1e11,
+        # 1e11) at p = 30, the norm at (2e308, 0) at every p; one dists call
+        # takes them all, finite and infinite entries mixed, as dist does
+        space = make_power_space(2, p)
+        xs = [(0.0, 0.0), (1.0, 2.0), (0.0, 0.0), (1e308, 1.0), (0.0, 0.0), (1e308, 1e308)]
+        ys = [(1e103, 1e103), (3.0, 5.0), (1e11, 1e11), (-1e308, 1.0), (-1e103, 1e103), (-1e308, -1e308)]
+        table = space.point_table(xs + ys)
+        got = [d.hex() for d in space.dists(table[: len(xs)], table[len(xs) :])]
+        assert got == [space.dist(x, y).hex() for x, y in zip(xs, ys)]
+        assert (math.inf).hex() in got and (p < 3.0) == math.isfinite(space.dist(xs[0], ys[0]))
 
     @pytest.mark.parametrize(
         "space", [make_power_space(1, 1.5), make_power_space(2, 1.5), make_matrix_space(3, SQUARED_LINE, 2.0)]
@@ -717,19 +738,10 @@ def table_or_error(evaluate):
         return type(exc), str(exc)
 
 
-def dist_or_inf(space, x, y):
-    """space.dist(x, y), or inf where pow raises OverflowError."""
-    try:
-        return space.dist(x, y)
-    except OverflowError:
-        return math.inf
-
-
 def reference_table(space, sample):
-    """_distance_table by its definition: every ordered pair, one at a time
-    (a power that overflows is an infinite distance), and the first
-    non-finite one in index order named."""
-    d = [[dist_or_inf(space, x, y) for y in sample] for x in sample]
+    """_distance_table by its definition: every ordered pair, one at a time,
+    and the first non-finite one in index order named."""
+    d = [[space.dist(x, y) for y in sample] for x in sample]
     for (i, x), (j, y) in itertools.product(enumerate(sample), repeat=2):
         if not math.isfinite(d[i][j]):
             raise ValueError(f"sample pair ({x!r}, {y!r}) has non-finite distance {d[i][j]}")

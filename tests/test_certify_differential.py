@@ -4,18 +4,18 @@ certify evaluates each image once per sample point, walks the pairs of the
 sample by index and reduces them in numpy blocks. Here it is checked
 against the certificate by its definition: every sample point checked,
 then every pair of combinations(points, 2) in turn, from the public
-hausdorff, n_functional and five_term_max (a power that overflows read as
-an infinite distance), keeping the first pair that attains each maximum.
-The two must agree on the certificate, or raise the same ValueError with
-the same message; no other exception may escape. The edges of certify's
-squared-distance screen (ties, near ties, distances that overflow or
-underflow, p far from 1) are checked the same way, and so is the error of
-a sample point whose own terms fail. The index arithmetic is checked
+hausdorff, n_functional and five_term_max, keeping the first pair that
+attains each maximum. The two must agree on the certificate, or raise the
+same ValueError with the same message; no other exception may escape. The
+edges of certify's squared-distance screen (ties, near ties, distances
+that overflow or underflow, p far from 1) are checked the same way, and
+so is the error of a sample point whose own terms fail. The index arithmetic is checked
 against itertools.combinations, and a work guard keeps certify at one
 image per sample point.
 """
 
 import math
+import sys
 from itertools import combinations
 from unittest import mock
 
@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bfixpoint import quasicontraction as qc
-from bfixpoint.bspace import BMetricSpace, make_matrix_space, make_power_space
+from bfixpoint.bspace import make_matrix_space, make_power_space
 from bfixpoint.quasicontraction import (
     certify,
     five_term_max,
@@ -39,21 +39,9 @@ from bfixpoint.setops import hausdorff
 SETTINGS = settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 
 
-REAL_DIST = BMetricSpace.dist
-
-
-def dist_or_inf(space, x, y):
-    """space.dist(x, y), or inf where pow raises OverflowError."""
-    try:
-        return REAL_DIST(space, x, y)
-    except OverflowError:
-        return math.inf
-
-
 def reference_certify(space, tmap, points, c, q):
     """(alpha_min, alpha41_min, worst_pair, worst_pair41, coverage): every
-    point checked, then pair by pair over combinations(points, 2), with a
-    power that overflows read as an infinite distance."""
+    point checked, then pair by pair over combinations(points, 2)."""
     pairs = list(combinations(points, 2))
     if not pairs:
         raise ValueError(f"certify needs at least two sample points, got {len(points)}")
@@ -61,24 +49,23 @@ def reference_certify(space, tmap, points, c, q):
         space.check_point(x)
     alpha_min = alpha41_min = 0.0
     worst = worst41 = pairs[0]
-    with mock.patch.object(BMetricSpace, "dist", dist_or_inf):
-        for x, y in pairs:
-            if x == y or space.dist(x, y) == 0.0:
-                raise ValueError(f"pair ({x!r}, {y!r}) is not distinct")
-            if not math.isfinite(space.dist(x, y)):
-                raise ValueError(f"sample pair ({x!r}, {y!r}) has non-finite distance {space.dist(x, y)}")
-            h = hausdorff(space, image_of(space, tmap, x), image_of(space, tmap, y))
-            n4, n5 = n_functional(space, tmap, c, q, x, y), five_term_max(space, tmap, x, y)
-            ratio, ratio41 = h / n4, h / n5
-            if not all(math.isfinite(v) for v in (n4, n5, ratio, ratio41)):
-                raise ValueError(
-                    f"pair ({x!r}, {y!r}) has non-finite contraction ratios (h / N = {h!r} / {n4!r} four-term, "
-                    f"{h!r} / {n5!r} five-term): the map cannot be certified"
-                )
-            if ratio > alpha_min:
-                alpha_min, worst = ratio, (x, y)
-            if ratio41 > alpha41_min:
-                alpha41_min, worst41 = ratio41, (x, y)
+    for x, y in pairs:
+        if x == y or space.dist(x, y) == 0.0:
+            raise ValueError(f"pair ({x!r}, {y!r}) is not distinct")
+        if not math.isfinite(space.dist(x, y)):
+            raise ValueError(f"sample pair ({x!r}, {y!r}) has non-finite distance {space.dist(x, y)}")
+        h = hausdorff(space, image_of(space, tmap, x), image_of(space, tmap, y))
+        n4, n5 = n_functional(space, tmap, c, q, x, y), five_term_max(space, tmap, x, y)
+        ratio, ratio41 = h / n4, h / n5
+        if not all(math.isfinite(v) for v in (n4, n5, ratio, ratio41)):
+            raise ValueError(
+                f"pair ({x!r}, {y!r}) has non-finite contraction ratios (h / N = {h!r} / {n4!r} four-term, "
+                f"{h!r} / {n5!r} five-term): the map cannot be certified"
+            )
+        if ratio > alpha_min:
+            alpha_min, worst = ratio, (x, y)
+        if ratio41 > alpha41_min:
+            alpha41_min, worst41 = ratio41, (x, y)
     coverage = "empirical"
     if space.kind == "matrix" and {frozenset(pr) for pr in combinations(range(space.n_points), 2)} <= set(
         map(frozenset, pairs)
@@ -331,15 +318,48 @@ class TestScreenEdges:
         assert_same_certificate(*problem, c, q, block)
 
     def test_an_overflow_no_minimum_needs_reads_inf(self):
-        # d(0, 6.1e102) = 6.1e102**3 overflows in pow, though neither minimum
-        # it enters takes it: its block is evaluated in full, the entry reads
-        # inf, and the pair certifies as in the reference
+        # d(0, 6.1e102) = 6.1e102**3 is beyond the float range, though
+        # neither minimum it enters takes it: dist reads it as inf, and the
+        # pair certifies as in the reference
         space = make_power_space(1, 3.0)
         tmap = make_branch_map(space, [([[0.5]], [0.0]), ([[1.0]], [3.1e102])])
-        with pytest.raises(OverflowError):
-            space.dist((0.0,), (6.1e102,))
+        assert space.dist((0.0,), (6.1e102,)) == math.inf
         for block in (1, 9, 40, qc._BLOCK_DISTANCES):
             assert assert_same_certificate(space, tmap, [(0.0,), (3e102,)], 0.5, 0.5, block)[0] == "ok"
+
+    @pytest.mark.parametrize("block", [1, 9, 40, qc._BLOCK_DISTANCES])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [0.5, 2.0, 3.0, 30.0])
+    def test_distances_straddling_the_float_range(self, p, dim, block):
+        # T(x) = {x/2, x/2 + o}, |o| = 1.1t, for points within 0.3t of 0:
+        # d(x, x/2 + o) and the distances between the two branches' images
+        # lie about 0.95t..1.25t apart, across the length t from which a
+        # distance (p >= 2) or a squared length (p < 2) leaves the float
+        # range. No minimum takes them, so every pair certifies.
+        space = make_power_space(dim, p)
+        t = sys.float_info.max ** (1.0 / max(p, 2.0))
+        half = [[0.5 * (i == j) for j in range(dim)] for i in range(dim)]
+        tmap = make_branch_map(space, [(half, [0.0] * dim), (half, [1.1 * t / math.sqrt(dim)] * dim)])
+        points = [tuple(0.05 * t * ((k * (3 + r)) % 7) for r in range(dim)) for k in range(7)]
+        assert assert_same_certificate(space, tmap, points, 0.5, 0.5, block)[0] == "ok"
+        lengths = [math.dist(u, v) for x in points for u in image_of(space, tmap, x).elements for v in points]
+        assert any(0.95 * t < r < t for r in lengths) and any(t < r < 1.05 * t for r in lengths)
+
+    def test_squares_beyond_the_float_range_are_not_screened(self):
+        # T((1, 1)) = {P, Q} and T((2, 2)) = {0}: |P|**2 sums to the largest
+        # float and |Q|**2 to inf, yet math.dist puts Q nearer 0. A screen
+        # would read Q's row as the smaller and miss h = d(P, 0), so a block
+        # with a squared length beyond the float range is evaluated in full
+        p_, q_ = (3.886656940083618e153, 1.2832116400513651e154), (1.0047038477553777e154, 8.878419415458218e153)
+        assert p_[0] ** 2 + p_[1] ** 2 == sys.float_info.max and q_[0] ** 2 + q_[1] ** 2 == math.inf
+        for p in (0.5, 1.0, 1.5):
+            space = make_power_space(2, p)
+            assert space.dist(p_, (0.0, 0.0)) > space.dist(q_, (0.0, 0.0))
+            tmap = make_branch_map(space, [([[-u[0], 0.0], [0.0, -u[1]]], [2 * u[0], 2 * u[1]]) for u in (p_, q_)])
+            assert image_of(space, tmap, (1.0, 1.0)).elements == (p_, q_)
+            for block in (1, 9, qc._BLOCK_DISTANCES):
+                got = assert_same_certificate(space, tmap, [(1.0, 1.0), (2.0, 2.0)], 0.0, 0.0, block)
+                assert got[0] == "ok" and got[1][0] == space.dist(p_, (0.0, 0.0)) / space.dist((1.0, 1.0), (2.0, 2.0))
 
     @pytest.mark.parametrize("p", [0.05, 3.0, 30.0])
     def test_mirrored_branches_tie_exactly(self, p):

@@ -166,6 +166,24 @@ class TestRunOrbit:
         assert trace.status == "ratio_violation" and trace.violation_step == 1
         assert trace.points == ((1.0, 0.0), (1e300, 0.0)) and trace.residual == math.inf
 
+    def test_an_x1_at_an_infinite_distance_is_named(self):
+        # T(0) = {1, 2e154} on the squared line: the residual is 1, but
+        # d(0, 2e154) = 4e308 is beyond the float range, which would make
+        # the first step inf and the orbit look converged
+        tmap = make_branch_map(QUAD, [([[0.5]], [1.0]), ([[0.5]], [2e154])])
+        with pytest.raises(OverflowError, match=r"^x1 = \(2e\+154,\) is at an infinite distance from x0 = \(0.0,\)$"):
+            run_orbit(QUAD, tmap, 0.0, 0.0, 0.5, (0.0,), x1=(2e154,))
+
+    def test_an_infinite_n_fails_the_selection_check(self):
+        # x -> 0.9x + 1e154 on the squared line from 0: d_0 = 1e308, and
+        # d_1 = 8.1e307 keeps the decay gamma = 0.45/0.55 but not beta*d_0,
+        # so N is read: its cross term d(0, T(1e154)) = (1.9e154)**2 is
+        # beyond the float range, and no ratio to an infinite N is checked
+        tmap = make_branch_map(QUAD, [([[0.9]], [1e154])])
+        trace = run_orbit(QUAD, tmap, 0.0, 1.0, 0.4, (0.0,), beta=0.45, max_iter=5)
+        assert QUAD.dist((0.0,), (1.9e154,)) == math.inf
+        assert (trace.status, trace.violation_step, trace.steps) == ("ratio_violation", 1, (1e308,))
+
     def test_constant_map_converges_quickly(self):
         tmap = make_branch_map(QUAD, [([[0.0]], [2.0])])
         trace = run_orbit(QUAD, tmap, 0.0, 0.0, 0.5, (7.0,), tol=1e-12)

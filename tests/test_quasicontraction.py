@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bfixpoint import quasicontraction as qc
 from bfixpoint.bspace import make_matrix_space, make_power_space
+from bfixpoint.orbit import run_orbit, verify_fixed_point
 from bfixpoint.quasicontraction import (
     MAX_BRANCH_TERMS,
     certifies,
@@ -88,6 +89,48 @@ BAD_ARGUMENTS = {
 @pytest.mark.parametrize("case", BAD_ARGUMENTS)
 def test_bad_argument_rejected(case):
     call, message = BAD_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def four_points():
+    return make_matrix_space(4, [[0.0 if i == j else 1.0 for j in range(4)] for i in range(4)], 1.0)
+
+
+PLANE = make_power_space(2, 2.0)
+LINE_MAP = make_table_map(line_space(), {0: [0], 1: [0], 2: [1]})  # a table map of 3 points
+PLANE_MAP = make_branch_map(PLANE, [scaling(2, 0.5, 0.0)])
+TABLE_ON_FOUR = "^a table map of 3 points does not fit the matrix space of 4 points$"
+
+# a map used on a space it was not built for: (call, message)
+MISFITS = {
+    "table-certify": (lambda: certify(four_points(), LINE_MAP, range(4), 0.5, 0.5), TABLE_ON_FOUR),
+    "table-image": (lambda: image_of(four_points(), LINE_MAP, 3), TABLE_ON_FOUR),
+    "table-orbit": (lambda: run_orbit(four_points(), LINE_MAP, 0.5, 0.5, 0.5, 3), TABLE_ON_FOUR),
+    "table-fixed-points": (lambda: enumerate_fixed_points(four_points(), LINE_MAP), TABLE_ON_FOUR),
+    "table-verify": (lambda: verify_fixed_point(four_points(), LINE_MAP, 3, 1e-9), TABLE_ON_FOUR),
+    "line-map-on-matrix-space": (
+        lambda: certify(four_points(), SHRINK, range(4), 0.5, 0.5),
+        "^a branch map of dimension 1 does not fit the matrix space of 4 points$",
+    ),
+    "plane-map-certified-on-a-line": (
+        lambda: certify(QUAD, PLANE_MAP, GRID, 0.5, 0.5),
+        "^a branch map of dimension 2 does not fit the power space of dimension 1$",
+    ),
+    "plane-map-run-on-a-line": (
+        lambda: run_orbit(QUAD, PLANE_MAP, 0.5, 0.5, 0.5, (1.0,)),
+        "^a branch map of dimension 2 does not fit the power space of dimension 1$",
+    ),
+    "line-map-on-the-plane": (
+        lambda: certify(PLANE, SHRINK, [(0.0, 0.0), (1.0, 2.0)], 0.5, 0.5),
+        "^a branch map of dimension 1 does not fit the power space of dimension 2$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MISFITS)
+def test_a_map_built_for_another_space(case):
+    call, message = MISFITS[case]
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -130,6 +130,11 @@ class TestPaperExample:
         save(sc, path)
         assert load(path) == sc
 
+    def test_not_equal_to_another_type(self):
+        sc = paper_example()
+        assert sc.__eq__(0) is NotImplemented
+        assert sc != 0 and not sc == 0
+
     def test_digest_stable(self):
         assert scenario_digest(paper_example()) == scenario_digest(paper_example())
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bfixpoint.bspace import make_matrix_space, make_power_space
@@ -44,6 +46,15 @@ class TestPointSet:
         sp = make_matrix_space(2, [[0.0, 1.0], [1.0, 0.0]], 1.0)
         with pytest.raises(ValueError, match="out of range"):
             make_point_set(sp, [0, 5])
+
+
+    def test_points_at_an_infinite_distance(self):
+        # |1e200 - -1e200|**2 is beyond the float range: the two points are
+        # distinct, at distance inf, as is every pair across the two sets
+        space = make_power_space(1, 2.0)
+        a, b = pset(space, 1e200, -1e200), pset(space, 3e200, -3e200)
+        assert space.dist(*a.elements) == math.inf
+        assert hausdorff(space, a, b) == math.inf
 
 
 class TestDistPointSet:
