@@ -211,30 +211,37 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
     return BMetricSpace(kind="matrix", s=s, matrix=m)
 
 
-def _sample_table(space: BMetricSpace, sample) -> tuple[list, np.ndarray]:
-    """The sample, an iterable of points read once, as a list with every
-    point checked (check_point), and its _distance_table."""
+def _sample_table(space: BMetricSpace, sample, pair_dists=None) -> tuple[list, np.ndarray]:
+    """The sample, an iterable of points read once, as a list, and its
+    _distance_table (from pair_dists if given). Every point is checked
+    (check_point), unless pair_dists is given: its points are certify's,
+    which checked them."""
     sample = list(sample)
-    for x in sample:
-        space.check_point(x)
-    return sample, _distance_table(space, sample)
+    if pair_dists is None:
+        for x in sample:
+            space.check_point(x)
+    return sample, _distance_table(space, sample, pair_dists)
 
 
-def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
+def _distance_table(space: BMetricSpace, sample: list, pair_dists=None) -> np.ndarray:
     """The n x n table d(sample[i], sample[j]), each entry equal to dist
-    bit for bit up to the sign of a zero: the n(n-1)/2 pairs i < j are
-    evaluated in one dists call and mirrored, and the diagonal is 0.0. Every
-    space is symmetric (a power space exactly: fl(a - b) is -fl(b - a)), and
-    d(x, x) is 0: 0.0**p is 0, and a matrix diagonal is 0.0 or -0.0.
+    bit for bit up to the sign of a zero: the n(n-1)/2 pairs i < j, in
+    row-major order, are mirrored, and the diagonal is 0.0. They are
+    pair_dists if given (certify's d(x, y) in combinations order, the same
+    dists entries), else evaluated in one dists call. Every space is
+    symmetric (a power space exactly: fl(a - b) is -fl(b - a)), and d(x, x)
+    is 0: 0.0**p is 0, and a matrix diagonal is 0.0 or -0.0.
 
     A distance beyond the float range names its pair (the first in index
     order, with i < j) here, before any check or reduction does arithmetic
     on it."""
     n = len(sample)
-    table = space.point_table(sample)
     upper = np.triu_indices(n, 1)
+    if pair_dists is None:
+        table = space.point_table(sample)
+        pair_dists = space.dists(table[upper[0]], table[upper[1]])
     dmat = np.zeros((n, n))
-    dmat[upper] = dmat.T[upper] = space.dists(table[upper[0]], table[upper[1]])
+    dmat[upper] = dmat.T[upper] = pair_dists
     if not np.isfinite(dmat).all():
         i, j = map(int, np.argwhere(~np.isfinite(dmat))[0])
         raise ValueError(f"sample pair ({sample[i]!r}, {sample[j]!r}) has non-finite distance {dmat[i, j]}")
@@ -322,17 +329,7 @@ def _triangle_is_theorem(space: BMetricSpace, dmat: np.ndarray, tol: float) -> b
     return np.count_nonzero(dmat < 4.0 * _TINY ** min(space.p, 1.0)) == len(dmat)
 
 
-def _coincide(sample: list) -> np.ndarray:
-    """The n x n mask of power-space sample points that coincide: every
-    coordinate within COORD_TOL."""
-    close = np.ones((len(sample), len(sample)), dtype=bool)
-    with np.errstate(all="ignore"):
-        for xs in np.array(sample, dtype=float).T:
-            close &= np.abs(xs[:, None] - xs[None, :]) <= COORD_TOL
-    return close
-
-
-def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0) -> AxiomReport:
+def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0, *, _pair_dists=None) -> AxiomReport:
     """Check the b-metric axioms on every ordered pair/triple of the sample,
     an iterable of points read once (symmetry holds in every space by
     construction, and identity in a matrix space):
@@ -350,7 +347,11 @@ def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0) -> AxiomReport:
     A sample distance that is not finite (finite coordinates can overflow)
     is an error: ValueError names the first such pair.
 
-    On n points this evaluates n(n-1)/2 dists entries (see _distance_table).
+    On n points this evaluates n(n-1)/2 dists entries (see _distance_table),
+    none if the private _pair_dists is given: the float64 vector of the
+    n(n-1)/2 distances d(x, y) in itertools.combinations(sample, 2) order,
+    as certify fills it on the same sample, whose points certify has
+    checked, so they are not checked again.
     In a power space whose s is at least max(1, 2**(p-1)) the relaxed
     triangle is a theorem for the exact distances, so only rounding can
     break it. Where the table's off-diagonal entries are normal floats and
@@ -362,7 +363,7 @@ def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0) -> AxiomReport:
     """
     if not 0.0 <= tol < math.inf:  # a nan tol would pass every check
         raise ValueError(f"tol must be >= 0 and finite, got {tol}")
-    sample, dmat = _sample_table(space, sample)
+    sample, dmat = _sample_table(space, sample, _pair_dists)
     if not sample:
         raise ValueError("sample must be nonempty")
 
@@ -372,11 +373,18 @@ def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0) -> AxiomReport:
 
     # identity for every ordered pair (i, j), in index order: equal points
     # are at distance 0 (0.0**p is 0), so only a zero between points that do
-    # not coincide fails; a matrix space has none, its off-diagonal entries
-    # are checked positive
+    # not coincide (some coordinate apart by more than COORD_TOL) fails; a
+    # matrix space has none, its off-diagonal entries are checked positive.
+    # The diagonal coincides, and only the zeros off it are compared.
     if space.kind == "power":
-        for i, j in np.argwhere((dmat <= tol) & ~_coincide(sample)).tolist():
-            violations.append(AxiomViolation("identity", (sample[i], sample[j]), float(dmat[i, j]), 0.0))
+        zeros = np.argwhere(dmat <= tol)
+        zeros = zeros[zeros[:, 0] != zeros[:, 1]]
+        if len(zeros):
+            xs = np.array(sample, dtype=float)
+            with np.errstate(all="ignore"):
+                apart = ~(np.abs(xs[zeros[:, 0]] - xs[zeros[:, 1]]) <= COORD_TOL).all(axis=1)
+            for i, j in zeros[apart].tolist():
+                violations.append(AxiomViolation("identity", (sample[i], sample[j]), float(dmat[i, j]), 0.0))
 
     # Relaxed triangle, unless no triple can fail: the right-hand side
     # s*(a + b) + tol never falls as the sum a + b grows, rounding included,

@@ -46,14 +46,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _certified(scenario_arg: str, seed: int | None) -> tuple[Scenario, list, ContractionCertificate, dict]:
+def _certified(
+    scenario_arg: str, seed: int | None, pair_dists: bool = False
+) -> tuple[Scenario, list, ContractionCertificate, dict, np.ndarray | None]:
     """The set-up every command shares: resolve the scenario, certify it on
     its sample points (returned too), and check the hypotheses at its
-    declared alpha."""
+    declared alpha. With pair_dists, certify also fills in the distances of
+    the sample pairs (certify's _pair_dists), returned last; else None."""
     sc = builtin(scenario_arg, seed) if scenario_arg in BUILTIN_NAMES else load(scenario_arg)
     pts = sample_points(sc)
-    cert = certify(sc.space, sc.map, pts, sc.params.c, sc.params.q)
-    return sc, pts, cert, check_hypotheses(cert, sc.params.alpha)
+    dists = np.empty(len(pts) * (len(pts) - 1) // 2) if pair_dists else None
+    cert = certify(sc.space, sc.map, pts, sc.params.c, sc.params.q, _pair_dists=dists)
+    return sc, pts, cert, check_hypotheses(cert, sc.params.alpha), dists
 
 
 def _cert_obj(sc: Scenario, cert: ContractionCertificate, hyp: dict, gamma: float | None = None) -> dict:
@@ -158,7 +162,7 @@ def cmd_run(
     for name in ("report.json", "trace.csv", "trace.json"):
         (out / name).unlink(missing_ok=True)
 
-    sc, _pts, cert, hyp = _certified(scenario_arg, seed)
+    sc, _pts, cert, hyp, _ = _certified(scenario_arg, seed)
     # the overrides pass the scenario's own checks; the report keeps the
     # digest of the scenario as loaded
     run = replace(sc, tol=sc.tol if tol is None else tol, max_iter=sc.max_iter if max_iter is None else max_iter)
@@ -212,15 +216,16 @@ def cmd_run(
 
 
 def cmd_verify(scenario_arg: str, seed: int | None = None) -> int:
-    sc, pts, cert, hyp = _certified(scenario_arg, seed)
-    # zero is read up to VERIFY_TOL of the largest distance over the sample's pairs
-    axioms = verify_axioms(sc.space, pts, tol=VERIFY_TOL)
+    sc, pts, cert, hyp, dists = _certified(scenario_arg, seed, pair_dists=True)
+    # zero is read up to VERIFY_TOL of the largest distance over the sample's
+    # pairs, whose distances certify has evaluated
+    axioms = verify_axioms(sc.space, pts, tol=VERIFY_TOL, _pair_dists=dists)
     print(dumps_canonical({"axioms": _axiom_obj(axioms), "certificate": _cert_obj(sc, cert, hyp)}))
     return 0 if axioms.passed and hyp["thm33"]["applicable"] else 1
 
 
 def cmd_compare(scenario_arg: str, seed: int | None = None) -> int:
-    sc, _pts, cert, hyp = _certified(scenario_arg, seed)
+    sc, _pts, cert, hyp, _ = _certified(scenario_arg, seed)
     conditions = side_conditions(cert, sc.params.alpha)
     rows = []
     for name in ("thm33", "thm41"):

@@ -406,6 +406,9 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
     distance evaluations; the screen is quadratic only in the rows that
     cannot be ruled out, and holds at most _BLOCK_ENTRIES approximate
     values (or one row) at a time.
+
+    A Cauchy bound beyond the float range decides no check, and has no JSON
+    text: OverflowError names the first one, at m = 0, and d(x0, x1).
     """
     pts = trace.points
     steps = trace.steps
@@ -415,6 +418,11 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
     if steps:
         cert = cauchy_series(trace.gamma, space.s, first_step=steps[0])
         bounds = np.array(cauchy_bounds(cert, n - 1))  # row m's bound
+        if bounds[0] == inf:  # every later bound is this one times gamma**m
+            raise OverflowError(
+                f"the Cauchy bound at m = 0, d(x0, x1)*S/(1 - gamma) with d(x0, x1) = {steps[0]!r},"
+                f" S = {cert.series_sum!r} and gamma = {trace.gamma!r}, is beyond the float range"
+            )
         table = space.point_table(pts)
         coords = None if space.kind == "matrix" else (
             np.fromiter(chain.from_iterable(pts), float, n * space.dim).reshape(n, -1).T.copy())

@@ -318,8 +318,9 @@ def _block_terms(space, table, coords, rows, dxt, xi, yi, c, q) -> tuple:
 
 
 def _term_blocks(space, tmap, c, q, points):
-    """Yield (xi, yi, d_xy, h, n4, n5) for consecutive blocks of the pairs
-    (points[xi[b]], points[yi[b]]), in combinations order (_block_terms).
+    """Yield (lo, xi, yi, d_xy, h, n4, n5) for consecutive blocks of the
+    pairs (points[xi[b]], points[yi[b]]), in combinations order
+    (_block_terms), lo the number of pairs before the block.
 
     T(x) is computed once for each sample point, and the points and their
     images go into one point table. Every d(x, T(x)) comes from one dists
@@ -344,7 +345,7 @@ def _term_blocks(space, tmap, c, q, points):
     step = max(1, _BLOCK_DISTANCES // w**2)
     for lo in range(0, total, step):
         xi, yi = _pair_indices(n, lo, min(lo + step, total))
-        yield xi, yi, *_block_terms(space, table, coords, rows, dxt, xi, yi, c, q)
+        yield lo, xi, yi, *_block_terms(space, table, coords, rows, dxt, xi, yi, c, q)
 
 
 def _pair_error(x: Point, y: Point, d_xy: float, h: float, n4: float, n5: float) -> ValueError:
@@ -361,7 +362,9 @@ def _pair_error(x: Point, y: Point, d_xy: float, h: float, n4: float, n5: float)
     )
 
 
-def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float) -> ContractionCertificate:
+def certify(
+    space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float, *, _pair_dists=None
+) -> ContractionCertificate:
     """Smallest feasible contraction coefficients over every pair of a point
     sample, in the order of itertools.combinations(points, 2):
 
@@ -385,6 +388,11 @@ def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float)
     result, worst pairs (the first to attain each maximum) and errors
     included, equals the pair-by-pair loop over hausdorff, n_functional and
     five_term_max.
+
+    The private _pair_dists, a float64 vector of n(n-1)/2 entries on n
+    points, receives a copy of every pair's d(x, y) in combinations order:
+    the upper triangle of the sample's distance table, which verify_axioms
+    then reads, with the points checked here, in place of evaluating it.
     """
     points = list(points)
     n = len(points)
@@ -397,7 +405,7 @@ def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float)
     alpha_min = alpha41_min = 0.0
     worst = worst41 = (points[0], points[1])
     with np.errstate(all="ignore"):
-        for xi, yi, d_xy, h, n4, n5 in _term_blocks(space, tmap, c, q, points):
+        for lo, xi, yi, d_xy, h, n4, n5 in _term_blocks(space, tmap, c, q, points):
             ratio, ratio41 = h / n4, h / n5
             failed = ~((d_xy > 0.0) & np.isfinite([n4, n5, ratio, ratio41]).all(axis=0))
             if failed.any():
@@ -408,6 +416,8 @@ def certify(space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float)
                 alpha_min, worst = float(ratio[i]), (points[xi[i]], points[yi[i]])
             if ratio41[j] > alpha41_min:
                 alpha41_min, worst41 = float(ratio41[j]), (points[xi[j]], points[yi[j]])
+            if _pair_dists is not None:
+                _pair_dists[lo : lo + len(xi)] = d_xy
 
     # every pair is certified, so on a finite space the points are distinct ids
     finite = space.kind == "matrix"

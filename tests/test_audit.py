@@ -60,6 +60,11 @@ def reference_audit(space, trace):
         return audit
     cert = cauchy_series(trace.gamma, space.s, first_step=steps[0])
     bound = cert.first_step * cert.series_sum / (1.0 - cert.gamma)
+    if bound == math.inf:  # it and every later bound, bound * gamma**m, decide nothing
+        raise OverflowError(
+            f"the Cauchy bound at m = 0, d(x0, x1)*S/(1 - gamma) with d(x0, x1) = {steps[0]!r},"
+            f" S = {cert.series_sum!r} and gamma = {trace.gamma!r}, is beyond the float range"
+        )
     for m in range(len(pts) - 1):
         for k in range(1, len(pts) - m):
             actual = space.dist(pts[m + 1], pts[m + k])

@@ -497,16 +497,19 @@ def test_triangle_scans_only_where_rounding_can_break_it(monkeypatch):
 
 
 def test_verify_command_reads_verify_tol(monkeypatch, capsys):
-    tols = []
+    tols, sizes = [], []
 
-    def recorded(space, sample, tol=0.0):
+    def recorded(space, sample, tol=0.0, **private):
         tols.append(tol)
-        return verify_axioms(space, sample, tol)
+        sizes.append(len(private["_pair_dists"]))
+        return verify_axioms(space, sample, tol, **private)
 
     monkeypatch.setattr(cli, "verify_axioms", recorded)
     cli.main(["verify", "--scenario", "paper-example"])
     capsys.readouterr()
+    n = len(sample_points(builtin("paper-example")))
     assert tols == [VERIFY_TOL]
+    assert sizes == [n * (n - 1) // 2]  # certify's distances, one per sample pair
 
 
 @pytest.mark.parametrize("check", [verify_axioms, estimate_min_s])
@@ -930,15 +933,16 @@ def test_certify_work_per_point_and_pair(monkeypatch):
             assert entries == want < full
 
 
-def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
-    """bfixpoint verify on n points evaluates the dists entries of certify on
-    its sample and those of verify_axioms' table, nothing more: the
-    n(n-1)/2 pairs i < j, in a power space and a matrix space alike. certify
-    evaluates one entry per image element (the residuals d(x, T(x))), then
-    n(n-1)/2 * (1 + w)**2 block entries on a matrix space or with
-    one-element images, and fewer where its screen applies (the 2-D
-    sample). A builtin is resolved uncounted: random-finite's generation
-    runs certify rounds of its own."""
+def test_verify_work_is_certify_alone(monkeypatch, tmp_path, capsys):
+    """bfixpoint verify on n points evaluates exactly the dists entries of
+    certify on its sample, and checks each sample point once: verify_axioms
+    builds its table from certify's pair distances, with no entry of its
+    own, in a power space and a matrix space alike. certify evaluates one
+    entry per image element (the residuals d(x, T(x))), then n(n-1)/2 *
+    (1 + w)**2 block entries on a matrix space or with one-element images,
+    and fewer where its screen applies (the 2-D sample). A scenario is
+    resolved uncounted: random-finite's generation runs certify rounds of
+    its own, and a Scenario checks its points when built."""
     plane = make_power_space(2, 1.5)
     # both branches fix the origin, the one sample point with a single image
     shear, lift = ([[0.5, 0.1], [0.0, 0.5]], [0.0, 0.0]), ([[0.5, 0.0], [0.2, 0.5]], [0.0, 0.0])
@@ -951,20 +955,28 @@ def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
         ),
         path,
     )
-    real_builtin, real_dists = cli.builtin, BMetricSpace.dists
-    counting, entries = [True], [0]
+    real_builtin, real_load = cli.builtin, cli.load
+    real_dists, real_check = BMetricSpace.dists, BMetricSpace.check_point
+    counting, entries, checks = [True], [0], [0]
 
-    def uncounted_builtin(*args):
-        counting[0] = False
-        try:
-            return real_builtin(*args)
-        finally:
-            counting[0] = True
+    def uncounted(resolve):
+        def resolved(*args):
+            counting[0] = False
+            try:
+                return resolve(*args)
+            finally:
+                counting[0] = True
+
+        return resolved
 
     def counted_dists(self, xs, ys):
         out = real_dists(self, xs, ys)
         entries[0] += out.size if counting[0] else 0
         return out
+
+    def counted_check(self, x):
+        checks[0] += counting[0]
+        return real_check(self, x)
 
     for argv, sc in (
         (["--scenario", "paper-example"], real_builtin("paper-example")),
@@ -982,10 +994,12 @@ def test_verify_work_is_certify_plus_one_table(monkeypatch, tmp_path, capsys):
         certified = entries[0]
         blocks = certified - sum(sizes)
         assert blocks == full if sc.space.kind == "matrix" or w == 1 else 0 < blocks < full
-        entries[0] = 0
+        entries[0] = checks[0] = 0
         with monkeypatch.context() as m:
-            m.setattr(cli, "builtin", uncounted_builtin)
+            m.setattr(cli, "builtin", uncounted(real_builtin))
+            m.setattr(cli, "load", uncounted(real_load))
             m.setattr(BMetricSpace, "dists", counted_dists)
+            m.setattr(BMetricSpace, "check_point", counted_check)
             cli.main(["verify", *argv])
         capsys.readouterr()
-        assert entries[0] == certified + n * (n - 1) // 2
+        assert (entries[0], checks[0]) == (certified, n)

@@ -435,6 +435,27 @@ def test_orbit_into_a_non_finite_image_is_invalid_input(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "p, x0, first_step, series_sum",
+    [(2.0, 2e154, "1e+308", "2191.929903737759"), (1.0, 1.5e308, "7.5e+307", "4.003199017273756")],
+)
+def test_an_infinite_cauchy_bound_is_invalid_input(tmp_path, capsys, fmt, p, x0, first_step, series_sum):
+    # x -> 0.5x certifies and converges from x0, but d(x0, x1)*S/(1 - gamma)
+    # is beyond the float range, and so every Cauchy bound checks nothing
+    scenario = dict(paper_scenario(), space={"kind": "power", "dim": 1, "p": p}, x0=[x0], tol=1e-9, max_iter=2000)
+    scenario["map"] = {"kind": "branches", "branches": [{"A": [[0.5]], "b": [0.0]}]}
+    out = tmp_path / "o"
+    argv = ["run", "--scenario", write_json(tmp_path / "sc.json", scenario), "--out", str(out), "--format", fmt]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: arithmetic failure (OverflowError: the Cauchy bound at m = 0, d(x0, x1)*S/(1 - gamma) with"
+        f" d(x0, x1) = {first_step}, S = {series_sum} and gamma = 0.95, is beyond the float range)\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "compare"])
 def test_out_of_memory_is_invalid_input(tmp_path, capsys, monkeypatch, command):
     # numpy raises _ArrayMemoryError, a MemoryError, for a table it cannot allocate
