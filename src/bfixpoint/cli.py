@@ -110,9 +110,8 @@ def _trace_rows(space, trace: OrbitTrace, row: str, sep: str, empty: str, point:
     first, the last and a row after a zero step, the bound without steps;
     an empty cell holds 0. %.17g and format_float both call
     PyOS_double_to_string, and numpy's division rounds as Python's does.
-    If a number or gamma is not finite, it is in the text (an empty cell
-    holds 0), and the first one there, found by a scan (no column name or
-    JSON keyword spells inf or nan), raises format_float's ValueError.
+    A run_orbit trace writes only finite numbers: a ratio is at most about
+    gamma (the decay check), and cauchy_bounds raises beyond the float range.
     """
     pts, steps = trace.points, np.array(trace.steps, dtype=float)
     n, k = len(pts), len(steps)  # n = k + 1
@@ -128,10 +127,7 @@ def _trace_rows(space, trace: OrbitTrace, row: str, sep: str, empty: str, point:
     variants = [row.format(n="%d", point=point, gamma=gamma, d_n=cell[d], ratio=cell[r], cauchy_bound_at_n=cell[b])
                 for d, r, b in product((False, True), repeat=3)]
     code = 4 * (np.arange(n) < k) + 2 * has_ratio + (k > 0)  # each row's variant
-    text = sep.join(map(variants.__getitem__, code.tolist())) % tuple(values.ravel().tolist())
-    if not (np.isfinite(values).all() and np.isfinite(trace.gamma)):
-        format_float(float(re.search("-?inf|nan", text).group()))
-    return text
+    return sep.join(map(variants.__getitem__, code.tolist())) % tuple(values.ravel().tolist())
 
 
 def _trace_csv(space, trace: OrbitTrace | None) -> str:

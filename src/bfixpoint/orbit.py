@@ -200,33 +200,38 @@ def run_orbit(
     )
 
 
-def chaining_bounds(steps, s: float):
-    """Yield s**ceil(log2 k) * sum(steps[:k]) for k = 1, 2, ..., len(steps),
-    the sum correctly rounded.
-
-    A finite step is m * 2**(e - 53), m a 53-bit integer and e its np.frexp
-    exponent. Shifted to the smallest e (0 if every e is larger), the m add
-    up as Python ints to every prefix sum exactly (accumulate of lshift),
-    and int true division rounds that correctly; a sum past the float range
-    raises OverflowError. From the first non-finite step on, a prefix sums
-    to inf, or nan after a nan. One lazy map yields the bounds, each (or
-    its error, s**ceil(log2 k) first) at its own prefix; a negative step
-    raises ValueError after the bounds before it.
+def chaining_bounds(steps, s: float) -> list:
+    """The bounds s**ceil(log2 k) * sum(steps[:k]) for k = 1 .. len(steps),
+    non-decreasing, from finite steps >= 0 and a finite s >= 1 (else
+    ValueError, naming the first bad step). A step is m * 2**(e - 53), m a
+    53-bit integer and e its np.frexp exponent; shifted to the smallest e (0
+    if every e is larger), the m add up as Python ints to every prefix sum
+    exactly, and int true division rounds that correctly. OverflowError
+    names the first k whose bound is beyond the float range, in its power,
+    its sum or their product.
     """
     a = np.asarray(steps, dtype=float)
-    if a.size and not s >= 1.0:
-        raise ValueError(f"s must be >= 1, got {s}")
-    negative, special = np.flatnonzero(a < 0), np.flatnonzero(~np.isfinite(a))
-    end = int(negative[0]) if negative.size else a.size
-    cut = min(end, int(special[0])) if special.size else end  # prefixes from cut on are inf or nan
-    mant, expo = np.frexp(a[:cut])
+    if a.size and not 1.0 <= s < inf:
+        raise ValueError(f"s must be >= 1 and finite, got {s}")
+    if (bad := np.flatnonzero(~(np.isfinite(a) & (a >= 0.0)))).size:
+        raise ValueError(f"step distances must be finite and non-negative, got d_{bad[0]} = {float(a[bad[0]])!r}")
+    mant, expo = np.frexp(a)
     low = int(expo.min(initial=0))
     sums = accumulate(map(operator.lshift, (mant * 2.0**53).astype(np.int64).tolist(), (expo - low).tolist()))
-    tails = np.cumsum(np.where(np.isfinite(a[cut:end]), 0.0, a[cut:end])).tolist()
-    powers = map(pow, repeat(s), map(int.bit_length, range(end)))  # s**ceil(log2 k)
-    yield from map(operator.mul, powers, chain(map(operator.truediv, sums, repeat(1 << (53 - low))), tails))
-    if end < a.size:
-        raise ValueError("step distances must be non-negative")
+    unit = 1 << (53 - low)
+
+    def bound(k: int, total: int) -> float:  # inf beyond the float range
+        try:
+            return s ** (k - 1).bit_length() * (total / unit)
+        except OverflowError:
+            return inf
+
+    bounds = list(map(bound, range(1, a.size + 1), sums))
+    if bounds and bounds[-1] == inf:  # the bounds never decrease
+        k = bounds.index(inf) + 1
+        raise OverflowError(f"the chaining bound at k = {k}, s**ceil(log2 k)*(d_0 + ... + d_{k - 1}) with s = {s!r},"
+                            " is beyond the float range")
+    return bounds
 
 
 def cauchy_series(gamma: float, s: float, first_step: float | None = None) -> CauchyCertificate:
@@ -236,17 +241,16 @@ def cauchy_series(gamma: float, s: float, first_step: float | None = None) -> Ca
     summation stops at relative _SERIES_CUTOFF (1e-16) or after
     _SERIES_TERMS (64) terms, far beyond what 64-bit floats can
     distinguish. Where s**(2n) alone leaves the float range, the term is
-    exp(2n*log(s) + 2**(n-1)*log(gamma)) (0 at gamma = 0). A term or a sum
-    beyond the float range raises OverflowError.
+    exp(2n*log(s) + 2**(n-1)*log(gamma)) (0 at gamma = 0). s and first_step
+    must be finite (ValueError); a sum beyond the float range is OverflowError.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0,1), got {gamma}")
-    if not s >= 1.0:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if first_step is not None and not first_step >= 0.0:
-        raise ValueError(f"first_step must be non-negative, got {first_step}")
-    total = 0.0
-    terms = 0
+    if not 1.0 <= s < inf:
+        raise ValueError(f"s must be >= 1 and finite, got {s}")
+    if first_step is not None and not 0.0 <= first_step < inf:
+        raise ValueError(f"first_step must be non-negative and finite, got {first_step}")
+    total, terms = 0.0, 0
     for n in range(1, _SERIES_TERMS + 1):
         try:
             t = (s ** (2 * n)) * (gamma ** (2 ** (n - 1)))
@@ -267,6 +271,8 @@ def cauchy_bounds(cert: CauchyCertificate, n: int) -> list:
 
     The power is accumulated multiplicatively, so consecutive bounds satisfy
     bound(m+1) = gamma * bound(m) exactly (and underflow cleanly to 0).
+    No later bound exceeds the first, and OverflowError names a first bound
+    beyond the float range with d(x0, x1), S and gamma.
     """
     if cert.first_step is None:
         raise ValueError("certificate has no first_step; rebuild with cauchy_series(gamma, s, d01)")
@@ -274,6 +280,11 @@ def cauchy_bounds(cert: CauchyCertificate, n: int) -> list:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     first = cert.first_step * cert.series_sum / (1.0 - cert.gamma)
+    if not first < inf:
+        raise OverflowError(
+            f"the Cauchy bound at m = 0, d(x0, x1)*S/(1 - gamma) with d(x0, x1) = {cert.first_step!r},"
+            f" S = {cert.series_sum!r} and gamma = {cert.gamma!r}, is beyond the float range"
+        )
     return list(islice(accumulate(repeat(cert.gamma), operator.mul, initial=first), n))
 
 
@@ -298,11 +309,11 @@ def _row_maxima(space: BMetricSpace, table: np.ndarray, coords, rows: np.ndarray
     exceeds what that error can reorder, so the true maximum is always a
     candidate. That error bound holds for normal floats, so a row is
     screened only if its largest value is a normal float and its exact
-    maximum is too (rounding to a subnormal result may
-    reorder near ties); values below the normal range elsewhere in the row
-    are too small to lead. Other rows (the last one, whose only value is
-    d(x_i, x_i) = 0, underflowing or overflowing distances, non-finite
-    coordinates) are left to the full check.
+    maximum is too (rounding to a subnormal result may reorder near ties);
+    values below the normal range elsewhere in the row are too small to
+    lead. Other rows (the last one, whose only value is d(x_i, x_i) = 0,
+    underflowing or overflowing distances, non-finite coordinates) are left
+    to the full check.
     """
     n = len(table)
     rel = 0.0 if space.kind == "matrix" else _screen_window(space.p)
@@ -342,12 +353,12 @@ def _ruled_out(space: BMetricSpace, table: np.ndarray, coords, bounds: np.ndarra
     (whose relative error grows by p/2 from squared lengths) and the
     division can move it, so d_hi covers every exact entry, and if d_hi /
     bounds[m] < lb no entry of the row can lead (rounded division is
-    monotone). The error bound holds
-    for normal floats, so a row is ruled out only if its bound, its squared
-    length and d_hi are finite positive normal floats: then no entry of it
-    overflows or is NaN, and a zero bound, the only source of violations,
-    is never ruled out. In one dimension the far corner is a point of the
-    orbit, so d_hi is tight. Matrix spaces rule out no row.
+    monotone). The error bound holds for normal floats, so a row is ruled
+    out only if its bound, its squared length and d_hi are positive normal
+    floats: then no entry of it overflows or is NaN, and a zero bound, the
+    only other source of violations, is never ruled out. In one dimension
+    the far corner is a point of the orbit, so d_hi is tight. Matrix spaces
+    rule out no row.
     """
     n = len(table)
     out = np.full(n - 1, np.nan)
@@ -372,13 +383,13 @@ def _ruled_out(space: BMetricSpace, table: np.ndarray, coords, bounds: np.ndarra
 def _worst_ratio(actual: np.ndarray, bound) -> tuple[float, int]:
     """The largest actual/bound and the violation count over exact
     distances and their bounds (one bound, or one per distance): a zero
-    distance passes, a nonzero one over a zero bound is a violation, and a
-    NaN ratio is ignored, as max(worst, nan) ignores it."""
+    distance passes; a nonzero one over a zero bound is a violation, and so
+    is a NaN ratio (a NaN distance, or inf/inf), which decides nothing."""
     actual, bound = np.broadcast_arrays(actual, bound)
     live, zero = actual != 0.0, bound == 0.0
     with np.errstate(all="ignore"):
         ratios = actual[live & ~zero] / bound[live & ~zero]
-    return float(np.fmax.reduce(ratios, initial=0.0)), int(np.count_nonzero(live & zero))
+    return float(np.fmax.reduce(ratios, initial=0.0)), int(np.count_nonzero(live & zero) + np.isnan(ratios).sum())
 
 
 def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
@@ -398,31 +409,21 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
     candidates of the other rows, a block of rows at a time, and
     space.dists confirms them (see _row_maxima); rows the screen cannot
     vouch for, and rows whose bound has underflowed to 0, are checked in
-    full, so the largest ratio, the violation count and any error raised
-    are those of the full pairwise scan. (The distances d(x_0, x_k) are
-    taken before the chaining bounds, which raise only for a negative
-    step.) Chaining bounds come from exact integer prefix sums
+    full, so the largest ratio and the violation count are those of the
+    full pairwise scan. Chaining bounds come from exact integer prefix sums
     (chaining_bounds). On an orbit of L points this takes O(L) exact
     distance evaluations; the screen is quadratic only in the rows that
     cannot be ruled out, and holds at most _BLOCK_ENTRIES approximate
-    values (or one row) at a time.
-
-    A Cauchy bound beyond the float range decides no check, and has no JSON
-    text: OverflowError names the first one, at m = 0, and d(x0, x1).
+    values (or one row) at a time. Every bound is finite: beyond the float
+    range a bound decides no check, and its maker raises OverflowError.
     """
-    pts = trace.points
-    steps = trace.steps
+    pts, steps = trace.points, trace.steps
     n = len(pts)  # a trace without steps has one point and no checks
-    cauchy = chaining = 0.0
-    violations = 0
+    cauchy, chaining, violations = 0.0, 0.0, 0
     if steps:
         cert = cauchy_series(trace.gamma, space.s, first_step=steps[0])
         bounds = np.array(cauchy_bounds(cert, n - 1))  # row m's bound
-        if bounds[0] == inf:  # every later bound is this one times gamma**m
-            raise OverflowError(
-                f"the Cauchy bound at m = 0, d(x0, x1)*S/(1 - gamma) with d(x0, x1) = {steps[0]!r},"
-                f" S = {cert.series_sum!r} and gamma = {trace.gamma!r}, is beyond the float range"
-            )
+        chain_bounds = np.fromiter(chaining_bounds(steps, space.s), float, n - 1)
         table = space.point_table(pts)
         coords = None if space.kind == "matrix" else (
             np.fromiter(chain.from_iterable(pts), float, n * space.dim).reshape(n, -1).T.copy())
@@ -435,7 +436,7 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
             row = _worst_ratio(space.dists(table[np.full(n - 1 - m, m + 1)], table[m + 1 :]), bounds[m])
             cauchy, violations = max(cauchy, row[0]), violations + row[1]
         from_x0 = space.dists(table[np.zeros(n - 1, np.intp)], table[1:])
-        chaining, chain_violations = _worst_ratio(from_x0, np.fromiter(chaining_bounds(steps, space.s), float))
+        chaining, chain_violations = _worst_ratio(from_x0, chain_bounds)
         violations += chain_violations
 
     slack = 1.0 + _AUDIT_SLACK

@@ -160,12 +160,14 @@ def make_branch_map(space: BMetricSpace, branches) -> SetValuedMap:
 def _check_map(space: BMetricSpace, tmap: SetValuedMap) -> None:
     """ValueError, naming both, for a map built for another space. A table
     map and a matrix space are told by their points, a branch map and a
-    power space by their dimension, so the two differ exactly on a misfit."""
-    fit = f"{len(tmap.table)} points" if tmap.kind == "table" else f"dimension {len(tmap.branches[0][1])}"
-    own = f"{space.n_points} points" if space.kind == "matrix" else f"dimension {space.dim}"
-    if fit != own:
-        kind = "table" if tmap.kind == "table" else "branch"
-        raise ValueError(f"a {kind} map of {fit} does not fit the {space.kind} space of {own}")
+    power space by their dimension, so a misfit differs in kind or size."""
+    table, matrix = tmap.kind == "table", space.kind == "matrix"
+    size = len(tmap.table) if table else len(tmap.branches[0][1])
+    own = space.n_points if matrix else space.dim
+    if table != matrix or size != own:
+        fit = f"table map of {size} points" if table else f"branch map of dimension {size}"
+        own = f"{own} points" if matrix else f"dimension {own}"
+        raise ValueError(f"a {fit} does not fit the {space.kind} space of {own}")
 
 
 def image_of(space: BMetricSpace, tmap: SetValuedMap, x: Point) -> PointSet:

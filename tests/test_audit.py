@@ -21,6 +21,7 @@ from bfixpoint.cli import bound_audit
 from bfixpoint.orbit import (
     OrbitTrace,
     _ruled_out,
+    _worst_ratio,
     cauchy_bounds,
     cauchy_series,
     chaining_bounds,
@@ -33,15 +34,30 @@ from bfixpoint.setops import dist_point_set
 SETTINGS = settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 
 
-def reference_chaining(prefix, s):
-    """The chaining bound of a prefix from the exact sum of its steps: inf,
-    or nan if a step is nan, when a step is not finite; a finite sum past
-    the float range raises OverflowError in the conversion."""
-    if all(map(math.isfinite, prefix)):
-        total = float(sum(map(Fraction, prefix)))
-    else:
-        total = math.nan if any(map(math.isnan, prefix)) else math.inf
-    return s ** (len(prefix) - 1).bit_length() * total
+def reference_chaining(steps, s):
+    """The chaining bound of every prefix k from the exact sum of its steps,
+    or the error: a step that is not finite and non-negative (the first one
+    named), or the first bound beyond the float range, whether its power,
+    its sum (OverflowError in the conversion) or their product leaves it."""
+    if steps and not 1.0 <= s < math.inf:
+        raise ValueError(f"s must be >= 1 and finite, got {s}")
+    for i, d in enumerate(steps):
+        if not 0.0 <= d < math.inf:
+            raise ValueError(f"step distances must be finite and non-negative, got d_{i} = {d!r}")
+    bounds, total = [], Fraction(0)
+    for k, d in enumerate(steps, start=1):
+        total += Fraction(d)
+        try:
+            bound = s ** (k - 1).bit_length() * float(total)
+        except OverflowError:
+            bound = math.inf
+        if bound == math.inf:
+            raise OverflowError(
+                f"the chaining bound at k = {k}, s**ceil(log2 k)*(d_0 + ... + d_{k - 1}) with s = {s!r},"
+                " is beyond the float range"
+            )
+        bounds.append(bound)
+    return bounds
 
 
 def reference_audit(space, trace):
@@ -65,24 +81,25 @@ def reference_audit(space, trace):
             f"the Cauchy bound at m = 0, d(x0, x1)*S/(1 - gamma) with d(x0, x1) = {steps[0]!r},"
             f" S = {cert.series_sum!r} and gamma = {trace.gamma!r}, is beyond the float range"
         )
+    chaining = reference_chaining(steps, space.s)
     for m in range(len(pts) - 1):
         for k in range(1, len(pts) - m):
             actual = space.dist(pts[m + 1], pts[m + k])
             audit["cauchy_checks"] += 1
             if actual == 0.0:
                 continue
-            if bound == 0.0:
+            if bound == 0.0 or math.isnan(actual / bound):  # a NaN ratio decides nothing
                 audit["violations"] += 1
                 continue
             audit["cauchy_ratio_max"] = max(audit["cauchy_ratio_max"], actual / bound)
         bound *= cert.gamma
     for k in range(1, len(pts)):
         actual = space.dist(pts[0], pts[k])
-        cb = reference_chaining(steps[:k], space.s)
+        cb = chaining[k - 1]
         audit["chaining_checks"] += 1
         if actual == 0.0:
             continue
-        if cb == 0.0:
+        if cb == 0.0 or math.isnan(actual / cb):
             audit["violations"] += 1
             continue
         audit["chaining_ratio_max"] = max(audit["chaining_ratio_max"], actual / cb)
@@ -326,7 +343,19 @@ class TestBoundAuditMatchesPairwise:
         ruled = ~np.isnan(_ruled_out(space, table, coords, bounds))
         assert not ruled[:25].any()  # rows m <= 24 hold x_25
         assert ruled[25:].any()
-        assert bound_audit(space, trace) == reference_audit(space, trace)
+        # the steps into and out of x_25 are not finite: the audit takes no such trace
+        error = (ValueError, f"step distances must be finite and non-negative, got d_24 = {trace.steps[24]!r}")
+        assert outcome(bound_audit, space, trace) == outcome(reference_audit, space, trace) == error
+
+    def test_a_nan_distance_is_a_violation(self):
+        # steps as given, but x_2 has a NaN coordinate: the NaN ratios of its
+        # distances decide nothing, so each counts as a violation
+        space = make_power_space(1, 2.0)
+        pts = ((1.0,), (0.5,), (math.nan,), (0.125,))
+        trace = OrbitTrace(pts, (0.25, 0.0625, 0.015625), 0.5, 0.5, "max_iter", None, 0.0)
+        audit = bound_audit(space, trace)
+        assert audit == reference_audit(space, trace)
+        assert audit["violations"] == 3 + 1 and audit["ok"] is False  # (x_1, x_2), (x_2, x_2), (x_2, x_3); (x_0, x_2)
 
     def test_empty_trace(self):
         space = make_power_space(1, 2.0)
@@ -353,59 +382,67 @@ class TestChainingBounds:
     @example(steps=[1e308, 1e308], s=2.0)  # the sum is out of range; each step is >= 2**53
     @example(steps=[5e-324] * 3, s=2.0)
     @example(steps=[1e-300, 1e300, 1e-300], s=2.0)
+    # a step that is not finite is named, the first one
     @example(steps=[1.0, math.inf, 1.0], s=2.0)
-    @example(steps=[1.0, math.nan], s=2.0)
+    @example(steps=[1.0, math.nan, math.inf], s=2.0)
     @example(steps=[0.0, 0.0], s=2.0)
     @example(steps=[0.995**k for k in range(1200)], s=2.0)
     # the correctly rounded sum is the largest float, 1.7976931348623157e+308 (math.fsum's
-    # partial sums overflow here); at s = 2 the bound is inf
+    # partial sums overflow here); at s = 2 the bound at k = 2 is beyond the float range
     @example(steps=TOP_OF_RANGE, s=2.0)
     @example(steps=TOP_OF_RANGE, s=1.0)
-    # the finite steps after an inf overflow on their own (math.fsum raises here)
-    @example(steps=[math.inf, 1e308, 1e308], s=2.0)
-    # s**ceil(log2 k) overflows at k = 3, after two bounds, on a finite and an inf prefix
+    # s**ceil(log2 k) overflows at k = 3, with every sum finite
     @example(steps=[1.0, 1.0, 1.0, 1.0], s=1e200)
-    @example(steps=[1.0, math.inf, 1.0], s=1e200)
+    @example(steps=[0.0, 0.0, 0.0], s=1e200)
     def test_every_prefix_bit_for_bit(self, steps, s):
-        steps = tuple(steps)
-        bounds = chaining_bounds(steps, s)
-        for k in range(1, len(steps) + 1):
-            got = outcome(next, bounds)
-            want = outcome(reference_chaining, steps[:k], s)
-            assert got == want or (math.isnan(got) and math.isnan(want))
-            if isinstance(want, tuple):
-                break  # the error ends both sequences
+        got = outcome(chaining_bounds, steps, s)
+        assert got == outcome(reference_chaining, steps, s)
+        if isinstance(got, list):
+            assert all(a <= b for a, b in zip(got, got[1:]))  # non-decreasing
 
     def test_errors_match_chaining_bound(self):
-        with pytest.raises(ValueError, match="s must be"):
-            next(chaining_bounds((1.0,), 0.5))
-        gen = chaining_bounds((1.0, -1.0), 2.0)
-        assert next(gen) == 1.0  # the chaining bound of the first step
-        with pytest.raises(ValueError, match="non-negative"):
-            next(gen)
+        with pytest.raises(ValueError, match="^s must be >= 1 and finite, got 0.5$"):
+            chaining_bounds((1.0,), 0.5)
+        with pytest.raises(ValueError, match="non-negative, got d_1 = -1.0$"):
+            chaining_bounds((1.0, -1.0), 2.0)
 
     @pytest.mark.parametrize(
         "steps, s, want, error",
         [
-            # a negative step after an inf raises at its own prefix, after the inf bound
-            ((math.inf, -1.0), 2.0, [math.inf], (ValueError, "non-negative")),
-            ((1.0, math.inf, 1.0, -0.5, 1.0), 2.0, [1.0, math.inf, math.inf], (ValueError, "non-negative")),
-            # at k = 3 both s**2 and the sum overflow; the power is taken first
-            ((1e308, 1.0, 1e308), 1e200, [1e308, math.inf], (OverflowError, "out of range")),
-            ((1e308, 1e308), 1e200, [1e308], (OverflowError, "too large for a float")),
+            # the first bad step is named, before any bound; want is the bounds of the steps before it
+            ((math.inf, -1.0), 2.0, [], (ValueError, "got d_0 = inf$")),
+            ((1.0, math.inf, 1.0, -0.5, 1.0), 2.0, [1.0], (ValueError, "got d_1 = inf$")),
+            # at k = 2 the product 1e200*(1e308 + 1) leaves the float range; want is the bounds before k
+            ((1e308, 1.0, 1e308), 1e200, [1e308], (OverflowError, r"^the chaining bound at k = 2, .* s = 1e\+200,")),
+            # at k = 2 the sum leaves it too
+            ((1e308, 1e308), 1e200, [1e308], (OverflowError, "at k = 2,")),
             # s**2 would overflow at k = 3, past the last step
             ((1.0, 1.0), 1e200, [1.0, 2e200], None),
         ],
     )
     def test_each_error_comes_at_its_own_prefix(self, steps, s, want, error):
-        gen = chaining_bounds(steps, s)
-        assert [next(gen) for _ in want] == want
+        assert chaining_bounds(steps[: len(want)], s) == want
         if error is None:
-            assert next(gen, "end") == "end"
-            assert list(chaining_bounds(steps, s)) == want
+            assert chaining_bounds(steps, s) == want
         else:
             with pytest.raises(error[0], match=error[1]):
-                next(gen)
+                chaining_bounds(steps, s)
+
+
+class TestWorstRatio:
+    @pytest.mark.parametrize(
+        "actual, bound, want",
+        [
+            ([math.inf], [math.inf], (0.0, 1)),  # inf/inf is NaN: a violation, never skipped
+            ([math.nan], [2.0], (0.0, 1)),
+            ([0.0], [0.0], (0.0, 0)),  # a zero distance passes, whatever its bound
+            ([1.0], [0.0], (0.0, 1)),
+            ([math.nan, 3.0, math.inf, 1.0], [2.0, 2.0, math.inf, 2.0], (1.5, 2)),
+            ([1.0, math.nan, 0.5], 0.25, (4.0, 1)),  # one bound for every distance
+        ],
+    )
+    def test_a_nan_ratio_is_a_violation(self, actual, bound, want):
+        assert _worst_ratio(np.array(actual), np.array(bound)) == want
 
 
 # -- run_orbit --------------------------------------------------------------

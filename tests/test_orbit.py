@@ -55,6 +55,14 @@ BAD_ARGUMENTS = {
     "chaining_bound-s": (lambda: list(chaining_bounds([1.0], 0.5)), "s must be >= 1"),
     "chaining_bound-negative-step": (lambda: list(chaining_bounds([1.0, -1.0], 2.0)), "non-negative"),
     "cauchy_series-s": (lambda: cauchy_series(0.5, 0.5), "s must be >= 1"),
+    # an infinite s used to sum to nan, where a sum beyond the float range is an OverflowError
+    "cauchy_series-inf-s": (lambda: cauchy_series(0.5, math.inf, 1.0), "^s must be >= 1 and finite, got inf$"),
+    # an infinite first step used to give the bounds [nan, nan, nan]
+    "cauchy_bounds-inf-first_step": (
+        lambda: cauchy_bounds(cauchy_series(0.0, 2.0, math.inf), 3), "^first_step must be non-negative and finite, got inf$"
+    ),
+    # an infinite s used to give the bounds [0.0, nan, inf]
+    "chaining_bound-inf-s": (lambda: chaining_bounds([0.0, 0.0, 1.0], math.inf), "^s must be >= 1 and finite, got inf$"),
     # True used to give one bound, and 2.5 and -1 islice's error, which does not name n
     "cauchy_bounds-bool-n": (
         lambda: cauchy_bounds(cauchy_series(0.5, 2.0, first_step=1.0), True), "^n must be an integer, got True$"
@@ -347,6 +355,17 @@ class TestCauchyBound:
     def test_monotone_nonincreasing(self):
         bounds = cauchy_bounds(cauchy_series(0.93, 2.0, first_step=0.4), 60)
         assert all(cur <= prev for prev, cur in zip(bounds, bounds[1:]))
+
+    def test_a_first_bound_beyond_the_float_range_raises(self):
+        # 1e308*S/(1 - 0.9): every later bound is this one times 0.9**m, so it is the one error
+        cert = cauchy_series(0.9, 1.0, first_step=1e308)
+        message = (
+            r"^the Cauchy bound at m = 0, d\(x0, x1\)\*S/\(1 - gamma\) with d\(x0, x1\) = 1e\+308,"
+            r" S = 3\.0173864756323394 and gamma = 0\.9, is beyond the float range$"
+        )
+        for n in (0, 3):
+            with pytest.raises(OverflowError, match=message):
+                cauchy_bounds(cert, n)
 
     def test_no_bounds(self):
         assert cauchy_bounds(cauchy_series(0.81, 2.0, first_step=0.01), 0) == []
