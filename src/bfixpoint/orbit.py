@@ -103,14 +103,14 @@ def run_orbit(
     of the admissible interval (alpha, min(1, 1/(q*s))). The first step, out
     of x0, goes through the loop as every other: x1 defaults to the closest
     element of T(x0), and a given x1 is read only once x0 has failed to
-    converge, and must be an element of T(x0). When no element of T(x0) is
-    at a finite distance from x0, OverflowError names both, before x1 is
-    read, as it does a given x1 at an infinite distance; at a later point
-    an infinite residual fails the decay check. Every later step is checked
-    against the certified decay d_n <= gamma*d_{n-1} (relative slack
-    _DECAY_SLACK, 1e-12) and the selection inequality d(x_cur, x_next) <
-    beta*N(x_prev, x_cur), with N finite where it is computed (see below); a
-    failed check ends the trace as "ratio_violation" at the offending step.
+    converge, and must be an element of T(x0). When no element of T(x_n) is
+    at a finite distance from a point x_n, OverflowError names both, before
+    max_iter or x1 is read, as it does a given x1 at an infinite distance
+    from x0. Every later step is checked against the certified decay d_n <=
+    gamma*d_{n-1} (relative slack _DECAY_SLACK, 1e-12) and the selection
+    inequality d(x_cur, x_next) < beta*N(x_prev, x_cur), with N finite where
+    it is computed (see below); a failed check ends the trace as
+    "ratio_violation" at the offending step.
 
     Stopping is by residual, not step size: a small step does not certify a
     fixed point, the residual is exactly what the fixed-point theorems bound.
@@ -162,6 +162,10 @@ def run_orbit(
         if residual <= tol:
             status = "converged"
             break
+        if residual == inf:  # no d(x_n, y) below inf: T(x_n) has no point at a finite distance
+            xn = f"x{len(steps)}"
+            raise OverflowError(f"no element of T({xn}) is at a finite distance from {xn} = {x_cur!r}:"
+                                f" T({xn}) = {t_cur!r}")
         if len(steps) >= max_iter:
             status = "max_iter"
             break
@@ -172,8 +176,6 @@ def run_orbit(
         # outputs leave unchanged
         step = residual
         if not steps:
-            if residual == inf:  # no d(x0, y) below inf: T(x0) has no point at a finite distance
-                raise OverflowError(f"no element of T(x0) is at a finite distance from x0 = {x0!r}: T(x0) = {t_cur!r}")
             if x1 is not None:
                 nxt = tuple(x1) if isinstance(x1, (list, tuple)) else x1
                 space.check_point(nxt)

@@ -214,7 +214,8 @@ def random_finite(
 _SEPARATION = 0.04  # cross-chain spacing; keeps positive distances far above tolerances
 _STOP_RADIUS = 0.06  # chain points inside this radius snap to the root
 _MAX_CHAINS = 2000  # chain starts a candidate may draw before it is rejected
-_BLOCK = 64  # chain starts drawn at once
+_BLOCK = 64  # chain starts in a placement's first block; each next block doubles
+_BLOCK_CAP = 512  # chain starts a block may grow to
 _RUN = 16  # chains rolled back in a row before a placement starts screening
 _SCREEN_STEPS = 6  # steps the screen follows a start; lam < 0.3 stops chains within 3
 _MARGIN = 1e-9  # relative margin on squared thresholds, far above their rounding
@@ -303,18 +304,23 @@ def _build_candidate(rng: SplitMix64, seed: int, n_points: int, p: float, alpha_
 def _place_chains(rng: SplitMix64, n_points: int, u, step, graft_tol: float):
     """Grow chains toward the root u until at least n_points are placed;
     returns (placed points, successor map). Each chain start takes two
-    draws, r0 and ang. They are read _BLOCK starts at a time, and the
+    draws, r0 and ang. They are read in blocks, _BLOCK starts first and
+    twice the last block's after every block up to _BLOCK_CAP, and the
     generator is advanced past the starts used, so it ends where one
     uniform() call per draw would leave it. From the first run of _RUN
     rollbacks on, each block gets a _Screen that takes every accepted chain,
-    and the starts it proves roll back skip the chain body."""
+    and the starts it proves roll back skip the chain body. A long
+    placement is mostly screened rollbacks, and the doubling keeps its
+    screens few (7 for 2000 starts), while one that ends within its first
+    _BLOCK starts reads only that block."""
     placed: list[tuple[float, float]] = [u]
     succ: dict[tuple[float, float], tuple[float, float]] = {u: u}
-    drawn = run = 0
+    drawn, run, size = 0, 0, _BLOCK
     while len(placed) < n_points:
         if drawn == _MAX_CHAINS:
             raise _PlacementError("could not place separated chains")
-        units = rng.peek_uniforms(2 * min(_BLOCK, _MAX_CHAINS - drawn))
+        units = rng.peek_uniforms(2 * min(size, _MAX_CHAINS - drawn))
+        size = min(2 * size, _BLOCK_CAP)
         # uniform(0.18, 0.5) and uniform(0, 2*pi): uniform's own affine step
         r0s = (0.18 + (0.5 - 0.18) * units[0::2]).tolist()
         angs = ((2.0 * pi) * units[1::2]).tolist()

@@ -436,6 +436,31 @@ def test_orbit_into_a_non_finite_image_is_invalid_input(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("max_iter", [1, 100])
+def test_an_infinite_residual_after_the_first_step_is_invalid_input(tmp_path, capsys, max_iter):
+    # T(x) = {(1e300*x_0, 0)} certifies on points with x_0 = 0 (alpha_min 0);
+    # from x0 = (1, 0), x1 = (1e300, 0) and T(x1) = {(inf, 0)}. The error
+    # comes before the budget: max_iter 1 would end the trace at x1, and 100
+    # would end it as a ratio_violation with an infinite residual
+    scenario = {
+        "space": {"kind": "power", "dim": 2, "p": 1.0},
+        "map": {"kind": "branches", "branches": [{"A": [[1e300, 0.0], [0.0, 0.0]], "b": [0.0, 0.0]}]},
+        "params": {"c": 0.0, "q": 0.0, "alpha": 0.5},
+        "x0": [1.0, 0.0],
+        "tol": 1e-10,
+        "max_iter": max_iter,
+        "sample": {"kind": "points", "pts": [[0.0, 0.0], [0.0, 1.0], [0.0, -1.0]]},
+    }
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", write_json(tmp_path / "sc.json", scenario), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: arithmetic failure (OverflowError: no element of T(x1) is at a finite distance from"
+        " x1 = (1e+300, 0.0): T(x1) = ((inf, 0.0),))\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "p, x0, first_step, series_sum",

@@ -136,12 +136,14 @@ def test_placement_equals_the_scalar_loop(n, monkeypatch):
             for alpha_cap in (0.45, 0.6):
                 want = placement(reference_place, seed, n, p, alpha_cap)
                 assert placement(block_place, seed, n, p, alpha_cap) == want, (seed, p, alpha_cap)
-    # blocks of 1 and 7 starts put block edges inside screened runs; a
-    # block of 1 builds a screen per start, so one placement per size
+    # first blocks of 1 and 7 starts, doubling up to caps of 1 to 512 starts,
+    # put block edges inside screened runs at every growth step and at the
+    # cap; a cap of 1 builds a screen per start, so one placement per size
     want = placement(reference_place, 0, n, 2.0, 0.6)
-    for block in (1, 7):
+    for block, cap in ((1, 1), (1, 2), (1, 16), (7, 7), (7, 16), (7, scenarios._BLOCK_CAP)):
         monkeypatch.setattr(scenarios, "_BLOCK", block)
-        assert placement(block_place, 0, n, 2.0, 0.6) == want, block
+        monkeypatch.setattr(scenarios, "_BLOCK_CAP", cap)
+        assert placement(block_place, 0, n, 2.0, 0.6) == want, (block, cap)
 
 
 def test_most_chains_of_a_failing_candidate_skip_the_chain_body(monkeypatch):
@@ -156,6 +158,28 @@ def test_most_chains_of_a_failing_candidate_skip_the_chain_body(monkeypatch):
     assert placement(block_place, 0, 40, 2.0, 0.6) == want
     assert want[0] == "could not place separated chains"
     assert 0 < len(calls) <= 60  # 29 of them accepted chains
+
+
+def test_a_failing_candidate_builds_one_screen_per_doubling(monkeypatch):
+    # the candidate above draws all 2000 starts and screens from its first
+    # block on: blocks of 64, 128, 256 and then 512 starts to the end, one
+    # _Screen each (32 with a block of 64 starts throughout)
+    screen, follow, sizes, calls = scenarios._Screen, scenarios._follow, [], []
+
+    class Counted(screen):
+        def __init__(self, zx, *args):
+            sizes.append(len(zx))
+            super().__init__(zx, *args)
+
+    def spy(*args):
+        calls.append(args[0])
+        return follow(*args)
+
+    monkeypatch.setattr(scenarios, "_Screen", Counted)
+    monkeypatch.setattr(scenarios, "_follow", spy)
+    assert placement(block_place, 0, 40, 2.0, 0.6)[0] == "could not place separated chains"
+    assert sizes == [64, 128, 256, 512, 512, 512, 16]
+    assert 0 < len(calls) <= 60
 
 
 def _screen(starts, placed, u=(0.2, 0.2), lam=0.1, theta=0.0, graft_tol=0.01):

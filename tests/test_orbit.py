@@ -165,14 +165,16 @@ class TestRunOrbit:
             with pytest.raises(OverflowError, match=message):
                 run_orbit(plane, tmap, 0.0, 0.0, 0.5, (1e10, 1e10), x1=x1, max_iter=1)
 
-    def test_infinite_residual_after_the_first_step_is_a_ratio_violation(self):
+    def test_infinite_residual_after_the_first_step_is_named(self):
         # T(x) = {(1e300 x_0, 0)}: x1 = (1e300, 0) from x0 = (1, 0), then
-        # (1e600, 0) overflows to inf, so d(x1, T(x1)) is inf
+        # (1e600, 0) overflows to inf, so d(x1, T(x1)) is inf; the rule of
+        # x0 holds at x1, before the budget (max_iter 1) is read
         plane = make_power_space(2, 1.0)
         tmap = make_branch_map(plane, [([[1e300, 0.0], [0.0, 0.0]], [0.0, 0.0])])
-        trace = run_orbit(plane, tmap, 0.0, 0.0, 0.5, (1.0, 0.0), max_iter=5)
-        assert trace.status == "ratio_violation" and trace.violation_step == 1
-        assert trace.points == ((1.0, 0.0), (1e300, 0.0)) and trace.residual == math.inf
+        message = r"^no element of T\(x1\) is at a finite distance from x1 = \(1e\+300, 0.0\): T\(x1\) = \(\(inf, 0.0\),\)$"
+        for max_iter in (1, 5):
+            with pytest.raises(OverflowError, match=message):
+                run_orbit(plane, tmap, 0.0, 0.0, 0.5, (1.0, 0.0), max_iter=max_iter)
 
     def test_an_x1_at_an_infinite_distance_is_named(self):
         # T(0) = {1, 2e154} on the squared line: the residual is 1, but
