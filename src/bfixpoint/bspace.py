@@ -211,37 +211,35 @@ def make_matrix_space(n: int, matrix, s: float) -> BMetricSpace:
     return BMetricSpace(kind="matrix", s=s, matrix=m)
 
 
-def _sample_table(space: BMetricSpace, sample, pair_dists=None) -> tuple[list, np.ndarray]:
+def _sample_table(space: BMetricSpace, sample, table=None) -> tuple[list, np.ndarray]:
     """The sample, an iterable of points read once, as a list, and its
-    _distance_table (from pair_dists if given). Every point is checked
-    (check_point), unless pair_dists is given: its points are certify's,
-    which checked them."""
+    _distance_table. A given table is returned as it is: certify's, filled
+    in on the same points, which it checked. Else every point is checked
+    (check_point)."""
     sample = list(sample)
-    if pair_dists is None:
+    if table is None:
         for x in sample:
             space.check_point(x)
-    return sample, _distance_table(space, sample, pair_dists)
+        table = _distance_table(space, sample)
+    return sample, table
 
 
-def _distance_table(space: BMetricSpace, sample: list, pair_dists=None) -> np.ndarray:
+def _distance_table(space: BMetricSpace, sample: list) -> np.ndarray:
     """The n x n table d(sample[i], sample[j]), each entry equal to dist
     bit for bit up to the sign of a zero: the n(n-1)/2 pairs i < j, in
-    row-major order, are mirrored, and the diagonal is 0.0. They are
-    pair_dists if given (certify's d(x, y) in combinations order, the same
-    dists entries), else evaluated in one dists call. Every space is
-    symmetric (a power space exactly: fl(a - b) is -fl(b - a)), and d(x, x)
-    is 0: 0.0**p is 0, and a matrix diagonal is 0.0 or -0.0.
+    row-major order, are evaluated in one dists call and mirrored, and the
+    diagonal is 0.0. Every space is symmetric (a power space exactly:
+    fl(a - b) is -fl(b - a)), and d(x, x) is 0: 0.0**p is 0, and a matrix
+    diagonal is 0.0 or -0.0.
 
     A distance beyond the float range names its pair (the first in index
     order, with i < j) here, before any check or reduction does arithmetic
     on it."""
     n = len(sample)
     upper = np.triu_indices(n, 1)
-    if pair_dists is None:
-        table = space.point_table(sample)
-        pair_dists = space.dists(table[upper[0]], table[upper[1]])
+    table = space.point_table(sample)
     dmat = np.zeros((n, n))
-    dmat[upper] = dmat.T[upper] = pair_dists
+    dmat[upper] = dmat.T[upper] = space.dists(table[upper[0]], table[upper[1]])
     if not np.isfinite(dmat).all():
         i, j = map(int, np.argwhere(~np.isfinite(dmat))[0])
         raise ValueError(f"sample pair ({sample[i]!r}, {sample[j]!r}) has non-finite distance {dmat[i, j]}")
@@ -329,7 +327,7 @@ def _triangle_is_theorem(space: BMetricSpace, dmat: np.ndarray, tol: float) -> b
     return np.count_nonzero(dmat < 4.0 * _TINY ** min(space.p, 1.0)) == len(dmat)
 
 
-def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0, *, _pair_dists=None) -> AxiomReport:
+def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0, *, _table=None) -> AxiomReport:
     """Check the b-metric axioms on every ordered pair/triple of the sample,
     an iterable of points read once (symmetry holds in every space by
     construction, and identity in a matrix space):
@@ -348,8 +346,7 @@ def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0, *, _pair_dists=
     is an error: ValueError names the first such pair.
 
     On n points this evaluates n(n-1)/2 dists entries (see _distance_table),
-    none if the private _pair_dists is given: the float64 vector of the
-    n(n-1)/2 distances d(x, y) in itertools.combinations(sample, 2) order,
+    none if the private _table is given: the sample's n x n distance table
     as certify fills it on the same sample, whose points certify has
     checked, so they are not checked again.
     In a power space whose s is at least max(1, 2**(p-1)) the relaxed
@@ -363,7 +360,7 @@ def verify_axioms(space: BMetricSpace, sample, tol: float = 0.0, *, _pair_dists=
     """
     if not 0.0 <= tol < math.inf:  # a nan tol would pass every check
         raise ValueError(f"tol must be >= 0 and finite, got {tol}")
-    sample, dmat = _sample_table(space, sample, _pair_dists)
+    sample, dmat = _sample_table(space, sample, _table)
     if not sample:
         raise ValueError("sample must be nonempty")
 

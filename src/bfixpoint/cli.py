@@ -47,17 +47,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _certified(
-    scenario_arg: str, seed: int | None, pair_dists: bool = False
+    scenario_arg: str, seed: int | None, table: bool = False
 ) -> tuple[Scenario, list, ContractionCertificate, dict, np.ndarray | None]:
     """The set-up every command shares: resolve the scenario, certify it on
     its sample points (returned too), and check the hypotheses at its
-    declared alpha. With pair_dists, certify also fills in the distances of
-    the sample pairs (certify's _pair_dists), returned last; else None."""
+    declared alpha. With table, certify also fills in the sample's n x n
+    distance table (certify's _table), returned last; else None."""
     sc = builtin(scenario_arg, seed) if scenario_arg in BUILTIN_NAMES else load(scenario_arg)
     pts = sample_points(sc)
-    dists = np.empty(len(pts) * (len(pts) - 1) // 2) if pair_dists else None
-    cert = certify(sc.space, sc.map, pts, sc.params.c, sc.params.q, _pair_dists=dists)
-    return sc, pts, cert, check_hypotheses(cert, sc.params.alpha), dists
+    dmat = np.zeros((len(pts), len(pts))) if table else None
+    cert = certify(sc.space, sc.map, pts, sc.params.c, sc.params.q, _table=dmat)
+    return sc, pts, cert, check_hypotheses(cert, sc.params.alpha), dmat
 
 
 def _cert_obj(sc: Scenario, cert: ContractionCertificate, hyp: dict, gamma: float | None = None) -> dict:
@@ -212,10 +212,10 @@ def cmd_run(
 
 
 def cmd_verify(scenario_arg: str, seed: int | None = None) -> int:
-    sc, pts, cert, hyp, dists = _certified(scenario_arg, seed, pair_dists=True)
+    sc, pts, cert, hyp, dmat = _certified(scenario_arg, seed, table=True)
     # zero is read up to VERIFY_TOL of the largest distance over the sample's
     # pairs, whose distances certify has evaluated
-    axioms = verify_axioms(sc.space, pts, tol=VERIFY_TOL, _pair_dists=dists)
+    axioms = verify_axioms(sc.space, pts, tol=VERIFY_TOL, _table=dmat)
     print(dumps_canonical({"axioms": _axiom_obj(axioms), "certificate": _cert_obj(sc, cert, hyp)}))
     return 0 if axioms.passed and hyp["thm33"]["applicable"] else 1
 

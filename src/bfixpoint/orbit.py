@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from itertools import accumulate, chain, islice, repeat
-from math import exp, inf, log
+from math import exp, frexp, inf, log
 from sys import float_info
 from typing import NamedTuple
 
@@ -297,7 +297,8 @@ def _row_maxima(space: BMetricSpace, table: np.ndarray, coords, rows: np.ndarray
     """For each point index i in rows (ascending), the exact maximum of
     d(x_i, x_j) over j >= i, or NaN where the row has to be checked in
     full; table is space.point_table of the points and coords their
-    coordinates, one array per dimension (None for a matrix space).
+    coordinates, one array per dimension (None for a matrix space), all
+    scaled by one power of two (bound_audit).
 
     Screen, then confirm. The rows are taken in blocks of as many as fit
     _BLOCK_ENTRIES values (at least one row), each block against the points
@@ -307,15 +308,16 @@ def _row_maxima(space: BMetricSpace, table: np.ndarray, coords, rows: np.ndarray
     candidates are the entries within relative `rel` of its largest value,
     and their exact distances come from one space.dists call per block.
     Squared distances and d = math.dist(x, y)**p differ by a few ulps of
-    relative error, and the candidate window bspace._screen_window(p)
-    exceeds what that error can reorder, so the true maximum is always a
-    candidate. That error bound holds for normal floats, so a row is
-    screened only if its largest value is a normal float and its exact
-    maximum is too (rounding to a subnormal result may reorder near ties);
-    values below the normal range elsewhere in the row are too small to
-    lead. Other rows (the last one, whose only value is d(x_i, x_i) = 0,
-    underflowing or overflowing distances, non-finite coordinates) are left
-    to the full check.
+    relative error (the scaling rounds only a coordinate it takes below
+    the normal range, by 2**-1075 at most, far less), and the candidate
+    window bspace._screen_window(p) exceeds what that error can reorder, so
+    the true maximum is always a candidate. That error bound holds for
+    normal floats, so a row is screened only if its largest value is a
+    normal float and its exact maximum is too (rounding to a subnormal
+    result may reorder near ties); values below the normal range elsewhere
+    in the row are too small to lead. Other rows (the last one, whose only
+    value is d(x_i, x_i) = 0, underflowing or overflowing distances,
+    non-finite coordinates) are left to the full check.
     """
     n = len(table)
     rel = 0.0 if space.kind == "matrix" else _screen_window(space.p)
@@ -340,27 +342,30 @@ def _row_maxima(space: BMetricSpace, table: np.ndarray, coords, rows: np.ndarray
     return maxima
 
 
-def _ruled_out(space: BMetricSpace, table: np.ndarray, coords, bounds: np.ndarray) -> np.ndarray:
+def _ruled_out(space: BMetricSpace, table: np.ndarray, coords, bounds: np.ndarray, shift: int) -> np.ndarray:
     """For each Cauchy row m = 0 .. n-2, its exact last entry
     d(x_{m+1}, x_{n-1}) if the row cannot hold the audit's largest ratio,
     NaN if it has to be screened; bounds[m] is the row's bound, table and
-    coords are as in _row_maxima.
+    coords are as in _row_maxima, coords scaled by 2**-shift.
 
     The largest ratio is at least that of any real entry, so at least
     lb = max over m of d(x_{m+1}, x_{n-1}) / bounds[m]. Every distance of
     row m is at most d_hi, the length of the vector from x_{m+1} to the far
     corner of the bounding box of x_{m+1}, ..., x_{n-1}, to the power p,
-    widened by bspace._BOX_WIDENING*max(1, p) relative. That is far more
-    than the rounding of the squares, their sum, math.dist, the power
-    (whose relative error grows by p/2 from squared lengths) and the
-    division can move it, so d_hi covers every exact entry, and if d_hi /
-    bounds[m] < lb no entry of the row can lead (rounded division is
+    widened by bspace._BOX_WIDENING*max(1, p) relative. The power is taken
+    of the scaled squared length and multiplied back by 2**(shift*p), inf
+    beyond the float range. That is far more than the rounding of the
+    squares, their sum, math.dist, the power (whose relative error grows by
+    p/2 from squared lengths), the factor 2**(shift*p) (its exponent's
+    rounding moves it by a relative 2**-43 at most while it is finite) and
+    the division can move it, so d_hi covers every exact entry, and if
+    d_hi / bounds[m] < lb no entry of the row can lead (rounded division is
     monotone). The error bound holds for normal floats, so a row is ruled
-    out only if its bound, its squared length and d_hi are positive normal
-    floats: then no entry of it overflows or is NaN, and a zero bound, the
-    only other source of violations, is never ruled out. In one dimension
-    the far corner is a point of the orbit, so d_hi is tight. Matrix spaces
-    rule out no row.
+    out only if its bound, its scaled squared length, that length's power
+    and d_hi are positive normal floats: then no entry of it overflows or
+    is NaN, and a zero bound, the only other source of violations, is
+    never ruled out. In one dimension the far corner is a point of the
+    orbit, so d_hi is tight. Matrix spaces rule out no row.
     """
     n = len(table)
     out = np.full(n - 1, np.nan)
@@ -374,9 +379,10 @@ def _ruled_out(space: BMetricSpace, table: np.ndarray, coords, bounds: np.ndarra
     with np.errstate(all="ignore"):
         far = np.maximum(coords[:, 1:] - lo, hi - coords[:, 1:])
         u2 = (far * far).sum(axis=0)
-        d_hi = u2 ** (0.5 * space.p) * (1.0 + _BOX_WIDENING * max(1.0, space.p))
+        power = u2 ** (0.5 * space.p)
+        d_hi = power * np.exp2(shift * space.p) * (1.0 + _BOX_WIDENING * max(1.0, space.p))
         ruled = d_hi / bounds < lb
-        for v in (bounds, u2, d_hi):
+        for v in (bounds, u2, power, d_hi):
             ruled &= (v >= _TINY) & (v <= float_info.max)
     out[ruled] = last[ruled]
     return out
@@ -416,8 +422,12 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
     (chaining_bounds). On an orbit of L points this takes O(L) exact
     distance evaluations; the screen is quadratic only in the rows that
     cannot be ruled out, and holds at most _BLOCK_ENTRIES approximate
-    values (or one row) at a time. Every bound is finite: beyond the float
-    range a bound decides no check, and its maker raises OverflowError.
+    values (or one row) at a time. Both take the coordinates scaled by
+    2**-shift, shift >= 0 chosen from the largest |coordinate| and the
+    dimension so that every squared length stays below 2**1023: huge
+    orbits (coordinates from about 2**510 on) are screened too, and shift
+    is 0 below that. Every bound is finite: beyond the float range a bound
+    decides no check, and its maker raises OverflowError.
     """
     pts, steps = trace.points, trace.steps
     n = len(pts)  # a trace without steps has one point and no checks
@@ -427,9 +437,13 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
         bounds = np.array(cauchy_bounds(cert, n - 1))  # row m's bound
         chain_bounds = np.fromiter(chaining_bounds(steps, space.s), float, n - 1)
         table = space.point_table(pts)
-        coords = None if space.kind == "matrix" else (
-            np.fromiter(chain.from_iterable(pts), float, n * space.dim).reshape(n, -1).T.copy())
-        tops = _ruled_out(space, table, coords, bounds)
+        coords, shift = None, 0
+        if space.kind == "power":
+            coords = np.fromiter(chain.from_iterable(pts), float, n * space.dim).reshape(n, -1).T.copy()
+            # every coordinate below 2**e, a squared length below 4*dim*4**(e - shift) <= 2**1023
+            shift = max(0, frexp(float(np.abs(coords).max()))[1] - (1021 - (space.dim - 1).bit_length()) // 2)
+            coords *= 2.0**-shift
+        tops = _ruled_out(space, table, coords, bounds, shift)
         screened = np.flatnonzero(np.isnan(tops) & (bounds != 0.0))
         tops[screened] = _row_maxima(space, table, coords, screened + 1)
         vouched = ~np.isnan(tops) & (bounds != 0.0)

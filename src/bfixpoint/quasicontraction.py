@@ -320,9 +320,8 @@ def _block_terms(space, table, coords, rows, dxt, xi, yi, c, q) -> tuple:
 
 
 def _term_blocks(space, tmap, c, q, points):
-    """Yield (lo, xi, yi, d_xy, h, n4, n5) for consecutive blocks of the
-    pairs (points[xi[b]], points[yi[b]]), in combinations order
-    (_block_terms), lo the number of pairs before the block.
+    """Yield (xi, yi, d_xy, h, n4, n5) for consecutive blocks of the pairs
+    (points[xi[b]], points[yi[b]]), in combinations order (_block_terms).
 
     T(x) is computed once for each sample point, and the points and their
     images go into one point table. Every d(x, T(x)) comes from one dists
@@ -347,15 +346,18 @@ def _term_blocks(space, tmap, c, q, points):
     step = max(1, _BLOCK_DISTANCES // w**2)
     for lo in range(0, total, step):
         xi, yi = _pair_indices(n, lo, min(lo + step, total))
-        yield lo, xi, yi, *_block_terms(space, table, coords, rows, dxt, xi, yi, c, q)
+        yield xi, yi, *_block_terms(space, table, coords, rows, dxt, xi, yi, c, q)
 
 
 def _pair_error(x: Point, y: Point, d_xy: float, h: float, n4: float, n5: float) -> ValueError:
-    """The error of a pair that fails certify: not distinct, or its
-    distance, a ratio h / N or a denominator N is not finite (h / inf = 0
-    would drop the pair silently)."""
+    """The error of a pair that fails certify: not distinct, distinct
+    points whose distance underflows to 0, or its distance, a ratio h / N
+    or a denominator N is not finite (h / inf = 0 would drop the pair
+    silently)."""
     if d_xy == 0.0:
-        return ValueError(f"pair ({x!r}, {y!r}) is not distinct")
+        if x == y:
+            return ValueError(f"pair ({x!r}, {y!r}) is not distinct")
+        return ValueError(f"pair ({x!r}, {y!r}) has distance 0, though its points are distinct (it underflows)")
     if not math.isfinite(d_xy):
         return ValueError(f"sample pair ({x!r}, {y!r}) has non-finite distance {d_xy}")
     return ValueError(
@@ -365,7 +367,7 @@ def _pair_error(x: Point, y: Point, d_xy: float, h: float, n4: float, n5: float)
 
 
 def certify(
-    space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float, *, _pair_dists=None
+    space: BMetricSpace, tmap: SetValuedMap, points, c: float, q: float, *, _table=None
 ) -> ContractionCertificate:
     """Smallest feasible contraction coefficients over every pair of a point
     sample, in the order of itertools.combinations(points, 2):
@@ -375,10 +377,11 @@ def certify(
 
     Both ratios are well-defined because distinct pairs give N >= d(x,y) > 0.
     Every sample point is checked first (space.check_point: ValueError
-    names the point). A pair that is not distinct, or whose distance, ratio
-    or denominator is not finite (images or distances that overflow), makes
-    the certificate uncomputable: ValueError names the first such pair, as
-    it does fewer than two points. On a finite space sampled at every point
+    names the point). A pair that is not distinct or at distance 0 (an
+    underflow), or whose distance, ratio or denominator is not finite
+    (images or distances that overflow), makes the certificate
+    uncomputable: ValueError names the first such pair, as it does fewer
+    than two points. On a finite space sampled at every point
     the certificate is exhaustive; otherwise it only speaks for the sample
     and is labeled empirical. Theorem verdicts come from `verdicts`.
 
@@ -391,9 +394,9 @@ def certify(
     included, equals the pair-by-pair loop over hausdorff, n_functional and
     five_term_max.
 
-    The private _pair_dists, a float64 vector of n(n-1)/2 entries on n
-    points, receives a copy of every pair's d(x, y) in combinations order:
-    the upper triangle of the sample's distance table, which verify_axioms
+    The private _table, an n x n float64 array of zeros on n points,
+    receives every pair's d(x, y) at [i, j] and [j, i], i and j the pair's
+    indices in the sample: the sample's distance table, which verify_axioms
     then reads, with the points checked here, in place of evaluating it.
     """
     points = list(points)
@@ -407,7 +410,7 @@ def certify(
     alpha_min = alpha41_min = 0.0
     worst = worst41 = (points[0], points[1])
     with np.errstate(all="ignore"):
-        for lo, xi, yi, d_xy, h, n4, n5 in _term_blocks(space, tmap, c, q, points):
+        for xi, yi, d_xy, h, n4, n5 in _term_blocks(space, tmap, c, q, points):
             ratio, ratio41 = h / n4, h / n5
             failed = ~((d_xy > 0.0) & np.isfinite([n4, n5, ratio, ratio41]).all(axis=0))
             if failed.any():
@@ -418,8 +421,8 @@ def certify(
                 alpha_min, worst = float(ratio[i]), (points[xi[i]], points[yi[i]])
             if ratio41[j] > alpha41_min:
                 alpha41_min, worst41 = float(ratio41[j]), (points[xi[j]], points[yi[j]])
-            if _pair_dists is not None:
-                _pair_dists[lo : lo + len(xi)] = d_xy
+            if _table is not None:
+                _table[xi, yi] = _table[yi, xi] = d_xy
 
     # every pair is certified, so on a finite space the points are distinct ids
     finite = space.kind == "matrix"

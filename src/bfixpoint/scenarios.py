@@ -217,7 +217,6 @@ _MAX_CHAINS = 2000  # chain starts a candidate may draw before it is rejected
 _BLOCK = 64  # chain starts in a placement's first block; each next block doubles
 _BLOCK_CAP = 512  # chain starts a block may grow to
 _RUN = 16  # chains rolled back in a row before a placement starts screening
-_SCREEN_STEPS = 6  # steps the screen follows a start; lam < 0.3 stops chains within 3
 _MARGIN = 1e-9  # relative margin on squared thresholds, far above their rounding
 
 
@@ -370,8 +369,9 @@ def _follow(z, placed, u, step, graft_tol):
 
 class _Screen:
     """Which starts (zx[b], zy[b]) of a block surely roll back among the
-    placed points, followed for up to _SCREEN_STEPS steps as arrays through
-    the same step (the same bits) until none can be live. gaps[k, b] is the
+    placed points, followed as arrays through the same step (the same
+    bits) until none can be live: lam < 0.3 takes every start, from radius
+    at most 0.5, inside _STOP_RADIUS within two steps. gaps[k, b] is the
     smallest squared gap from start b's k-th point to a placed point; add()
     lowers it by a min, which does not depend on order, so the marks equal a
     fresh screen's. A test of _follow is decided only where a squared gap
@@ -389,7 +389,7 @@ class _Screen:
             gap, far = _gaps(xs, ys, pts), (xs - u[0]) ** 2 + (ys - u[1]) ** 2 > _STOP_RADIUS**2 * hi
             rows.append((xs, ys, gap, far))
             live &= (gap > self.sep_hi) & far
-            if len(rows) == _SCREEN_STEPS or not live.any():
+            if not live.any():
                 break
             xs, ys = step((xs, ys))
         self.xs, self.ys, self.gaps, self.far = map(np.array, zip(*rows))

@@ -340,7 +340,7 @@ class TestBoundAuditMatchesPairwise:
         table = space.point_table(pts)
         coords = np.array(pts).T.copy()
         bounds = np.array(cauchy_bounds(cauchy_series(0.95, space.s, first_step=trace.steps[0]), 29))
-        ruled = ~np.isnan(_ruled_out(space, table, coords, bounds))
+        ruled = ~np.isnan(_ruled_out(space, table, coords, bounds, 0))
         assert not ruled[:25].any()  # rows m <= 24 hold x_25
         assert ruled[25:].any()
         # the steps into and out of x_25 are not finite: the audit takes no such trace
@@ -664,3 +664,40 @@ def test_audit_and_orbit_do_linear_work(monkeypatch):
     assert len(trace.points) == 1241
     assert len(screened_rows(line, trace)) <= 4  # 2 rows
     assert bound_audit(line, trace) == reference_audit(line, trace)
+
+
+def huge_orbits(max_iter):
+    """(space, trace) of two orbits whose coordinates stay beyond 2**510,
+    where squared lengths overflow unless scaled: the p = 0.5 line under
+    x -> 0.9x from 1e305, and the p = 1 plane under a rotation by 0.1 at
+    rate 0.9 from (1e305, 3e304)."""
+    line, plane = make_power_space(1, 0.5), make_power_space(2, 1.0)
+    rate, angle = 0.9, 0.1
+    rotation = [[rate * math.cos(angle), -rate * math.sin(angle)], [rate * math.sin(angle), rate * math.cos(angle)]]
+    return [
+        (space, run_orbit(space, make_branch_map(space, [(a, [0.0] * space.dim)]), 0.0, 0.0, 0.95, x0,
+                          tol=1e-9, max_iter=max_iter))
+        for space, a, x0 in ((line, [[rate]], (1e305,)), (plane, rotation, (1e305, 3e304)))
+    ]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["line", "plane"])
+def test_huge_coordinates_are_screened(monkeypatch, which):
+    """The audit scales the coordinates of a huge orbit by a power of two,
+    so the box bounds rule its rows out and the audit stays linear (one
+    dists call per row, 2131 calls, without the scaling)."""
+    space, trace = huge_orbits(2000)[which]
+    assert trace.status == "max_iter" and min(map(abs, trace.points[-1])) > 2.0**510
+    calls = [0]
+    real = BMetricSpace.dists
+
+    def counted(self, xs, ys):
+        calls[0] += 1
+        return real(self, xs, ys)
+
+    monkeypatch.setattr(BMetricSpace, "dists", counted)
+    audit = bound_audit(space, trace)
+    monkeypatch.undo()
+    assert audit["ok"] and calls[0] <= 10
+    space, trace = huge_orbits(300)[which]
+    assert bound_audit(space, trace) == reference_audit(space, trace)

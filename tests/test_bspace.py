@@ -497,11 +497,11 @@ def test_triangle_scans_only_where_rounding_can_break_it(monkeypatch):
 
 
 def test_verify_command_reads_verify_tol(monkeypatch, capsys):
-    tols, sizes = [], []
+    tols, shapes = [], []
 
     def recorded(space, sample, tol=0.0, **private):
         tols.append(tol)
-        sizes.append(len(private["_pair_dists"]))
+        shapes.append(private["_table"].shape)
         return verify_axioms(space, sample, tol, **private)
 
     monkeypatch.setattr(cli, "verify_axioms", recorded)
@@ -509,7 +509,7 @@ def test_verify_command_reads_verify_tol(monkeypatch, capsys):
     capsys.readouterr()
     n = len(sample_points(builtin("paper-example")))
     assert tols == [VERIFY_TOL]
-    assert sizes == [n * (n - 1) // 2]  # certify's distances, one per sample pair
+    assert shapes == [(n, n)]  # certify's table of the sample's distances
 
 
 @pytest.mark.parametrize("check", [verify_axioms, estimate_min_s])

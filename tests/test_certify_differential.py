@@ -50,8 +50,10 @@ def reference_certify(space, tmap, points, c, q):
     alpha_min = alpha41_min = 0.0
     worst = worst41 = pairs[0]
     for x, y in pairs:
-        if x == y or space.dist(x, y) == 0.0:
+        if x == y:
             raise ValueError(f"pair ({x!r}, {y!r}) is not distinct")
+        if space.dist(x, y) == 0.0:
+            raise ValueError(f"pair ({x!r}, {y!r}) has distance 0, though its points are distinct (it underflows)")
         if not math.isfinite(space.dist(x, y)):
             raise ValueError(f"sample pair ({x!r}, {y!r}) has non-finite distance {space.dist(x, y)}")
         h = hausdorff(space, image_of(space, tmap, x), image_of(space, tmap, y))

@@ -107,6 +107,11 @@ def duplicate_sample_scenario():
     return dict(paper_scenario(), sample={"kind": "points", "pts": [[0.5], [0.25], [0.5]]})
 
 
+def underflowing_distance_scenario():
+    # p = 1024.5 is accepted (below 1025), and 0.1**1024.5 underflows to 0
+    return set_field(paper_scenario(), ("space", "p"), 1024.5)
+
+
 def out_of_domain_image_scenario():
     obj = squared_line_scenario()
     obj["map"]["images"]["7"] = [0]
@@ -157,6 +162,10 @@ def command_argv(command, path, tmp_path):
         (non_finite_plane_scenario, r"pair \(\(0\.0, 0\.0\), \(10\.0, 10\.0\)\) has non-finite"),
         (nan_ratio_scenario, r"pair \(\(-1\.0,\), \(0\.8,\)\) has non-finite"),
         (duplicate_sample_scenario, r"pair \(\(0\.5,\), \(0\.5,\)\) is not distinct"),
+        (
+            underflowing_distance_scenario,
+            r"pair \(\(-1\.0,\), \(-0\.9,\)\) has distance 0, though its points are distinct \(it underflows\)\n",
+        ),
         (overflowing_distance_scenario, r"sample pair \(\(1e\+308,\), \(-1e\+308,\)\) has non-finite distance inf\n"),
         (
             overflowing_residual_scenario,
@@ -173,6 +182,7 @@ def command_argv(command, path, tmp_path):
         "non-finite-images",
         "nan-ratios",
         "duplicate-sample",
+        "underflowing-distance",
         "overflowing-distance",
         "overflowing-residual",
         "out-of-domain-image",

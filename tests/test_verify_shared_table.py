@@ -1,14 +1,16 @@
 """Differential test for the distance table bfixpoint verify shares.
 
-verify certifies its sample, and verify_axioms builds its table from the
-pair distances certify evaluated, in combinations order, instead of
-evaluating them again. Here the vector certify fills must equal the upper
-triangle of the table verify_axioms builds on its own, bit for bit, and
-the command's exit code and output must equal those of the public certify
-and verify_axioms(..., tol=VERIFY_TOL) composed. The cases cover power
-spaces with screened blocks (images of three or more elements), grids,
+verify certifies its sample, and certify writes each pair's distance into
+the table verify_axioms reads, by the pair's point indices, instead of
+verify_axioms evaluating it again. Here the table certify fills must equal
+the one verify_axioms builds on its own, bit for bit, and the command's
+exit code and output must equal those of the public certify and
+verify_axioms(..., tol=VERIFY_TOL) composed. The cases cover power spaces
+with screened blocks (images of three or more elements), grids,
 near-duplicate points (identity violations) and a matrix space with an
-understated s and a ragged table map (triangle violations).
+understated s and a ragged table map (triangle violations). Every drawn
+scenario is checked with certify's pair blocks of one pair, of a few
+pairs and of the default size, so that the writes cross block edges.
 """
 
 import numpy as np
@@ -16,11 +18,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bfixpoint import cli
+from bfixpoint import cli, quasicontraction
 from bfixpoint.bspace import VERIFY_TOL, _distance_table, make_matrix_space, make_power_space, verify_axioms
 from bfixpoint.jsonutil import dumps_canonical
 from bfixpoint.quasicontraction import QuasiParams, certify, check_hypotheses, make_branch_map, make_table_map
 from bfixpoint.scenarios import GridSample, PointsSample, Scenario, sample_points
+
+# one pair per block; two to sixteen pairs (w**2 of 4 to 25 entries each); the default
+BLOCK_DISTANCES = (1, 1 << 6, quasicontraction._BLOCK_DISTANCES)
 
 SETTINGS = settings(max_examples=60,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
@@ -90,22 +95,23 @@ def composed(sc):
 
 
 def assert_verify_shares_the_table(sc, capsys):
-    shared = []
+    want = composed(sc)
+    for block in BLOCK_DISTANCES:
+        shared = []
 
-    def recorded(space, sample, tol=0.0, **private):
-        shared.append(private["_pair_dists"].copy())
-        return verify_axioms(space, sample, tol, **private)
+        def recorded(space, sample, tol=0.0, **private):
+            shared.append(private["_table"].copy())
+            return verify_axioms(space, sample, tol, **private)
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(cli, "load", lambda path: sc)
-        m.setattr(cli, "verify_axioms", recorded)
-        code = cli.main(["verify", "--scenario", "scenario.json"])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == composed(sc)
-    if code != 3:
-        pts = sample_points(sc)
-        upper = _distance_table(sc.space, pts)[np.triu_indices(len(pts), 1)]
-        assert shared[0].tobytes() == upper.tobytes()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "load", lambda path: sc)
+            m.setattr(cli, "verify_axioms", recorded)
+            m.setattr(quasicontraction, "_BLOCK_DISTANCES", block)
+            code = cli.main(["verify", "--scenario", "scenario.json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == want
+        if code != 3:
+            assert shared[0].tobytes() == _distance_table(sc.space, sample_points(sc)).tobytes()
 
 
 @SETTINGS
