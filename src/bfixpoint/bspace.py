@@ -134,8 +134,9 @@ class BMetricSpace:
             return np.concatenate([self.dists(xs[:k], ys[:k]), self.dists(xs[k:], ys[k:])] if k else [[math.inf]])
 
     def check_point(self, x: Point) -> None:
-        """Reject points outside the domain with ValueError naming the point
-        (bad ids, wrong arity, coordinates that are not finite real numbers)."""
+        """The engine's one point rule: ValueError naming x, as given, unless
+        it is an in-range int id on a matrix space (no bool or numpy integer:
+        dumps_canonical writes no other), else a tuple of dim finite reals."""
         if self.kind == "matrix":
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"matrix-space point must be an integer id, got {x!r}")

@@ -75,8 +75,8 @@ def gamma_of(beta: float, q: float, s: float) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0,1], got {q}")
-    if not s >= 1.0:
-        raise ValueError(f"s must be >= 1, got {s}")
+    if not 1.0 <= s < inf:
+        raise ValueError(f"s must be >= 1 and finite, got {s}")
     hi = beta_limit(q, s)
     if not 0.0 < beta < hi:
         raise ValueError(f"beta must lie in (0, {hi}), got {beta}")
@@ -103,14 +103,14 @@ def run_orbit(
     of the admissible interval (alpha, min(1, 1/(q*s))). The first step, out
     of x0, goes through the loop as every other: x1 defaults to the closest
     element of T(x0), and a given x1 is read only once x0 has failed to
-    converge, and must be an element of T(x0). When no element of T(x_n) is
-    at a finite distance from a point x_n, OverflowError names both, before
-    max_iter or x1 is read, as it does a given x1 at an infinite distance
-    from x0. Every later step is checked against the certified decay d_n <=
-    gamma*d_{n-1} (relative slack _DECAY_SLACK, 1e-12) and the selection
-    inequality d(x_cur, x_next) < beta*N(x_prev, x_cur), with N finite where
-    it is computed (see below); a failed check ends the trace as
-    "ratio_violation" at the offending step.
+    converge, and must pass space.check_point (as x0 must) and equal an element
+    of T(x0). When no element of T(x_n) is at a finite distance from a point
+    x_n, OverflowError names both, before max_iter or x1 is read, as it does a
+    given x1 at an infinite distance from x0. Every later step is checked
+    against the certified decay d_n <= gamma*d_{n-1} (relative slack
+    _DECAY_SLACK, 1e-12) and the selection inequality d(x_cur, x_next) <
+    beta*N(x_prev, x_cur), with N finite where it is computed (see below); a
+    failed check ends the trace as "ratio_violation" at the offending step.
 
     Stopping is by residual, not step size: a small step does not certify a
     fixed point, the residual is exactly what the fixed-point theorems bound.
@@ -177,13 +177,12 @@ def run_orbit(
         step = residual
         if not steps:
             if x1 is not None:
-                nxt = tuple(x1) if isinstance(x1, (list, tuple)) else x1
-                space.check_point(nxt)
-                if all(dist(nxt, w) != 0.0 for w in t_cur):
-                    raise ValueError(f"x1 {nxt!r} is not an element of T(x0)")
-                step = dist(x0, nxt)
+                space.check_point(x1)
+                if x1 not in t_cur:
+                    raise ValueError(f"x1 {x1!r} is not an element of T(x0)")
+                nxt, step = x1, dist(x0, x1)
                 if step == inf:  # a trace would converge from it unchecked
-                    raise OverflowError(f"x1 = {nxt!r} is at an infinite distance from x0 = {x0!r}")
+                    raise OverflowError(f"x1 = {x1!r} is at an infinite distance from x0 = {x0!r}")
         elif residual > gamma * d_prev + _DECAY_SLACK * d_prev or not (
             residual < beta * d_prev
             or residual < beta * _n_from_parts(
@@ -467,9 +466,8 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
 
 
 def verify_fixed_point(space: BMetricSpace, tmap: SetValuedMap, u: Point, tol: float) -> FixedPointCheck:
-    """Residual d(u, T(u)) and whether it clears tol (finite, >= 0)."""
+    """Residual d(u, T(u)) (image_of checks u) and whether it clears tol (finite, >= 0)."""
     if not 0.0 <= tol < inf:  # nan would fail every point, inf pass every point
         raise ValueError(f"tol must be >= 0 and finite, got {tol}")
-    space.check_point(u)
     residual = dist_point_set(space, u, image_of(space, tmap, u)).value
     return FixedPointCheck(residual, residual <= tol)

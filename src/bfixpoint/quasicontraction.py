@@ -40,8 +40,8 @@ class SetValuedMap:
     r rounded as 0.0 + A[r][0]*x[0] + ... + A[r][k-1]*x[k-1] + b[r], left to
     right: the order sum(map(mul, A[r], x)) + b[r] rounds in before Python
     3.12, whose sum() compensates. It is straight-line code generated per
-    shape (_branch_evaluator); it indexes x without checking its length,
-    which image_of checks.
+    shape (_branch_evaluator). Neither checks x, which image_of does
+    (space.check_point).
     """
 
     kind: str  # "table" | "branches"
@@ -111,7 +111,8 @@ class ContractionCertificate(NamedTuple):
 
 
 def make_table_map(space: BMetricSpace, images: dict) -> SetValuedMap:
-    """Explicit finite map: every domain id must get a nonempty image set."""
+    """Explicit finite map: every domain id must get a nonempty image set
+    (make_point_set); a key that check_point rejects is outside the domain."""
     if space.kind != "matrix":
         raise ValueError("table maps need a finite (matrix) space")
     n = space.n_points
@@ -119,10 +120,12 @@ def make_table_map(space: BMetricSpace, images: dict) -> SetValuedMap:
     for i in range(n):
         if i not in images:
             raise ValueError(f"missing image for point {i}")
-        table[i] = make_point_set(space, [int(j) for j in images[i]])
+        table[i] = make_point_set(space, images[i])
     for k in images:
-        if k not in table:
-            raise ValueError(f"image given for point {k!r} outside the domain [0, {n})")
+        try:
+            space.check_point(k)
+        except ValueError:
+            raise ValueError(f"image given for point {k!r} outside the domain [0, {n})") from None
     return SetValuedMap(kind="table", table=table)
 
 
@@ -171,15 +174,11 @@ def _check_map(space: BMetricSpace, tmap: SetValuedMap) -> None:
 
 
 def image_of(space: BMetricSpace, tmap: SetValuedMap, x: Point) -> PointSet:
-    """The image set T(x): the outputs of tmap.evaluate(x), those that
-    coincide exactly deduplicated (the first is kept), so the bits do not
-    depend on the Python version. A map built for another space
-    (_check_map) or a point of the wrong length raises ValueError."""
+    """T(x): tmap.evaluate(x), equal outputs deduplicated (the first is kept)
+    so the bits do not depend on the Python version. ValueError for a map of
+    another space (_check_map), then for a point space.check_point rejects."""
     _check_map(space, tmap)
-    if tmap.kind == "table":
-        return tmap.table[x]
-    if len(x) != space.dim:  # evaluate would ignore extra coordinates
-        raise ValueError(f"expected a coordinate tuple of length {space.dim}, got {x!r}")
+    space.check_point(x)
     return PointSet(tuple(dict.fromkeys(tmap.evaluate(x))))
 
 
@@ -329,8 +328,8 @@ def _term_blocks(space, tmap, c, q, points):
     dist_point_set's strict < from inf reads it. Blocks are screened off the
     p = 1 line (whose entries cost no power) in power spaces with some image
     of two elements. A distance beyond the float range reads inf (dists),
-    so nothing here raises once the points are checked; the caller scopes
-    the floating-point warnings."""
+    so nothing here raises once image_of has checked the points; the caller
+    scopes the floating-point warnings."""
     n, total = len(points), len(points) * (len(points) - 1) // 2
     images = [image_of(space, tmap, x) for x in points]
     table = space.point_table(chain.from_iterable((x, *t.elements) for x, t in zip(points, images)))
@@ -376,7 +375,7 @@ def certify(
     alpha41_min = max h(T(x),T(y)) / five_term_max    (five-term condition)
 
     Both ratios are well-defined because distinct pairs give N >= d(x,y) > 0.
-    Every sample point is checked first (space.check_point: ValueError
+    Every sample point is checked first, in order (image_of: ValueError
     names the point). A pair that is not distinct or at distance 0 (an
     underflow), or whose distance, ratio or denominator is not finite
     (images or distances that overflow), makes the certificate
@@ -404,8 +403,6 @@ def certify(
     if n < 2:
         raise ValueError(f"certify needs at least two sample points, got {n}")
     _check_coefficients(c, q)
-    for x in points:
-        space.check_point(x)
 
     alpha_min = alpha41_min = 0.0
     worst = worst41 = (points[0], points[1])

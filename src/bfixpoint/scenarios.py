@@ -65,10 +65,10 @@ class PointsSample(NamedTuple):
 class Scenario:
     """A problem instance: the built space and map, the run parameters and
     the certification sample. Construction is the one place that checks a
-    scenario: c and q in [0, 1], alpha in [0, 1), 0 < tol < inf, max_iter
-    >= 1, beta in (alpha, beta_limit(q, s)), and x0, x1 and every sample
-    point against the space. Two scenarios are equal when their canonical
-    JSON objects are."""
+    scenario: c and q in [0, 1], alpha in [0, 1), 0 < tol < inf, an integer
+    max_iter >= 1, beta in (alpha, beta_limit(q, s)), and x0, x1 and every
+    sample point against the space. Two scenarios are equal when their
+    canonical JSON objects are."""
 
     space: BMetricSpace
     map: SetValuedMap
@@ -88,6 +88,10 @@ class Scenario:
             raise ScenarioFormatError(f"params: alpha must be in [0,1), got {p.alpha}")
         if not 0 < self.tol < inf:  # JSON output (the digest, the report) has no inf
             raise ScenarioFormatError(f"tol must be positive and finite, got {self.tol}")
+        try:
+            _check_int("max_iter", self.max_iter)
+        except ValueError as exc:
+            raise ScenarioFormatError(str(exc)) from None
         if not self.max_iter >= 1:
             raise ScenarioFormatError(f"max_iter must be >= 1, got {self.max_iter}")
         hi = beta_limit(p.q, self.space.s)

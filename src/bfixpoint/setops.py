@@ -13,7 +13,7 @@ from .bspace import BMetricSpace, Point
 
 
 class PointSet(NamedTuple):
-    """Ordered, duplicate-free, nonempty collection of points.
+    """Ordered, nonempty collection of points, no two of them equal.
 
     Order matters only for tie-breaking: distance ties resolve toward the
     smallest list index, which keeps downstream orbit selection deterministic.
@@ -28,20 +28,19 @@ class SetDistance(NamedTuple):
 
 
 def make_point_set(space: BMetricSpace, points) -> PointSet:
-    """Validate and wrap points as a PointSet in the given space.
+    """Check points and wrap them, as given, as a PointSet in the given space.
 
-    Rejects empty input, points outside the domain, and pairs at distance
-    zero (duplicates).
+    Rejects empty input, then the first point that space.check_point rejects
+    or that equals an earlier one (a duplicate, the rule image_of dedupes by).
     """
-    pts = tuple(tuple(p) if isinstance(p, (list, tuple)) else p for p in points)
+    pts = tuple(points)
     if not pts:
         raise ValueError("point set must be nonempty")
-    for x in pts:
+    first = {}
+    for j, x in enumerate(pts):
         space.check_point(x)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if space.dist(pts[i], pts[j]) == 0.0:
-                raise ValueError(f"duplicate elements at indices {i} and {j} (distance 0)")
+        if (i := first.setdefault(x, j)) < j:
+            raise ValueError(f"duplicate elements at indices {i} and {j} (equal points)")
     return PointSet(pts)
 
 

@@ -38,6 +38,9 @@ def expanding_line():
 BAD_ARGUMENTS = {
     "gamma_of-q": (lambda: gamma_of(0.5, 1.5, 2.0), "q must be in"),
     "gamma_of-s": (lambda: gamma_of(0.5, 0.5, 0.5), "s must be >= 1"),
+    # an infinite s used to give gamma 0.5 at q = 0, and "beta must lie in (0, 0.0)" at q > 0
+    "gamma_of-inf-s": (lambda: gamma_of(0.5, 0.0, math.inf), "^s must be >= 1 and finite, got inf$"),
+    "gamma_of-inf-s-positive-q": (lambda: gamma_of(0.5, 0.5, math.inf), "^s must be >= 1 and finite, got inf$"),
     "run_orbit-alpha": (lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 1.0, (1.0,)), "alpha must be in"),
     "run_orbit-tol": (lambda: run_orbit(QUAD, SHRINK, 0.0, 0.0, 0.9, (1.0,), tol=0.0), "tol must be positive"),
     # an infinite tol used to stop at once: "converged" at x0 = 1 with residual 24.01

@@ -86,6 +86,12 @@ class TestInvariants:
         with pytest.raises(ScenarioFormatError, match="max_iter must be >= 1"):
             replace(sc, max_iter=0)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, 10.0])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # each used to build a scenario that run_orbit then rejected
+        with pytest.raises(ScenarioFormatError, match=f"^max_iter must be an integer, got {max_iter!r}$"):
+            replace(paper_example(), max_iter=max_iter)
+
     def test_beta_interval_uses_the_space(self):
         # s = 2 and q = 1 put the upper end at 1/(q*s) = 0.5, not 1
         sc = replace(paper_example(), params=QuasiParams(c=0.5, q=1.0, alpha=0.3))
