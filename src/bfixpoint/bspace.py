@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -157,18 +158,53 @@ class BMetricSpace:
 
 
 _TINY = 2.0**-1022  # the smallest normal float64, sys.float_info.min
-# For normal floats, d rises with the squared length v of x - y up to the
-# few ulps dists rounds by, far inside these relative windows: the screens
-# of certify and bound_audit evaluate exactly every entry within
-# _screen_window(p) of a screen's extreme v, and bound_audit's box bound is
-# widened by _BOX_WIDENING*max(1, p) (README, "Rounding allowances").
-_SCREEN_WINDOW = 1e-9
-_BOX_WIDENING = 1e-9
+_SCREEN_WINDOW = 1e-9  # _ScreenRule's window (README, "Rounding allowances")
+_BOX_WIDENING = 1e-9  # the widening of orbit._ruled_out's box bound
 
 
 def _screen_window(p: float) -> float:
     """_SCREEN_WINDOW, times 1/p for p < 1, where d = v**(p/2) flattens v."""
     return _SCREEN_WINDOW * max(1.0, 1.0 / p)
+
+
+class _ScreenRule:
+    """The one screening rule: which dists entries a screen (certify's
+    _screen, bound_audit's _row_maxima and _ruled_out) may skip, from a
+    proxy of d. proxy(ix, iy) is that of d(table[ix], table[iy]), for index
+    arrays or slices that broadcast: the exact entry on a matrix space, else
+    the squared length v of x - y from coords (coordinates), scaled by
+    2**-shift, shift >= 0. For a normal v, the rounding of v (a scaled
+    coordinate moves by 2**-1075 at most) and of d = math.dist(x, y)**p is
+    a few ulps, far inside the window rel = _screen_window(p) (0 on a matrix
+    space): no entry whose v lies further than rel from a group's extreme v
+    attains the group's extreme d. That needs d normal too, and d is at
+    least v**(p/2) less those ulps. So a screen trusts a group of proxies
+    from lo to hi only where trusted(lo, hi): floor <= lo, hi <=
+    float_info.max, floor the least normal float or (2*_TINY)**(2/p) if
+    larger, where d >= 2*_TINY less a few ulps; never 0, a subnormal, inf
+    (which orders nothing) or NaN. Each screen decides it per group, and
+    evaluates an untrusted group in full."""
+
+    def __init__(self, space: BMetricSpace, table: np.ndarray, coords):
+        self.space, self.table, self.coords = space, table, coords
+        matrix = space.kind == "matrix"
+        self.rel = 0.0 if matrix else _screen_window(space.p)
+        self.floor = _TINY if matrix else max(_TINY, (2.0 * _TINY) ** (2.0 / space.p))
+
+    @staticmethod
+    def coordinates(space: BMetricSpace, table: np.ndarray) -> np.ndarray:
+        """A power space's point table as one float64 row per dimension (a view in 1-D)."""
+        if space.dim == 1:
+            return table[None]
+        return np.fromiter(chain.from_iterable(table.tolist()), float).reshape(-1, space.dim).T.copy()
+
+    def proxy(self, ix, iy) -> np.ndarray:
+        if self.space.kind == "matrix":
+            return self.space.matrix[self.table[ix], self.table[iy]]
+        return sum((xs[ix] - xs[iy]) ** 2 for xs in self.coords)  # in coordinate order
+
+    def trusted(self, lo, hi) -> np.ndarray:
+        return (lo >= self.floor) & (hi <= sys.float_info.max)
 
 
 class AxiomViolation(NamedTuple):

@@ -19,14 +19,13 @@ arbitrary finite stretches of any sequence.
 from __future__ import annotations
 
 import operator
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from math import exp, frexp, inf, log
-from sys import float_info
 from typing import NamedTuple
 
 import numpy as np
 
-from .bspace import _BOX_WIDENING, _TINY, BMetricSpace, Point, _check_int, _screen_window
+from .bspace import _BOX_WIDENING, BMetricSpace, Point, _check_int, _ScreenRule
 from .quasicontraction import SetValuedMap, _check_coefficients, _check_map, _n_from_parts, image_of
 from .setops import PointSet, dist_point_set
 
@@ -294,77 +293,54 @@ _BLOCK_ENTRIES = 1 << 14  # approximate values per row block of _row_maxima
 
 def _row_maxima(space: BMetricSpace, table: np.ndarray, coords, rows: np.ndarray) -> np.ndarray:
     """For each point index i in rows (ascending), the exact maximum of
-    d(x_i, x_j) over j >= i, or NaN where the row has to be checked in
-    full; table is space.point_table of the points and coords their
-    coordinates, one array per dimension (None for a matrix space), all
-    scaled by one power of two (bound_audit).
+    d(x_i, x_j) over j >= i, or NaN where the row has to be checked in full;
+    table is space.point_table of the points, coords as in bound_audit.
 
-    Screen, then confirm. The rows are taken in blocks of as many as fit
-    _BLOCK_ENTRIES values (at least one row), each block against the points
-    from its first row on, in approximate values: squared euclidean
-    distances for power spaces (d is increasing in them) and the exact
-    entries for matrix spaces; entries with j < i are -inf. A row's
-    candidates are the entries within relative `rel` of its largest value,
-    and their exact distances come from one space.dists call per block.
-    Squared distances and d = math.dist(x, y)**p differ by a few ulps of
-    relative error (the scaling rounds only a coordinate it takes below
-    the normal range, by 2**-1075 at most, far less), and the candidate
-    window bspace._screen_window(p) exceeds what that error can reorder, so
-    the true maximum is always a candidate. That error bound holds for
-    normal floats, so a row is screened only if its largest value is a
-    normal float and its exact maximum is too (rounding to a subnormal
-    result may reorder near ties); values below the normal range elsewhere
-    in the row are too small to lead. Other rows (the last one, whose only
-    value is d(x_i, x_i) = 0, underflowing or overflowing distances,
-    non-finite coordinates) are left to the full check.
+    Screen, then confirm, in blocks of as many rows as fit _BLOCK_ENTRIES
+    proxies (bspace._ScreenRule; at least one row), each against the points
+    from its first row on (entries with j < i are -inf). Where the rule
+    trusts a row's largest proxy, the row's maximum is among the entries
+    within the rule's window of it, evaluated in one dists call per block;
+    the other rows (the last one, whose only value is d(x_i, x_i) = 0,
+    non-finite coordinates, distances out of range) are checked in full.
     """
     n = len(table)
-    rel = 0.0 if space.kind == "matrix" else _screen_window(space.p)
+    rule = _ScreenRule(space, table, coords)
     maxima = np.full(len(rows), np.nan)
     lo = 0
     with np.errstate(all="ignore"):
         while lo < len(rows):
             ri = rows[lo : lo + max(1, _BLOCK_ENTRIES // (n - rows[lo]))]
             c0 = ri[0]
-            if space.kind == "matrix":
-                v = space.matrix[table[ri, None], table[c0:]]
-            else:
-                v = sum((xs[c0:] - xs[ri, None]) ** 2 for xs in coords)  # in coordinate order
+            v = rule.proxy(ri[:, None], slice(c0, None))
             v[np.arange(c0, n) < ri[:, None]] = -np.inf
             top = v.max(axis=1)
-            ok = (top >= _TINY) & (top <= float_info.max)
-            b, c = np.nonzero((v >= (top * (1.0 - rel))[:, None]) & ok[:, None])
+            ok = rule.trusted(top, top)
+            b, c = np.nonzero((v >= (top * (1.0 - rule.rel))[:, None]) & ok[:, None])
             best = np.full(len(ri), -np.inf)
             np.fmax.at(best, b, space.dists(table[ri[b]], table[c + c0]))
-            maxima[lo : lo + len(ri)] = np.where(ok & (best >= _TINY), best, np.nan)
+            maxima[lo : lo + len(ri)] = np.where(ok, best, np.nan)
             lo += len(ri)
     return maxima
 
 
 def _ruled_out(space: BMetricSpace, table: np.ndarray, coords, bounds: np.ndarray, shift: int) -> np.ndarray:
-    """For each Cauchy row m = 0 .. n-2, its exact last entry
-    d(x_{m+1}, x_{n-1}) if the row cannot hold the audit's largest ratio,
-    NaN if it has to be screened; bounds[m] is the row's bound, table and
-    coords are as in _row_maxima, coords scaled by 2**-shift.
+    """For each Cauchy row m = 0 .. n-2, its exact last entry d(x_{m+1},
+    x_{n-1}) if the row cannot hold the audit's largest ratio, else NaN (to
+    screen); bounds[m] is its bound, table, coords and shift as in bound_audit.
 
-    The largest ratio is at least that of any real entry, so at least
-    lb = max over m of d(x_{m+1}, x_{n-1}) / bounds[m]. Every distance of
-    row m is at most d_hi, the length of the vector from x_{m+1} to the far
-    corner of the bounding box of x_{m+1}, ..., x_{n-1}, to the power p,
-    widened by bspace._BOX_WIDENING*max(1, p) relative. The power is taken
-    of the scaled squared length and multiplied back by 2**(shift*p), inf
-    beyond the float range. That is far more than the rounding of the
-    squares, their sum, math.dist, the power (whose relative error grows by
-    p/2 from squared lengths), the factor 2**(shift*p) (its exponent's
-    rounding moves it by a relative 2**-43 at most while it is finite) and
-    the division can move it, so d_hi covers every exact entry, and if
-    d_hi / bounds[m] < lb no entry of the row can lead (rounded division is
-    monotone). The error bound holds for normal floats, so a row is ruled
-    out only if its bound, its scaled squared length, that length's power
-    and d_hi are positive normal floats: then no entry of it overflows or
-    is NaN, and a zero bound, the only other source of violations, is
-    never ruled out. In one dimension the far corner is a point of the
-    orbit, so d_hi is tight. Matrix spaces rule out no row.
+    The largest ratio is at least lb = max over m of d(x_{m+1}, x_{n-1}) /
+    bounds[m]. No distance of row m exceeds d_hi: the scaled squared length
+    u2 from x_{m+1} to the far corner of the bounding box of x_{m+1}, ...,
+    x_{n-1}, to the power p/2, times 2**(shift*p) (inf beyond the float
+    range) and widened by bspace._BOX_WIDENING*max(1, p), far more than the
+    rounding of the squares, their sum, math.dist, the power (p/2 times that
+    of u2) and the factor (2**-43 at most while finite) can move d, where
+    the screen rule trusts u2 (bspace._ScreenRule). Then no entry of a row
+    with d_hi / bounds[m] < lb can lead (rounded division is monotone); an
+    inf d_hi and a zero bound, the only source of violations, give inf,
+    which never is. In 1-D the far corner is an orbit point, so d_hi is
+    tight. Matrix spaces rule out no row.
     """
     n = len(table)
     out = np.full(n - 1, np.nan)
@@ -378,11 +354,8 @@ def _ruled_out(space: BMetricSpace, table: np.ndarray, coords, bounds: np.ndarra
     with np.errstate(all="ignore"):
         far = np.maximum(coords[:, 1:] - lo, hi - coords[:, 1:])
         u2 = (far * far).sum(axis=0)
-        power = u2 ** (0.5 * space.p)
-        d_hi = power * np.exp2(shift * space.p) * (1.0 + _BOX_WIDENING * max(1.0, space.p))
-        ruled = d_hi / bounds < lb
-        for v in (bounds, u2, power, d_hi):
-            ruled &= (v >= _TINY) & (v <= float_info.max)
+        d_hi = u2 ** (0.5 * space.p) * np.exp2(shift * space.p) * (1.0 + _BOX_WIDENING * max(1.0, space.p))
+        ruled = _ScreenRule(space, table, coords).trusted(u2, u2) & (d_hi / bounds < lb)
     out[ruled] = last[ruled]
     return out
 
@@ -412,21 +385,18 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
     row needs only its farthest point, and only if it can lead at all. A
     bounding-box bound rules out, in O(L) numpy work, the rows whose every
     ratio stays below one that a real entry attains (see _ruled_out); they
-    contribute that exact entry. A numpy screen picks the farthest-point
-    candidates of the other rows, a block of rows at a time, and
-    space.dists confirms them (see _row_maxima); rows the screen cannot
-    vouch for, and rows whose bound has underflowed to 0, are checked in
-    full, so the largest ratio and the violation count are those of the
-    full pairwise scan. Chaining bounds come from exact integer prefix sums
-    (chaining_bounds). On an orbit of L points this takes O(L) exact
-    distance evaluations; the screen is quadratic only in the rows that
-    cannot be ruled out, and holds at most _BLOCK_ENTRIES approximate
-    values (or one row) at a time. Both take the coordinates scaled by
-    2**-shift, shift >= 0 chosen from the largest |coordinate| and the
-    dimension so that every squared length stays below 2**1023: huge
-    orbits (coordinates from about 2**510 on) are screened too, and shift
-    is 0 below that. Every bound is finite: beyond the float range a bound
-    decides no check, and its maker raises OverflowError.
+    contribute that exact entry. A numpy screen finds the farthest point of
+    the other rows (see _row_maxima); rows it cannot vouch for, and rows
+    whose bound has underflowed to 0, are checked in full, so the largest
+    ratio and the violation count are those of the full pairwise scan.
+    Chaining bounds come from exact integer prefix sums (chaining_bounds).
+    On an orbit of L points this takes O(L) exact distance evaluations; the
+    screen is quadratic only in the rows that cannot be ruled out. Both
+    take the coordinates scaled by 2**-shift, shift >= 0 keeping every
+    squared length below 2**1023 (0 unless a coordinate reaches about
+    2**510), so huge orbits are screened too. Every bound is finite: beyond
+    the float range a bound decides no check, and its maker raises
+    OverflowError.
     """
     pts, steps = trace.points, trace.steps
     n = len(pts)  # a trace without steps has one point and no checks
@@ -438,10 +408,10 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
         table = space.point_table(pts)
         coords, shift = None, 0
         if space.kind == "power":
-            coords = np.fromiter(chain.from_iterable(pts), float, n * space.dim).reshape(n, -1).T.copy()
+            coords = _ScreenRule.coordinates(space, table)
             # every coordinate below 2**e, a squared length below 4*dim*4**(e - shift) <= 2**1023
             shift = max(0, frexp(float(np.abs(coords).max()))[1] - (1021 - (space.dim - 1).bit_length()) // 2)
-            coords *= 2.0**-shift
+            coords = coords * 2.0**-shift
         tops = _ruled_out(space, table, coords, bounds, shift)
         screened = np.flatnonzero(np.isnan(tops) & (bounds != 0.0))
         tops[screened] = _row_maxima(space, table, coords, screened + 1)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bspace import _TINY, BMetricSpace, Point, _screen_window
+from .bspace import BMetricSpace, Point, _ScreenRule
 from .setops import PointSet, dist_point_set, make_point_set
 
 
@@ -255,19 +255,13 @@ def _pair_indices(n: int, lo: int, hi: int) -> tuple:
     return i, k - ends[i] + n
 
 
-def _screen(v: np.ndarray, p: float) -> tuple:
-    """(keep, (lead_rows, lead_cols)) for a block of squared distances v:
-    the entries that can decide a term, and the rows T(x) and columns T(y)
-    of h whose minimum can be the largest (a non-leading row may read more
-    than its minimum from the kept entries). As in orbit._row_maxima, d
-    rises with v up to a few ulps, far inside the bspace._screen_window,
-    for normal floats: None, to evaluate in full, if a v is not one (an
-    inf v orders nothing) or a distance could fall below their range."""
-    vmin, vmax = v.min(), v.max()
-    if not (vmin >= _TINY and vmin ** (0.5 * p) >= 2.0 * _TINY and vmax < math.inf):
-        return None
-    rel = _screen_window(p)
-    lo, hi = 1.0 + rel, 1.0 - rel
+def _screen(rule: _ScreenRule, v: np.ndarray) -> tuple:
+    """(keep, (lead_rows, lead_cols)) for a block of proxies v (axes T(x),
+    T(y), pairs): the entries that can decide a term, and the rows T(x) and
+    columns T(y) of h whose minimum can be the largest (a non-leading row
+    may read more than its minimum from the kept entries). A pair whose
+    smallest or largest proxy the rule does not trust keeps all of them."""
+    lo, hi = 1.0 + rule.rel, 1.0 - rule.rel
     keep = np.empty(v.shape, dtype=bool)
     keep[0, 0] = True
     keep[0, 1:] = v[0, 1:] <= v[0, 1:].min(axis=0) * lo
@@ -276,10 +270,11 @@ def _screen(v: np.ndarray, p: float) -> tuple:
     rmin, cmin = img.min(axis=1), img.min(axis=0)
     lead_rows, lead_cols = rmin >= rmin.max(axis=0) * hi, cmin >= cmin.max(axis=0) * hi
     keep[1:, 1:] = (lead_rows[:, None] & (img <= rmin[:, None] * lo)) | (lead_cols[None] & (img <= cmin[None] * lo))
-    return keep, (lead_rows, lead_cols)
+    full = ~rule.trusted(v.min(axis=(0, 1)), v.max(axis=(0, 1)))
+    return keep | full, (lead_rows | full, lead_cols | full)
 
 
-def _block_terms(space, table, coords, rows, dxt, xi, yi, c, q) -> tuple:
+def _block_terms(space, table, rule, rows, dxt, xi, yi, c, q) -> tuple:
     """(d(x, y), h(T(x), T(y)), N(x, y), five_term_max(x, y)) as arrays over
     the pairs (x, y) = (points[xi[b]], points[yi[b]]).
 
@@ -287,21 +282,20 @@ def _block_terms(space, table, coords, rows, dxt, xi, yi, c, q) -> tuple:
     BMetricSpace.point_table), and dxt[u] = d(u, T(u)). Column u of rows
     holds the table indices of u and T(u), padded to the widest image by
     repeating the last element. One dists call evaluates m[a, e, b], the
-    distances from x, T(x) to y, T(y) of pair b (given coords, the table's
-    coordinates by dimension, only those _screen keeps; the rest read inf);
-    a padded entry repeats a distance, which changes no min or max. Row 0
-    holds d(x,y) and d(x,T(y)), column 0 d(T(x),y), read exactly as
-    d(y,T(x)) as every space is symmetric, the rest the distances of h.
-    fmin/fmax skip NaN as the `<`/`>` loops do, from the same inf / 0."""
+    distances from x, T(x) to y, T(y) of pair b (given the table's rule,
+    only those _screen keeps; the rest read inf); a padded entry repeats a
+    distance, which changes no min or max. Row 0 holds d(x,y) and
+    d(x,T(y)), column 0 d(T(x),y), read exactly as d(y,T(x)) as every
+    space is symmetric, the rest the distances of h. fmin/fmax skip NaN as
+    the `<`/`>` loops do, from the same inf / 0."""
     ix, iy = rows.take(xi, axis=1), rows.take(yi, axis=1)  # C-contiguous, unlike rows[:, xi]
     shape = (len(ix), len(ix), len(xi))
     gx, gy = np.broadcast_to(ix[:, None], shape), np.broadcast_to(iy[None], shape)
-    screen = None if coords is None else _screen(sum((xs[ix][:, None] - xs[iy][None]) ** 2 for xs in coords), space.p)
-    if screen is None:
+    if rule is None:
         lead = (True, True)
         m = space.dists(table[gx.ravel()], table[gy.ravel()]).reshape(shape)
     else:
-        keep, lead = screen
+        keep, lead = _screen(rule, rule.proxy(ix[:, None], iy[None]))
         m = np.full(shape, np.inf)
         m[keep] = space.dists(table[gx[keep]], table[gy[keep]])
     fmin, fmax, inf = np.fmin, np.fmax, np.inf
@@ -327,9 +321,8 @@ def _term_blocks(space, tmap, c, q, points):
     call over the sum of the image sizes, a NaN read as inf, as
     dist_point_set's strict < from inf reads it. Blocks are screened off the
     p = 1 line (whose entries cost no power) in power spaces with some image
-    of two elements. A distance beyond the float range reads inf (dists),
-    so nothing here raises once image_of has checked the points; the caller
-    scopes the floating-point warnings."""
+    of two elements. A distance beyond the float range reads inf (dists), so
+    only image_of raises here; the caller scopes the floating-point warnings."""
     n, total = len(points), len(points) * (len(points) - 1) // 2
     images = [image_of(space, tmap, x) for x in points]
     table = space.point_table(chain.from_iterable((x, *t.elements) for x, t in zip(points, images)))
@@ -338,14 +331,14 @@ def _term_blocks(space, tmap, c, q, points):
     own = space.dists(table[np.repeat(starts, width - 1)], table[np.delete(np.arange(len(table)), starts)])
     dxt = np.minimum.reduceat(np.where(np.isnan(own), np.inf, own), starts - np.arange(n))
     w = int(width.max())
-    coords = None
+    rule = None
     if space.kind == "power" and w >= 3 and (space.dim, space.p) != (1, 1.0):
-        coords = table[None] if space.dim == 1 else np.array(table.tolist(), dtype=float).T
+        rule = _ScreenRule(space, table, _ScreenRule.coordinates(space, table))
     rows = starts + np.minimum(np.arange(w)[:, None], width - 1)
     step = max(1, _BLOCK_DISTANCES // w**2)
     for lo in range(0, total, step):
         xi, yi = _pair_indices(n, lo, min(lo + step, total))
-        yield xi, yi, *_block_terms(space, table, coords, rows, dxt, xi, yi, c, q)
+        yield xi, yi, *_block_terms(space, table, rule, rows, dxt, xi, yi, c, q)
 
 
 def _pair_error(x: Point, y: Point, d_xy: float, h: float, n4: float, n5: float) -> ValueError:
@@ -380,9 +373,9 @@ def certify(
     underflow), or whose distance, ratio or denominator is not finite
     (images or distances that overflow), makes the certificate
     uncomputable: ValueError names the first such pair, as it does fewer
-    than two points. On a finite space sampled at every point
-    the certificate is exhaustive; otherwise it only speaks for the sample
-    and is labeled empirical. Theorem verdicts come from `verdicts`.
+    than two points. On a finite space sampled at every point the
+    certificate is exhaustive; otherwise it only speaks for the sample and
+    is labeled empirical. Theorem verdicts come from `verdicts`.
 
     Cost: one image_of per sample point, one space.dists entry per image
     element for the d(x, T(x)), then at most (1 + w)**2 entries per pair, w

@@ -65,10 +65,10 @@ class PointsSample(NamedTuple):
 class Scenario:
     """A problem instance: the built space and map, the run parameters and
     the certification sample. Construction is the one place that checks a
-    scenario: c and q in [0, 1], alpha in [0, 1), 0 < tol < inf, an integer
-    max_iter >= 1, beta in (alpha, beta_limit(q, s)), and x0, x1 and every
-    sample point against the space. Two scenarios are equal when their
-    canonical JSON objects are."""
+    scenario: c and q in [0, 1], alpha in [0, 1), 0 < tol < inf, int max_iter
+    >= 1 and seed, beta in (alpha, beta_limit(q, s)), and x0, x1 and every
+    sample point against the space (an error names the field). Two
+    scenarios are equal when their canonical JSON objects are."""
 
     space: BMetricSpace
     map: SetValuedMap
@@ -88,20 +88,20 @@ class Scenario:
             raise ScenarioFormatError(f"params: alpha must be in [0,1), got {p.alpha}")
         if not 0 < self.tol < inf:  # JSON output (the digest, the report) has no inf
             raise ScenarioFormatError(f"tol must be positive and finite, got {self.tol}")
-        try:
-            _check_int("max_iter", self.max_iter)
-        except ValueError as exc:
-            raise ScenarioFormatError(str(exc)) from None
+        for name, value in [("max_iter", self.max_iter)] + [("seed", self.seed)] * (self.seed is not None):
+            if not isinstance(value, int) or isinstance(value, bool):  # no numpy integer: dumps_canonical writes ints
+                raise ScenarioFormatError(f"{name} must be an integer, got {value!r}")
         if not self.max_iter >= 1:
             raise ScenarioFormatError(f"max_iter must be >= 1, got {self.max_iter}")
         hi = beta_limit(p.q, self.space.s)
         if p.beta is not None and not p.alpha < p.beta < hi:
             raise ScenarioFormatError(f"params.beta {p.beta} outside (alpha, min(1, 1/(q*s))) = ({p.alpha}, {hi})")
-        self.space.check_point(self.x0)
-        if self.x1 is not None:
-            self.space.check_point(self.x1)
-        for pt in sample_points(self):
-            self.space.check_point(pt)
+        for k, pt in enumerate([self.x0, self.x1, *sample_points(self)]):
+            try:
+                if pt is not None or k != 1:  # x1 is optional
+                    self.space.check_point(pt)
+            except ValueError as exc:
+                raise ScenarioFormatError(f"{('x0', 'x1')[k] if k < 2 else f'sample point {k - 2}'}: {exc}") from None
 
     def __eq__(self, other):
         if not isinstance(other, Scenario):

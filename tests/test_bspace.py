@@ -878,9 +878,7 @@ def test_certify_work_per_point_and_pair(monkeypatch):
     ragged = make_branch_map(plane, [shear, (lift[0], [0.0, 0.0])])
     line = make_matrix_space(3, SQUARED_LINE, 2.0)
     table = qc.make_table_map(line, {0: [0, 2], 1: [0], 2: [1, 0, 2]})
-    # x -> 0.5x and x -> -0.5x meet only at 0, the one point with a single image;
-    # no sample point lies in another's image (a zero squared distance, which
-    # sends the whole block to full evaluation)
+    # x -> 0.5x and x -> -0.5x meet only at 0, the one point with a single image
     real_line, unit_line, squared_line = make_power_space(1, 1.5), make_power_space(1, 1.0), make_power_space(1, 2.0)
     fold = [([[0.5]], [0.0]), ([[-0.5]], [0.0])]
     halves = make_branch_map(squared_line, [([[0.5]], [0.0]), ([[0.25]], [0.0])])
@@ -895,6 +893,10 @@ def test_certify_work_per_point_and_pair(monkeypatch):
         (real_line, make_branch_map(real_line, fold), line_pts, True, "screened"),
         (unit_line, make_branch_map(unit_line, fold), line_pts, True, "full"),
         (squared_line, halves, [(1.0,), (3.0,)], False, 5),
+        # the dyadic grid -5..5 step 0.125, where many points lie in another's
+        # image: a pair with such a zero squared distance is evaluated in
+        # full, every other pair is screened (29,160 = full, block by block)
+        (squared_line, make_branch_map(squared_line, fold), [(-5.0 + i / 8,) for i in range(81)], True, 17000),
     ]
     real_image_of, real_dist, real_dists = qc.image_of, BMetricSpace.dist, BMetricSpace.dists
     for space, tmap, pts, is_ragged, want in cases:

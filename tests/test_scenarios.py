@@ -2,9 +2,11 @@ import json
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bfixpoint.bspace import verify_axioms
+from bfixpoint.cli import main
 from bfixpoint.orbit import beta_limit, gamma_of
 from bfixpoint.quasicontraction import QuasiParams, enumerate_fixed_points
 from bfixpoint.scenarios import (
@@ -91,6 +93,14 @@ class TestInvariants:
         # each used to build a scenario that run_orbit then rejected
         with pytest.raises(ScenarioFormatError, match=f"^max_iter must be an integer, got {max_iter!r}$"):
             replace(paper_example(), max_iter=max_iter)
+
+    @pytest.mark.parametrize("field, value", [("max_iter", np.int64(5)), ("seed", np.int64(3)), ("seed", True)])
+    def test_integers_are_python_ints(self, field, value):
+        # dumps_canonical writes no other integer: a numpy one used to build a
+        # scenario whose save, digest and run report then raised TypeError
+        with pytest.raises(ScenarioFormatError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            replace(paper_example(), **{field: value})
+        assert replace(paper_example(), seed=3).seed == 3
 
     def test_beta_interval_uses_the_space(self):
         # s = 2 and q = 1 put the upper end at 1/(q*s) = 0.5, not 1
@@ -254,6 +264,21 @@ class TestLoadValidation:
         obj["x0"] = 17
         with pytest.raises(ValueError, match="out of range"):
             load(write_json(tmp_path / "bad.json", obj))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("x0", 7, "x0: point id 7 out of range [0, 3)"),
+            ("x1", -1, "x1: point id -1 out of range [0, 3)"),
+            ("sample", {"kind": "points", "pts": [0, 9, 1]}, "sample point 1: point id 9 out of range [0, 3)"),
+        ],
+    )
+    def test_point_errors_name_their_field(self, tmp_path, capsys, field, value, message):
+        path = write_json(tmp_path / "bad.json", dict(valid_matrix_scenario(), **{field: value}))
+        with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
+            load(path)
+        assert main(["verify", "--scenario", path]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_digest_pinned(self, tmp_path):
         # read off the built space and map, the digest matches the one

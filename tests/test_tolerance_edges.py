@@ -136,3 +136,11 @@ def test_every_allowance_constant_has_a_row():
             )
     assert "scenarios._MARGIN" in defined
     assert defined <= listed, f"README's table of rounding allowances lacks {sorted(defined - listed)}"
+
+
+def test_one_screening_rule():
+    # the normal-range floor and the screen window belong to bspace's one
+    # screening rule (_ScreenRule): a screen elsewhere holds no guard of its own
+    for path in Path(bfixpoint.__file__).parent.glob("*.py"):
+        if path.name != "bspace.py":
+            assert not re.findall(r"\b(?:_TINY|_screen_window)\b", path.read_text()), path.name
