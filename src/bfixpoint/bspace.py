@@ -20,7 +20,6 @@ spaces. A distance beyond the float range, from the norm or the power, is inf.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -37,9 +36,9 @@ VERIFY_TOL = 1e-12
 
 
 def _check_int(name: str, value) -> None:
-    """Reject a count or seed that is not an integer: int() would
-    truncate a float and accept a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """Reject a count or seed that is not a Python int (check_point's rule):
+    int() would truncate a float and pass a bool; a numpy int fails later."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -17,14 +17,14 @@ import sys
 import time
 from dataclasses import replace
 from functools import cache
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .bspace import VERIFY_TOL, AxiomReport, verify_axioms
 from .jsonutil import dumps_canonical, format_float
-from .orbit import OrbitTrace, bound_audit, cauchy_bounds, cauchy_series, run_orbit
+from .orbit import OrbitTrace, _trace_arrays, bound_audit, run_orbit
 from .quasicontraction import ContractionCertificate, certify, check_hypotheses, side_conditions, verdicts
 from .scenarios import (
     BUILTIN_NAMES,
@@ -99,29 +99,29 @@ _JSON_ROW = (
 )
 
 
-def _trace_rows(space, trace: OrbitTrace, row: str, sep: str, empty: str, point: str) -> str:
+def _trace_rows(trace: OrbitTrace, arrays: tuple, row: str, sep: str, empty: str, point: str) -> str:
     """The trace's rows joined by sep: one template, filled in by one % from
     one flat tuple of the rows' numbers in text order.
 
     A row is `row` with %d for n, `point` (%d for a matrix id, else one
     %.17g per coordinate), gamma's text, and %.17g for d_n, the ratio and
-    the Cauchy bound (cauchy_bounds), or `empty` and %.0s, which drops its
-    number, where the cell is empty: d_n in the last row, the ratio in the
-    first, the last and a row after a zero step, the bound without steps;
-    an empty cell holds 0. %.17g and format_float both call
+    the Cauchy bound, or `empty` and %.0s, which drops its number, where the
+    cell is empty: d_n in the last row, the ratio in the first, the last and
+    a row after a zero step, the bound without steps; an empty cell holds 0.
+    The points and bounds are those of arrays, the trace's _trace_arrays,
+    which bound_audit reads too. %.17g and format_float both call
     PyOS_double_to_string, and numpy's division rounds as Python's does.
     A run_orbit trace writes only finite numbers: a ratio is at most about
     gamma (the decay check), and cauchy_bounds raises beyond the float range.
     """
-    pts, steps = trace.points, np.array(trace.steps, dtype=float)
-    n, k = len(pts), len(steps)  # n = k + 1
+    (table, coords, bound), steps = arrays, np.array(trace.steps, dtype=float)
+    n, k = len(table), len(steps)  # n = k + 1
     ratio, has_ratio = np.zeros(n), np.zeros(n, bool)
     has_ratio[1:k] = steps[:-1] != 0.0
     with np.errstate(all="ignore"):  # a ratio may overflow or underflow, as with /; an unwritten one stays 0
         np.divide(steps[1:], steps[:-1], out=ratio[1:k], where=has_ratio[1:k])
-    bound = cauchy_bounds(cauchy_series(trace.gamma, space.s, trace.steps[0]), n) if k else [0.0] * n
     cells = {"n": np.arange(n, dtype=float), "d_n": np.append(steps, 0.0), "ratio": ratio, "cauchy_bound_at_n": bound}
-    cells["point"] = np.fromiter(pts if space.kind == "matrix" else chain.from_iterable(pts), float).reshape(n, -1)
+    cells["point"] = table[:, None] if coords is None else coords.T
     values = np.column_stack([cells[c] for c in re.findall(r"{(\w+)}", row) if c != "gamma"])
     cell, gamma = {True: "%.17g", False: empty + "%.0s"}, format(trace.gamma, ".17g")
     variants = [row.format(n="%d", point=point, gamma=gamma, d_n=cell[d], ratio=cell[r], cauchy_bound_at_n=cell[b])
@@ -130,17 +130,17 @@ def _trace_rows(space, trace: OrbitTrace, row: str, sep: str, empty: str, point:
     return sep.join(map(variants.__getitem__, code.tolist())) % tuple(values.ravel().tolist())
 
 
-def _trace_csv(space, trace: OrbitTrace | None) -> str:
+def _trace_csv(space, trace: OrbitTrace | None, arrays: tuple | None) -> str:
     point = "%d" if space.kind == "matrix" else ";".join(["%.17g"] * space.dim)
-    rows = "" if trace is None else _trace_rows(space, trace, _CSV_ROW, "", "", point)
+    rows = "" if trace is None else _trace_rows(trace, arrays, _CSV_ROW, "", "", point)
     return ",".join(_TRACE_COLUMNS) + "\n" + rows
 
 
-def _trace_json(space, trace: OrbitTrace | None) -> str:
+def _trace_json(space, trace: OrbitTrace | None, arrays: tuple | None) -> str:
     if trace is None:
         return dumps_canonical({"rows": []}) + "\n"
     point = "%d" if space.kind == "matrix" else "[\n        " + ",\n        ".join(["%.17g"] * space.dim) + "\n      ]"
-    return '{\n  "rows": [\n' + _trace_rows(space, trace, _JSON_ROW, ",\n", "null", point) + "\n  ]\n}\n"
+    return '{\n  "rows": [\n' + _trace_rows(trace, arrays, _JSON_ROW, ",\n", "null", point) + "\n  ]\n}\n"
 
 
 def cmd_run(
@@ -165,44 +165,40 @@ def cmd_run(
     space, p = sc.space, sc.params
 
     trace = None
-    if not hyp["contraction_holds"]:
+    try:
+        if not hyp["contraction_holds"]:
+            raise ValueError(f"supplied alpha {p.alpha} below certified alpha_min {cert.alpha_min}")
+        trace = run_orbit(
+            space, sc.map, p.c, p.q, p.alpha, sc.x0,
+            x1=sc.x1, beta=p.beta if beta is None else beta, tol=run.tol, max_iter=run.max_iter,
+        )
         orbit_obj = {
-            "status": "hypothesis_violation",
-            "reason": f"supplied alpha {p.alpha} below certified alpha_min {cert.alpha_min}",
+            "status": trace.status,
+            "iterations": len(trace.steps),
+            "beta": trace.beta,
+            "gamma": trace.gamma,
+            "fixed_point": trace.fixed_point,
+            "residual": trace.residual,
+            "violation_step": trace.violation_step,
+            "x0": sc.x0,
+            "tol": run.tol,
         }
+        exit_code = {"converged": 0, "max_iter": 2, "ratio_violation": 1}[trace.status]
+    except ValueError as exc:
+        orbit_obj = {"status": "hypothesis_violation", "reason": str(exc)}
         exit_code = 1
-    else:
-        try:
-            trace = run_orbit(
-                space, sc.map, p.c, p.q, p.alpha, sc.x0,
-                x1=sc.x1, beta=p.beta if beta is None else beta, tol=run.tol, max_iter=run.max_iter,
-            )
-            orbit_obj = {
-                "status": trace.status,
-                "iterations": len(trace.steps),
-                "beta": trace.beta,
-                "gamma": trace.gamma,
-                "fixed_point": trace.fixed_point,
-                "residual": trace.residual,
-                "violation_step": trace.violation_step,
-                "x0": sc.x0,
-                "tol": run.tol,
-            }
-            exit_code = {"converged": 0, "max_iter": 2, "ratio_violation": 1}[trace.status]
-        except ValueError as exc:
-            orbit_obj = {"status": "hypothesis_violation", "reason": str(exc)}
-            exit_code = 1
 
+    arrays = None if trace is None else _trace_arrays(space, trace)
     report = {
         "certificate": _cert_obj(sc, cert, hyp, trace.gamma if trace is not None else None),
         "orbit": orbit_obj,
-        "audit": bound_audit(space, trace) if trace is not None else {"ok": False, "violations": 0},
+        "audit": bound_audit(space, trace, _arrays=arrays) if trace is not None else {"ok": False, "violations": 0},
         "timing_ms": (time.perf_counter() - t0) * 1000.0,
     }
     # everything is formatted before the first file is written
     # without an orbit the trace has no rows, in the format asked for
     trace_name, write_trace = ("trace.json", _trace_json) if fmt == "json" else ("trace.csv", _trace_csv)
-    files = {"report.json": dumps_canonical(report) + "\n", trace_name: write_trace(space, trace)}
+    files = {"report.json": dumps_canonical(report) + "\n", trace_name: write_trace(space, trace, arrays)}
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out / name).write_text(text)
@@ -223,14 +219,12 @@ def cmd_verify(scenario_arg: str, seed: int | None = None) -> int:
 def cmd_compare(scenario_arg: str, seed: int | None = None) -> int:
     sc, _pts, cert, hyp, _ = _certified(scenario_arg, seed)
     conditions = side_conditions(cert, sc.params.alpha)
-    rows = []
+    rows = [("theorem", "applicable", "condition", "values")]  # the header, padded as the rows are
     for name in ("thm33", "thm41"):
         cond = conditions[name]
         values = f"{format_float(cond.value)} {cond.shown_relation} {format_float(cond.threshold)}"
         rows.append((name, "YES" if hyp[name]["applicable"] else "NO", cond.condition, values))
-    headers = ("theorem", "applicable", "condition", "values")
-    widths = [max(len(headers[i]), max(len(r[i]) for r in rows)) for i in range(3)]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)) + "  " + headers[3])
+    widths = [max(len(r[i]) for r in rows) for i in range(3)]
     for r in rows:
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "  " + r[3])
     return 0

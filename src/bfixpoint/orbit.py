@@ -372,7 +372,17 @@ def _worst_ratio(actual: np.ndarray, bound) -> tuple[float, int]:
     return float(np.fmax.reduce(ratios, initial=0.0)), int(np.count_nonzero(live & zero) + np.isnan(ratios).sum())
 
 
-def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
+def _trace_arrays(space: BMetricSpace, trace: OrbitTrace) -> tuple:
+    """A finished trace's point_table, coordinate rows (None on a matrix space)
+    and Cauchy bound at each of its n points ([0.0] without steps), made once
+    for bound_audit (its rows: the first n - 1, bit for bit) and the writers."""
+    pts, steps = trace.points, trace.steps
+    bounds = cauchy_bounds(cauchy_series(trace.gamma, space.s, first_step=steps[0]), len(pts)) if steps else [0.0]
+    table = space.point_table(pts)
+    return table, None if space.kind == "matrix" else _ScreenRule.coordinates(space, table), np.array(bounds)
+
+
+def bound_audit(space: BMetricSpace, trace: OrbitTrace, *, _arrays=None) -> dict:
     """Worst actual/bound ratios over the whole trace.
 
     Cauchy: d(x_{m+1}, x_{m+k}) against the tail bound at m for every m, k.
@@ -396,19 +406,16 @@ def bound_audit(space: BMetricSpace, trace: OrbitTrace) -> dict:
     squared length below 2**1023 (0 unless a coordinate reaches about
     2**510), so huge orbits are screened too. Every bound is finite: beyond
     the float range a bound decides no check, and its maker raises
-    OverflowError.
+    OverflowError. It reads _trace_arrays, made here unless _arrays is given.
     """
-    pts, steps = trace.points, trace.steps
-    n = len(pts)  # a trace without steps has one point and no checks
+    steps, n = trace.steps, len(trace.points)  # a trace without steps has one point and no checks
     cauchy, chaining, violations = 0.0, 0.0, 0
     if steps:
-        cert = cauchy_series(trace.gamma, space.s, first_step=steps[0])
-        bounds = np.array(cauchy_bounds(cert, n - 1))  # row m's bound
+        table, coords, bounds = _trace_arrays(space, trace) if _arrays is None else _arrays
+        bounds = bounds[:-1]  # row m's bound
         chain_bounds = np.fromiter(chaining_bounds(steps, space.s), float, n - 1)
-        table = space.point_table(pts)
-        coords, shift = None, 0
-        if space.kind == "power":
-            coords = _ScreenRule.coordinates(space, table)
+        shift = 0
+        if coords is not None:
             # every coordinate below 2**e, a squared length below 4*dim*4**(e - shift) <= 2**1023
             shift = max(0, frexp(float(np.abs(coords).max()))[1] - (1021 - (space.dim - 1).bit_length()) // 2)
             coords = coords * 2.0**-shift

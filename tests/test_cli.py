@@ -3,7 +3,9 @@ import json
 import math
 import operator
 import re
+import sys
 import warnings
+from collections import Counter
 from itertools import chain
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from bfixpoint.bspace import BMetricSpace, make_matrix_space, make_power_space
 from bfixpoint.cli import _parser, _trace_csv, _trace_json, main
 from bfixpoint.jsonutil import dumps_canonical, format_float
-from bfixpoint.orbit import OrbitTrace, cauchy_series
+from bfixpoint.orbit import OrbitTrace, _trace_arrays, cauchy_series
 from bfixpoint.scenarios import paper_example, scenario_to_obj
 
 
@@ -722,20 +724,26 @@ class TestTraceWriters:
         rows = reference_rows(space, trace)
         if case == "bound-underflows-to-0":
             assert rows[-1]["cauchy_bound_at_n"] == 0.0
-        assert _trace_json(space, trace) == dumps_canonical({"rows": rows}) + "\n"
-        assert _trace_csv(space, trace) == reference_csv(rows)
+        arrays = None if trace is None else _trace_arrays(space, trace)
+        assert _trace_json(space, trace, arrays) == dumps_canonical({"rows": rows}) + "\n"
+        assert _trace_csv(space, trace, arrays) == reference_csv(rows)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_cell_is_invalid_input(self, fmt):
         # the Cauchy bounds refuse a number that is not finite where they are
-        # made, before any cell: an infinite first step (d(1, inf) is inf),
-        # and a first bound 1e308*S/(1 - 0.9) beyond the float range
+        # made, in _trace_arrays, before either writer sees a cell: an
+        # infinite first step (d(1, inf) is inf), and a first bound
+        # 1e308*S/(1 - 0.9) beyond the float range
         space = make_power_space(1, 1.0)
         writer = _trace_json if fmt == "json" else _trace_csv
+
+        def write(trace):
+            return writer(space, trace, _trace_arrays(space, trace))
+
         with pytest.raises(ValueError, match="^first_step must be non-negative and finite, got inf$"):
-            writer(space, writer_trace(space, [(1.0,), (math.inf,)], 0.0))
+            write(writer_trace(space, [(1.0,), (math.inf,)], 0.0))
         with pytest.raises(OverflowError, match=r"^the Cauchy bound at m = 0, .* d\(x0, x1\) = 1e\+308,"):
-            writer(space, writer_trace(space, [(0.0,), (1e308,)], 0.9))
+            write(writer_trace(space, [(0.0,), (1e308,)], 0.9))
 
 
 def all_finite(rows):
@@ -790,8 +798,9 @@ def test_writers_match_the_references_on_arbitrary_traces(case):
     space, trace = case
     rows = reference_rows(space, trace)
     assume(all_finite(rows))
-    assert _trace_csv(space, trace) == reference_csv(rows)
-    assert _trace_json(space, trace) == dumps_canonical({"rows": rows}) + "\n"
+    arrays = _trace_arrays(space, trace)
+    assert _trace_csv(space, trace, arrays) == reference_csv(rows)
+    assert _trace_json(space, trace, arrays) == dumps_canonical({"rows": rows}) + "\n"
 
 
 # sha256 of trace.csv, trace.json and report.json without timing_ms: the
@@ -833,6 +842,45 @@ def test_run_outputs_are_pinned(tmp_path, name):
     csv_trace, csv_report, json_trace, json_report = got
     assert csv_report == json_report
     assert (csv_trace, json_trace, csv_report) == RUN_PINS[name]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("space", ["plane", "matrix"])
+def test_run_makes_the_cauchy_bounds_once(tmp_path, monkeypatch, space, fmt):
+    # bound_audit and the trace writer read one set of Cauchy bounds, made
+    # by orbit._trace_arrays: one cauchy_series and one cauchy_bounds per
+    # run, counted wherever a bfixpoint module holds either name; the
+    # random-finite builtin is a matrix space
+    calls = Counter()
+    modules = [m for k, m in sys.modules.items() if k == "bfixpoint" or k.startswith("bfixpoint.")]
+    for name in ("cauchy_series", "cauchy_bounds"):
+        real = getattr(sys.modules["bfixpoint.orbit"], name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            if vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, counted)
+    scenario = write_json(tmp_path / "sc.json", plane_scenario()) if space == "plane" else "random-finite"
+    assert main(["run", "--scenario", scenario, "--seed", "3", "--out", str(tmp_path / "o"), "--format", fmt]) == 0
+    assert calls == {"cauchy_series": 1, "cauchy_bounds": 1}
+
+
+@pytest.mark.parametrize("stage", ["_trace_arrays", "bound_audit"])
+def test_a_value_error_after_the_orbit_is_invalid_input(tmp_path, capsys, monkeypatch, stage):
+    # only the alpha gate and run_orbit make a hypothesis violation (exit 1);
+    # a ValueError from the trace's arrays or its audit, made after them, is
+    # invalid input (exit 3)
+    def refuse(*args, **kwargs):
+        raise ValueError(f"{stage} refused")
+
+    monkeypatch.setattr(sys.modules["bfixpoint.cli"], stage, refuse)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "paper-example", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {stage} refused\n" and captured.out == "" and not out.exists()
 
 
 class TestVerify:

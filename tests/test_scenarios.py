@@ -221,6 +221,10 @@ class TestRandomFinite:
             ((5, 3.5, 2.0, 0.6), "n_points must be an integer, got 3.5"),
             ((5, True, 2.0, 0.6), "n_points must be an integer, got True"),
             ((5.0, 8, 2.0, 0.6), "seed must be an integer, got 5.0"),
+            # a numpy seed failed in SplitMix64 with an untyped OverflowError;
+            # a numpy n_points as a ScenarioFormatError naming x0
+            ((np.int64(2024), 8, 2.0, 0.6), "seed must be an integer, got np.int64(2024)"),
+            ((2024, np.int64(8), 2.0, 0.6), "n_points must be an integer, got np.int64(8)"),
         ],
     )
     def test_non_integer_arguments_rejected(self, args, message):
